@@ -11,7 +11,10 @@ inherited (renamed coordinates keep their marking), and the exceptional
 coordinate is marked whenever the center met a log-marked coordinate, so the
 frame stays correct for residue and connection computations downstream.
 
-Total transforms of monomial ideals are computed by pure exponent arithmetic.
+Every chart map is monomial, so composing chart maps is integer matrix
+arithmetic on exponents; ``push_exponent`` is the one routine that does it.
+Each chart stores its map to the root (``Chart.to_root``), composed once when
+the chart is built, so total transforms of root ideals never walk the tree.
 Two different strictness notions coexist:
 
 * ``transform_ideal`` divides the *common* power of each exceptional
@@ -26,9 +29,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
-from .monideal import MonomialIdeal, SimpleVariety, is_simple_ideal
+from .monideal import MixedVariableSets, MonomialIdeal, SimpleVariety, is_simple_ideal
 from .symcore import Exponent, LogresError, monomial_string
 
 
@@ -49,9 +52,10 @@ class Chart:
     """One affine chart of a blow-up tree.
 
     `to_parent` sends each parent variable to its monomial image over this
-    chart's variables (exponent tuples); composing up the tree gives the
-    monomial substitution into root coordinates.  `exceptional` lists the
-    exceptional divisors visible in this chart as (label, defining variable).
+    chart's variables (exponent tuples).  `to_root` stores the composite map:
+    the image of each root variable, in root variable order, over this
+    chart's variables.  `exceptional` lists the exceptional divisors visible
+    in this chart as (label, defining variable).
     """
 
     id: str
@@ -59,6 +63,7 @@ class Chart:
     log_marked: frozenset[str] = frozenset()
     parent: str | None = None
     to_parent: tuple[tuple[str, Exponent], ...] = ()
+    to_root: tuple[Exponent, ...] = ()
     exceptional: tuple[tuple[str, str], ...] = ()
     center: frozenset[str] = frozenset()  # blown-up center, in parent variables
     direction: str | None = None  # the kept center variable
@@ -70,10 +75,6 @@ class Chart:
         if unknown:
             raise ValueError(f"log-marked {sorted(unknown)} not chart variables")
 
-    @property
-    def parent_map(self) -> dict[str, Exponent]:
-        return dict(self.to_parent)
-
     def variable_index(self, name: str) -> int:
         return self.variables.index(name)
 
@@ -84,7 +85,8 @@ def root_chart(
     chart_id: str = "root",
 ) -> Chart:
     vs = tuple(variables)
-    return Chart(id=chart_id, variables=vs, log_marked=frozenset(log_marked))
+    identity = tuple(tuple(int(i == j) for j in range(len(vs))) for i in range(len(vs)))
+    return Chart(chart_id, vs, frozenset(log_marked), to_root=identity)
 
 
 def blow_up_center(
@@ -105,24 +107,15 @@ def blow_up_center(
         if collision:
             raise ValueError(f"renaming collision on {sorted(collision)}")
         new_vars = tuple(rename.get(v, v) for v in chart.variables)
-        index = {v: i for i, v in enumerate(new_vars)}
-
-        def unit(name: str) -> Exponent:
-            e = [0] * len(new_vars)
-            e[index[name]] = 1
-            return tuple(e)
-
-        to_parent = []
-        for v in chart.variables:
-            if v == direction:
-                to_parent.append((v, unit(direction)))
-            elif v in center.vanishing:
-                e = [0] * len(new_vars)
-                e[index[direction]] = 1
-                e[index[rename[v]]] += 1
-                to_parent.append((v, tuple(e)))
-            else:
-                to_parent.append((v, unit(v)))
+        width = len(new_vars)
+        kept = chart.variable_index(direction)
+        images = []
+        for i, v in enumerate(chart.variables):
+            e = [0] * width
+            e[i] = 1  # the variable itself, or its renamed copy
+            if v in rename:
+                e[kept] = 1
+            images.append(tuple(e))
         marked = {rename.get(v, v) for v in chart.log_marked}
         if center.vanishing & chart.log_marked:
             marked.add(direction)
@@ -138,7 +131,8 @@ def blow_up_center(
                 variables=new_vars,
                 log_marked=frozenset(marked),
                 parent=chart.id,
-                to_parent=tuple(to_parent),
+                to_parent=tuple(zip(chart.variables, images)),
+                to_root=tuple(push_exponent(images, row, width) for row in chart.to_root),
                 exceptional=tuple(exceptional),
                 center=center.vanishing,
                 direction=direction,
@@ -147,13 +141,16 @@ def blow_up_center(
     return children
 
 
-def push_exponent(chart: Chart, exponent: Exponent, parent_vars: tuple[str, ...]) -> Exponent:
-    """Image of a parent monomial under the chart substitution."""
-    pm = chart.parent_map
-    out = [0] * len(chart.variables)
-    for v, e in zip(parent_vars, exponent):
+def push_exponent(images: Sequence[Exponent], exponent: Exponent, width: int) -> Exponent:
+    """Image of a monomial under a monomial map.
+
+    `images[i]` is the image of source variable i, an exponent over the
+    `width` target variables; the width comes from the target chart, so a
+    map out of a frame with no variables works too.
+    """
+    out = [0] * width
+    for img, e in zip(images, exponent):
         if e:
-            img = pm[v]
             for i, x in enumerate(img):
                 out[i] += e * x
     return tuple(out)
@@ -178,17 +175,16 @@ def transform_ideal(chart: Chart, ideal: MonomialIdeal) -> TransformRecord:
     defining coordinate dividing every generator of the total transform; the
     strict part is the total with those common powers divided out.
     """
-    from .monideal import MixedVariableSets
-
     parent_vars = tuple(v for v, _ in chart.to_parent)
     if tuple(ideal.variables) != parent_vars:
         raise MixedVariableSets(
             f"ideal over {ideal.variables}, chart parent has {parent_vars}"
         )
-    total_gens = [
-        push_exponent(chart, g, parent_vars) for g in ideal.generators
-    ]
-    total = MonomialIdeal.make(chart.variables, total_gens)
+    images = [e for _, e in chart.to_parent]
+    width = len(chart.variables)
+    total = MonomialIdeal.make(
+        chart.variables, [push_exponent(images, g, width) for g in ideal.generators]
+    )
     mults = []
     strict_gens = [list(g) for g in total.generators]
     for label, var in chart.exceptional:
@@ -259,6 +255,8 @@ class Atlas:
 
     @classmethod
     def for_root(cls, root: Chart) -> "Atlas":
+        if root.parent is not None:
+            raise ValueError(f"atlas root {root.id} is itself a blow-up chart")
         atlas = cls(root_id=root.id)
         atlas.charts[root.id] = root
         atlas.children[root.id] = []
@@ -277,49 +275,22 @@ class Atlas:
             if not self.children[cid]
         ]
 
-    def path_to_root(self, chart_id: str) -> list[Chart]:
-        """Charts from the root down to `chart_id` (inclusive)."""
-        path = []
-        cur = self.charts[chart_id]
-        while True:
-            path.append(cur)
-            if cur.parent is None:
-                break
-            cur = self.charts[cur.parent]
-        return list(reversed(path))
-
     def substitution_to_root(self, chart_id: str) -> dict[str, Exponent]:
         """Each root variable's monomial image over the chart's variables."""
-        path = self.path_to_root(chart_id)
-        root = path[0]
-        current = {
-            v: tuple(1 if w == v else 0 for w in root.variables)
-            for v in root.variables
-        }
-        for chart in path[1:]:
-            parent_vars = tuple(v for v, _ in chart.to_parent)
-            current = {
-                v: push_exponent(chart, e, parent_vars)
-                for v, e in current.items()
-            }
-        return current
+        root = self.charts[self.root_id]
+        return dict(zip(root.variables, self.charts[chart_id].to_root))
 
     def total_transform(self, chart_id: str, ideal: MonomialIdeal) -> MonomialIdeal:
         """Total transform of a root-chart monomial ideal in a given chart."""
         root = self.charts[self.root_id]
         if tuple(ideal.variables) != root.variables:
             raise ValueError("ideal must live over the root chart variables")
-        subst = self.substitution_to_root(chart_id)
         chart = self.charts[chart_id]
-        gens = []
-        for g in ideal.generators:
-            out = [0] * len(chart.variables)
-            for v, e in zip(root.variables, g):
-                if e:
-                    for i, x in enumerate(subst[v]):
-                        out[i] += e * x
-            gens.append(tuple(out))
-        return MonomialIdeal.make(chart.variables, gens)
+        width = len(chart.variables)
+        return MonomialIdeal.make(
+            chart.variables,
+            [push_exponent(chart.to_root, g, width) for g in ideal.generators],
+        )
 
     def to_dict(self) -> dict:
         charts = []

@@ -3,8 +3,7 @@ reports, global form construction, degree bounds, and indeterminacy sampling.
 
 Exit codes: 0 success / all checks verified, 1 verification failure (the
 report names the offending certificate), 2 usage error.  All JSON output is
-key-sorted and seeded, so identical invocations are byte-identical.  The
-environment variable LOGRES_THREADS caps the per-chart worker count.
+key-sorted and seeded, so identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__, bounds, logconn, logjet, residues
 from .ratmat import to_text
-from .symcore import LogresError, Polynomial, parse_polynomial
+from .symcore import LogresError, parse_polynomial
 
 DEFAULT_SEED = 1789
 SCHEMA_VERSION = 1
@@ -183,13 +182,7 @@ def _cmd_verify_jet(args) -> tuple[int, str]:
     principality_failures = []
     certificates = []
     checked = 0
-    subsets = sorted(
-        {
-            tuple(i + 1 for i in range(c) if mask & (1 << i))
-            for mask in range(1, 1 << c)
-        },
-        key=lambda s: (len(s), s),
-    )
+    subsets = logjet.component_subsets(range(1, c + 1))
     for k in range(0, c + 1):
         for t in range(1, n + 1):
             jet, system = logjet.build_obstruction_system(n, c, k, t)
@@ -263,18 +256,12 @@ def _cmd_rank(args) -> tuple[int, str]:
     reports = []
     all_ok = True
     for _ in range(args.samples):
-        basepoint = logconn.random_stratum_point(ctx, rng, stratum)
-        while True:
-            xi0 = logconn.random_fraction(rng)
-            xi = tuple(logconn.random_fraction(rng) for _ in range(args.n))
-            if xi0 or any(xi):
-                break
-        vector = logconn.LogTangentVector(xi0, xi, basepoint)
+        vector = logconn.random_log_tangent_vector(ctx, rng, stratum)
         report = logconn.connection_rank(ctx, vector, stratum)
         entry = {
-            "basepoint": [str(x) for x in basepoint],
-            "xi0": str(xi0),
-            "xi": [str(x) for x in xi],
+            "basepoint": [str(x) for x in vector.basepoint],
+            "xi0": str(vector.xi0),
+            "xi": [str(x) for x in vector.xi],
             **report.to_dict(),
         }
         if args.matrix:

@@ -26,7 +26,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import ratmat
 from .multiindex import (
@@ -294,11 +294,14 @@ def connection_rank(
     )
 
 
-def matrix_text(matrix: Sequence[Sequence[Fraction]]) -> str:
-    return ratmat.to_text(matrix)
-
-
 # -- deformed Fermat sections -----------------------------------------------------
+
+
+def _as_polynomial(ctx: ConnectionContext, value) -> Polynomial:
+    """A coefficient as a polynomial over the chart; scalars become constants."""
+    if isinstance(value, Polynomial):
+        return value
+    return Polynomial.constant(ctx.chart.variables, value)
 
 
 def fermat_section(ctx: ConnectionContext, coeffs: CoefficientVector) -> Polynomial:
@@ -309,11 +312,7 @@ def fermat_section(ctx: ConnectionContext, coeffs: CoefficientVector) -> Polynom
         )
     total = Polynomial.zero(ctx.chart.variables)
     for index, value in coeffs.entries:
-        a = (
-            value
-            if isinstance(value, Polynomial)
-            else Polynomial.constant(ctx.chart.variables, value)
-        )
+        a = _as_polynomial(ctx, value)
         _check_base_section(ctx, a)
         if a.total_degree() > ctx.eps:
             raise DegreeMismatch(
@@ -352,11 +351,7 @@ def restriction_identity_residuals(
     sigma = fermat_section(ctx, coeffs)
     residuals = [Polynomial.zero(ctx.chart.variables) for _ in ctx.base_vars]
     for index, value in coeffs.entries:
-        a = (
-            value
-            if isinstance(value, Polynomial)
-            else Polynomial.constant(ctx.chart.variables, value)
-        )
+        a = _as_polynomial(ctx, value)
         if a.is_zero:
             continue
         form = connection_component(ctx, a, index)
@@ -407,19 +402,25 @@ def random_stratum_point(
     )
 
 
+def random_log_tangent_vector(
+    ctx: ConnectionContext, rng: random.Random, stratum: Iterable[int]
+) -> LogTangentVector:
+    """A random base point on the stratum, then a nonzero (xi0, xi) by rejection."""
+    basepoint = random_stratum_point(ctx, rng, stratum)
+    while True:
+        xi0 = random_fraction(rng)
+        xi = tuple(random_fraction(rng) for _ in range(ctx.n))
+        if xi0 or any(xi):
+            return LogTangentVector(xi0, xi, basepoint)
+
+
 def is_indeterminate(
     ctx: ConnectionContext, coeffs: CoefficientVector, vector: LogTangentVector
 ) -> bool:
     """True when every twisted component vanishes on the vector at once."""
     lookup = coeffs.as_dict
     for index in enumerate_multiindices(ctx.n, ctx.delta):
-        value = lookup[index]
-        a = (
-            value
-            if isinstance(value, Polynomial)
-            else Polynomial.constant(ctx.chart.variables, value)
-        )
-        if component_value(ctx, a, index, vector):
+        if component_value(ctx, _as_polynomial(ctx, lookup[index]), index, vector):
             return False
     return True
 
@@ -459,13 +460,7 @@ def sample_indeterminacy(
         J = frozenset(j for j in candidates if rng.random() < 0.5)
         key = "{" + ",".join(map(str, sorted(J))) + "}"
         histogram[key] = histogram.get(key, 0) + 1
-        basepoint = random_stratum_point(ctx, rng, J)
-        while True:
-            xi0 = random_fraction(rng)
-            xi = tuple(random_fraction(rng) for _ in range(ctx.n))
-            if xi0 or any(xi):
-                break
-        vector = LogTangentVector(xi0, xi, basepoint)
+        vector = random_log_tangent_vector(ctx, rng, J)
         coeffs = random_coefficients(ctx, rng)
         if is_indeterminate(ctx, coeffs, vector):
             failures += 1

@@ -33,10 +33,8 @@ obstruction ideal ranges over *nonempty* subsets of I only.
 
 from __future__ import annotations
 
-import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .blowup import Chart, root_chart
@@ -59,15 +57,6 @@ class NotResolved(LogresError):
     def __init__(self, chart_id: str, message: str):
         super().__init__(f"{message} (chart {chart_id})")
         self.chart_id = chart_id
-
-
-def worker_count() -> int:
-    """Worker cap from LOGRES_THREADS; defaults to single-threaded."""
-    raw = os.environ.get("LOGRES_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -102,13 +91,9 @@ def make_jet_chart(n: int, c: int, k: int, t: int) -> JetChart:
     return JetChart(n, c, k, t, chart)
 
 
-def _component_subsets(k: int) -> list[tuple[int, ...]]:
-    subsets = []
-    for mask in range(1, 1 << k):
-        J = tuple(i + 1 for i in range(k) if mask & (1 << i))
-        subsets.append(J)
-    subsets.sort(key=lambda J: (len(J), J))
-    return subsets
+def component_subsets(items: Sequence[int]) -> list[tuple[int, ...]]:
+    """Nonempty subsets of a sorted tuple, ordered by (size, subset)."""
+    return [J for size in range(1, len(items) + 1) for J in combinations(items, size)]
 
 
 def stratum_prime(jet: JetChart, J: Iterable[int]) -> MonomialIdeal:
@@ -141,7 +126,7 @@ def build_obstruction_system(n: int, c: int, k: int, t: int) -> tuple[JetChart, 
     """All visible residue strata as a compatible system, indexed by #J."""
     jet = make_jet_chart(n, c, k, t)
     members = []
-    for J in _component_subsets(k):
+    for J in component_subsets(range(1, k + 1)):
         variety = stratum_variety(jet, J)
         if variety is None:
             continue
@@ -176,12 +161,8 @@ def obstruction_ideal_intersected(jet: JetChart, I: Iterable[int]) -> MonomialId
     Is = sorted(frozenset(I))
     if not Is:
         raise ValueError("component subset must be nonempty")
-    primes = []
-    for mask in range(1, 1 << len(Is)):
-        J = [Is[i] for i in range(len(Is)) if mask & (1 << i)]
-        prime = stratum_prime(jet, J)
-        if not prime.is_unit:
-            primes.append(prime)
+    primes = [stratum_prime(jet, J) for J in component_subsets(Is)]
+    primes = [prime for prime in primes if not prime.is_unit]
     if not primes:
         return MonomialIdeal.unit(jet.chart.variables)
     return intersect_monomial_ideals(primes)
@@ -319,9 +300,8 @@ def verify_principalization(
     """
     Is = tuple(sorted(frozenset(I)))
     ideal = obstruction_ideal(jet, Is)
-    leaves = result.leaves()
-
-    def check(leaf: Chart) -> tuple[str, tuple[tuple[str, int], ...]]:
+    rows = []
+    for leaf in result.leaves():
         total = result.atlas.total_transform(leaf.id, ideal)
         if len(total.generators) != 1:
             raise NotResolved(
@@ -343,16 +323,5 @@ def verify_principalization(
                 leaf.id,
                 f"non-exceptional factor {offending} in the total transform",
             )
-        return (leaf.id, tuple(sorted(mults)))
-
-    workers = worker_count()
-    if workers > 1 and len(leaves) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(check, leaves))
-    else:
-        rows = [check(leaf) for leaf in leaves]
+        rows.append((leaf.id, tuple(sorted(mults))))
     return PrincipalizationCertificate(Is, tuple(sorted(rows)))
-
-
-def certificate_json(cert: dict) -> str:
-    return json.dumps(cert, sort_keys=True, indent=2)

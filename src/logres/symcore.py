@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
 
@@ -584,8 +584,3 @@ class LogForm:
         pieces = [f"({p})*dlog({v})" for v, p in self.log]
         pieces += [f"({p})*d({v})" for v, p in self.holomorphic]
         return " + ".join(pieces)
-
-
-def iter_monomials(f: Polynomial) -> Iterator[tuple[Exponent, Fraction]]:
-    """Deterministic iteration over terms (ascending graded-lex)."""
-    return iter(sorted(f.terms.items(), key=lambda t: grlex_key(t[0])))

@@ -68,22 +68,54 @@ def test_point_blowup_has_n_charts():
 
 
 def test_composed_substitution_matches_oracle():
-    # blow up V(x2, x3) inside a child chart coming from a prior blow-up
+    # three blow-up levels, each inside a child chart of the level before
     base = root_chart(("x1", "x2", "x3"))
     child = blow_up_center(base, V("x1", "x2"), label="E1")[1]  # x2-direction
     assert child.variables == ("x1~", "x2", "x3")
     grand = blow_up_center(child, V("x2", "x3"), label="E2")[0]  # x2-direction
+    assert grand.variables == ("x1~", "x2", "x3~")
+    great = blow_up_center(grand, V("x1~", "x3~"), label="E3")[1]  # x3~-direction
+    assert great.variables == ("x1~~", "x2", "x3~")
     atlas = Atlas.for_root(base)
     atlas.add_blowup(base.id, [child])
     atlas.add_blowup(child.id, [grand])
+    atlas.add_blowup(grand.id, [great])
 
-    composed = atlas.substitution_to_root(grand.id)
-    # oracle: compose the two substitution maps with polynomial arithmetic
-    inner = chart_substitution_polys(child)
-    outer = chart_substitution_polys(grand)
-    for v in base.variables:
-        expected = substitute(inner[v], outer)
-        assert Polynomial.monomial(grand.variables, composed[v]) == expected
+    # oracle: compose the chart maps with polynomial arithmetic, level by level,
+    # starting from the identity on the root chart
+    expected = {v: Polynomial.variable(base.variables, v) for v in base.variables}
+    ideal = sq(base.variables, {"x1", "x3"}, {"x2"})
+    for chart in (base, child, grand, great):
+        if chart is not base:
+            outer = chart_substitution_polys(chart)
+            expected = {v: substitute(f, outer) for v, f in expected.items()}
+        composed = atlas.substitution_to_root(chart.id)
+        assert list(composed) == list(base.variables)
+        for v in base.variables:
+            assert Polynomial.monomial(chart.variables, composed[v]) == expected[v]
+        oracle = [
+            substitute(Polynomial.monomial(base.variables, g), expected)
+            for g in ideal.generators
+        ]
+        assert atlas.total_transform(chart.id, ideal) == MonomialIdeal.make(
+            chart.variables, [next(iter(f.terms)) for f in oracle]
+        )
+
+
+def test_total_transform_on_zero_variable_root():
+    base = root_chart(())
+    assert base.to_root == ()
+    atlas = Atlas.for_root(base)
+    assert atlas.substitution_to_root(base.id) == {}
+    for ideal in (MonomialIdeal.unit(()), MonomialIdeal.make((), [])):
+        assert atlas.total_transform(base.id, ideal) == ideal
+
+
+def test_atlas_root_must_be_a_tree_root():
+    base = root_chart(("x1", "x2"))
+    child = blow_up_center(base, V("x1", "x2"))[0]
+    with pytest.raises(ValueError):
+        Atlas.for_root(child)
 
 
 def test_transform_ideal_collapses_in_first_direction():

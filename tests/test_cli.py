@@ -74,14 +74,6 @@ def test_verify_jet():
     assert all("divisor" in cert for cert in payload["certificates"])
 
 
-def test_thread_cap_does_not_change_output(monkeypatch):
-    argv = ["resolve", "--n", "3", "--c", "3", "--mode", "canonical"]
-    single = run_command(argv)
-    monkeypatch.setenv("LOGRES_THREADS", "4")
-    threaded = run_command(argv)
-    assert single == threaded
-
-
 def test_rank_report():
     code, payload = run_json(
         ["rank", "--n", "2", "--delta", "4", "--samples", "2", "--stratum", "1"]

@@ -19,9 +19,11 @@ from logres.logconn import (
     point_map,
     random_coefficients,
     random_fraction,
+    random_log_tangent_vector,
     random_stratum_point,
     restriction_identity_residuals,
     sample_indeterminacy,
+    stratum_of_point,
     tau_power,
 )
 from logres.multiindex import CoefficientVector, enumerate_multiindices
@@ -256,6 +258,19 @@ def test_zero_coefficients_are_always_indeterminate():
     basepoint = random_stratum_point(ctx, rng, set())
     vector = LogTangentVector(Fraction(1), (Fraction(1), Fraction(1)), basepoint)
     assert is_indeterminate(ctx, coeffs, vector)
+
+
+def test_random_log_tangent_vector_draw_order():
+    # base point first, then (xi0, xi) until nonzero: seeded output depends on it
+    ctx = ctx_n2(delta=4)
+    for seed in range(5):
+        for stratum in (set(), {1}, {1, 2}):
+            vector = random_log_tangent_vector(ctx, random.Random(seed), stratum)
+            rng = random.Random(seed)
+            assert vector.basepoint == random_stratum_point(ctx, rng, stratum)
+            assert vector.xi0 == random_fraction(rng)
+            assert vector.xi == tuple(random_fraction(rng) for _ in range(ctx.n))
+            assert stratum_of_point(ctx, vector.basepoint) == frozenset(stratum)
 
 
 def test_sampling_requires_large_delta():

@@ -9,6 +9,7 @@ from logres.logjet import (
     OutOfRange,
     build_obstruction_system,
     check_section_pullback,
+    component_subsets,
     coordinate_section_pullbacks,
     make_jet_chart,
     obstruction_certificate,
@@ -30,6 +31,16 @@ def V(*names):
 def nonempty_subsets(items):
     for size in range(1, len(items) + 1):
         yield from combinations(items, size)
+
+
+def test_component_subsets_match_bitmask_enumeration():
+    for c in range(0, 7):
+        items = tuple(range(1, c + 1))
+        masks = {
+            tuple(i + 1 for i in range(c) if mask & (1 << i))
+            for mask in range(1, 1 << c)
+        }
+        assert component_subsets(items) == sorted(masks, key=lambda J: (len(J), J))
 
 
 # -- visibility oracle: dehomogenize the projective equations directly --------
