@@ -9,6 +9,7 @@ key-sorted and seeded, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -37,6 +38,17 @@ def _int_list(text: str) -> list[int]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from err
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes and counts: an integer of at least 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="logres",
@@ -61,18 +73,18 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("rank", help="exact rank reports for the evaluation map")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--eps", type=int, default=1)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--delta", type=_positive_int, required=True)
+    p.add_argument("--eps", type=_positive_int, default=1)
+    p.add_argument("--r", type=_positive_int, default=1)
     p.add_argument("--stratum", default="", help="comma-separated vanishing slots")
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--samples", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--matrix", action="store_true", help="include the matrix text")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("forms", help="global log 1-forms for an arrangement")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument(
         "--components",
         required=True,
@@ -81,24 +93,30 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bounds", help="effective degree bounds")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--delta", required=True, help="comma-separated degrees")
     p.add_argument("--eps", required=True, help="comma-separated twist degrees")
-    p.add_argument("--c", type=int, default=None)
+    p.add_argument("--c", type=_positive_int, default=None)
     p.add_argument("--alpha", default=None, help="rational scale p/q to split")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("sample", help="indeterminacy sampling")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--eps", type=int, default=1)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--delta", type=_positive_int, required=True)
+    p.add_argument("--eps", type=_positive_int, default=1)
+    p.add_argument("--r", type=_positive_int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
 
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """One parser per process: parsing leaves it unchanged."""
+    return build_parser()
 
 
 def _emit(payload: dict) -> str:
@@ -242,11 +260,18 @@ def _cmd_verify_jet(args) -> tuple[int, str]:
     return code, text
 
 
+def _connection_context(args) -> logconn.ConnectionContext:
+    try:
+        return logconn.make_connection_context(args.n, args.eps, args.delta, args.r)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
+
+
 def _cmd_rank(args) -> tuple[int, str]:
     import random
 
     stratum = frozenset(_int_list(args.stratum))
-    ctx = logconn.make_connection_context(args.n, args.eps, args.delta, args.r)
+    ctx = _connection_context(args)
     if not stratum <= set(ctx.stratum_candidates()):
         raise UsageError(
             f"stratum {sorted(stratum)} not attainable; "
@@ -265,8 +290,7 @@ def _cmd_rank(args) -> tuple[int, str]:
             **report.to_dict(),
         }
         if args.matrix:
-            _, matrix = logconn.connection_matrix(ctx, vector, stratum)
-            entry["matrix"] = to_text(matrix)
+            entry["matrix"] = to_text(report.matrix)
         reports.append(entry)
         all_ok = all_ok and report.satisfied
     payload = {
@@ -292,8 +316,16 @@ def _cmd_forms(args) -> tuple[int, str]:
     texts = [part.strip() for part in args.components.split(";") if part.strip()]
     if not texts:
         raise UsageError("no components given")
+    polys = []
+    for text in texts:
+        try:
+            poly = parse_polynomial(text, variables)
+        except ValueError as err:
+            raise UsageError(f"cannot parse component {text!r}: {err}") from err
+        if poly.total_degree() < 1:
+            raise UsageError(f"component {text!r} is constant, not a hypersurface")
+        polys.append(poly)
     try:
-        polys = [parse_polynomial(text, variables) for text in texts]
         arrangement = residues.DivisorArrangement.make(args.n, polys)
         forms = residues.construct_global_log_forms(arrangement)
     except (ValueError, LogresError) as err:
@@ -321,8 +353,16 @@ def _cmd_forms(args) -> tuple[int, str]:
 def _cmd_bounds(args) -> tuple[int, str]:
     delta = _int_list(args.delta)
     eps = _int_list(args.eps)
+    alpha = None
+    if args.alpha is not None:
+        try:
+            alpha = Fraction(args.alpha)
+        except (ValueError, ZeroDivisionError) as err:
+            raise UsageError(f"bad rational {args.alpha!r}") from err
     try:
         report = bounds.effective_bounds(args.n, delta, eps)
+        threshold = None if args.c is None else bounds.degree_threshold(args.n, args.c, delta)
+        split = None if alpha is None else bounds.reconstruct_parameters(alpha, delta)
     except (ValueError, LogresError) as err:
         raise UsageError(str(err)) from err
     payload = {
@@ -330,14 +370,10 @@ def _cmd_bounds(args) -> tuple[int, str]:
         "command": "bounds",
         "effective": report.to_dict(),
     }
-    if args.c is not None:
-        payload["threshold"] = bounds.degree_threshold(args.n, args.c, delta).to_dict()
-    if args.alpha is not None:
-        try:
-            alpha = Fraction(args.alpha)
-        except (ValueError, ZeroDivisionError) as err:
-            raise UsageError(f"bad rational {args.alpha!r}") from err
-        payload["reconstruction"] = bounds.reconstruct_parameters(alpha, delta).to_dict()
+    if threshold is not None:
+        payload["threshold"] = threshold.to_dict()
+    if split is not None:
+        payload["reconstruction"] = split.to_dict()
     if args.format == "json":
         return 0, _emit(payload)
     lines = [
@@ -364,7 +400,7 @@ def _cmd_bounds(args) -> tuple[int, str]:
 
 
 def _cmd_sample(args) -> tuple[int, str]:
-    ctx = logconn.make_connection_context(args.n, args.eps, args.delta, args.r)
+    ctx = _connection_context(args)
     try:
         report = logconn.sample_indeterminacy(ctx, args.trials, args.seed)
     except ValueError as err:
@@ -397,9 +433,8 @@ _HANDLERS = {
 
 def run_command(argv: list[str]) -> tuple[int, str]:
     """Parse and execute; returns (exit status, output text)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         code, text = _HANDLERS[args.verb](args)
     except UsageError as err:
         return 2, f"usage error: {err}\n"

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import ratmat
 from .multiindex import (
     CoefficientVector,
     MultiIndex,
@@ -187,18 +186,54 @@ def component_value(
 
     Computed directly from (r+1)*a*d(tau^I) + tau^I*(da - a*dt/t), which
     avoids the symbolic division; agrees with evaluating
-    ``connection_component`` (tested)."""
+    ``connection_component`` (tested).  With xi(f) = sum_j xi_j * df/dz_j
+    this is a * ((r+1)*xi(tau^I) - xi0*tau^I) + tau^I * xi(a)."""
     _check_base_section(ctx, a)
     point = point_map(ctx, vector.basepoint)
-    tau_i = tau_power(ctx, index)
-    tau_val = tau_i.evaluate(point)
-    a_val = a.evaluate(point)
-    total = -a_val * tau_val * vector.xi0
-    for j, z in enumerate(ctx.base_vars):
-        slope = (ctx.r + 1) * a_val * tau_i.diff(z).evaluate(point)
-        slope += tau_val * a.diff(z).evaluate(point)
-        total += slope * vector.xi[j]
-    return total
+    # only the entries in the support of the index are read
+    tau_values = [
+        _value_and_slope(ctx, f, point, vector) if e else None
+        for f, e in zip(ctx.tau, index)
+    ]
+    tau_val, factor = _index_factors(ctx, index, tau_values, vector)
+    a_val, a_slope = _value_and_slope(ctx, a, point, vector)
+    return a_val * factor + tau_val * a_slope
+
+
+def _value_and_slope(
+    ctx: ConnectionContext,
+    f: Polynomial,
+    point: dict[str, Fraction],
+    vector: LogTangentVector,
+) -> tuple[Fraction, Fraction]:
+    """f at the point, and its derivative xi(f) along the base part of the vector."""
+    slope = sum(
+        f.diff(z).evaluate(point) * vector.xi[j] for j, z in enumerate(ctx.base_vars)
+    )
+    return f.evaluate(point), slope
+
+
+def _index_factors(
+    ctx: ConnectionContext,
+    index: MultiIndex,
+    tau_values: Sequence[tuple[Fraction, Fraction] | None],
+    vector: LogTangentVector,
+) -> tuple[Fraction, Fraction]:
+    """The two factors an index contributes to every component value:
+    tau^I and (r+1)*xi(tau^I) - xi0*tau^I, from (tau_j, xi(tau_j)) at the
+    point for each j in the support of the index.
+
+    tau^I and xi(tau^I) come from the entries' values by the Leibniz rule,
+    xi(f^e * g) = e*f^(e-1)*xi(f)*g + f^e*xi(g), without expanding tau^I."""
+    if len(index) != ctx.n + 1:
+        raise ValueError(f"index {index} has wrong length")
+    value, slope = Fraction(1), Fraction(0)
+    for values, e in zip(tau_values, index):
+        if e:
+            v, s = values
+            power = v ** (e - 1)
+            value, slope = value * power * v, slope * power * v + value * e * power * s
+    return value, (ctx.r + 1) * slope - vector.xi0 * value
 
 
 def point_map(ctx: ConnectionContext, basepoint: Sequence[Fraction]) -> dict[str, Fraction]:
@@ -210,13 +245,18 @@ def point_map(ctx: ConnectionContext, basepoint: Sequence[Fraction]) -> dict[str
     return point
 
 
+def _chart_exponent(K: MultiIndex) -> tuple[int, ...]:
+    """The chart exponent of a degree-eps index: slot 0 dehomogenized away,
+    no fiber coordinate.  Distinct indices give distinct exponents."""
+    return (0,) + K[1:]
+
+
 def monomial_basis(ctx: ConnectionContext) -> list[tuple[MultiIndex, Polynomial]]:
     """Chart forms of the degree-eps monomials (slot 0 dehomogenized away)."""
-    out = []
-    for K in enumerate_multiindices(ctx.n, ctx.eps):
-        exp = (0,) + K[1:]
-        out.append((K, Polynomial.monomial(ctx.chart.variables, exp)))
-    return out
+    return [
+        (K, Polynomial.monomial(ctx.chart.variables, _chart_exponent(K)))
+        for K in enumerate_multiindices(ctx.n, ctx.eps)
+    ]
 
 
 def stratum_of_point(ctx: ConnectionContext, basepoint: Sequence[Fraction]) -> frozenset[int]:
@@ -233,6 +273,8 @@ class RankReport:
     satisfied: bool
     rows: int
     cols: int
+    # the evaluation matrix the rank was read from; not part of the report
+    matrix: list[list[Fraction]] | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -244,6 +286,11 @@ class RankReport:
         }
 
 
+def _block_positions(ctx: ConnectionContext) -> dict[MultiIndex, int]:
+    """The column block of each weight-delta index, in listing order."""
+    return {I: p for p, I in enumerate(enumerate_multiindices(ctx.n, ctx.delta))}
+
+
 def connection_matrix(
     ctx: ConnectionContext,
     vector: LogTangentVector,
@@ -253,7 +300,11 @@ def connection_matrix(
 
     Rows: weight-delta indices supported away from the stratum.  Columns:
     (index, basis monomial) pairs; entries vanish off the diagonal index
-    block, which is what makes the rank bound a per-block statement.
+    block, which is what makes the rank bound a per-block statement.  Each
+    row meets exactly one block (its own index), so the rank is the number
+    of rows whose block is nonzero.  The arrangement entries and the basis
+    monomials are evaluated once per matrix, tau^I once per row from the
+    entries; every off-block cell is one shared zero.
     """
     J = frozenset(stratum)
     point_stratum = stratum_of_point(ctx, vector.basepoint)
@@ -261,36 +312,49 @@ def connection_matrix(
         raise BasepointNotInStratum(
             f"basepoint vanishes on {sorted(point_stratum)}, declared {sorted(J)}"
         )
+    point = point_map(ctx, vector.basepoint)
     rows = enumerate_multiindices(ctx.n, ctx.delta, J)
-    all_indices = enumerate_multiindices(ctx.n, ctx.delta)
-    basis = monomial_basis(ctx)
+    position = _block_positions(ctx)
+    basis = [_value_and_slope(ctx, mono, point, vector) for _, mono in monomial_basis(ctx)]
+    tau_values = [_value_and_slope(ctx, f, point, vector) for f in ctx.tau]
+    width = len(basis)
+    zero = Fraction(0)
     matrix: list[list[Fraction]] = []
     for row_index in rows:
-        row: list[Fraction] = []
-        for I in all_indices:
-            for _, mono in basis:
-                if I != row_index:
-                    row.append(Fraction(0))
-                else:
-                    row.append(component_value(ctx, mono, I, vector))
-        matrix.append(row)
+        tau_val, factor = _index_factors(ctx, row_index, tau_values, vector)
+        block = [a_val * factor + tau_val * a_slope for a_val, a_slope in basis]
+        before = position[row_index] * width
+        after = (len(position) - 1) * width - before
+        matrix.append([zero] * before + block + [zero] * after)
     return rows, matrix
 
 
 def connection_rank(
     ctx: ConnectionContext, vector: LogTangentVector, stratum: Iterable[int]
 ) -> RankReport:
+    """Rank of the evaluation matrix against the bound C(k + delta, k).
+
+    The matrix is block diagonal with one row per block (see
+    ``connection_matrix``), so its rank is the number of rows whose own
+    block is nonzero; no elimination is needed.  ``ratmat.rank`` is the
+    dense oracle the tests compare against.
+    """
     J = frozenset(stratum)
     rows, matrix = connection_matrix(ctx, vector, J)
-    k = ctx.n - len(J)
+    position = _block_positions(ctx)
+    width = len(matrix[0]) // len(position) if matrix else 0
+    got = 0
+    for row_index, row in zip(rows, matrix):
+        start = position[row_index] * width
+        got += any(row[start : start + width])
     bound = index_count(ctx.n, ctx.delta, len(J))
-    got = ratmat.rank(matrix) if rows else 0
     return RankReport(
         rank=got,
         bound=bound,
         satisfied=got >= bound,
         rows=len(rows),
         cols=len(matrix[0]) if matrix else 0,
+        matrix=matrix,
     )
 
 
@@ -377,13 +441,17 @@ def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
 
 
 def random_coefficients(ctx: ConnectionContext, rng: random.Random) -> CoefficientVector:
-    basis = monomial_basis(ctx)
+    """One random degree-<=eps section per weight-delta index: a draw per basis
+    monomial, in basis order, zero draws dropped."""
+    exponents = [_chart_exponent(K) for K in enumerate_multiindices(ctx.n, ctx.eps)]
     entries = {}
     for index in enumerate_multiindices(ctx.n, ctx.delta):
-        a = Polynomial.zero(ctx.chart.variables)
-        for _, mono in basis:
-            a = a + mono * random_fraction(rng)
-        entries[index] = a
+        terms = {}
+        for exp in exponents:
+            c = random_fraction(rng)
+            if c:
+                terms[exp] = c
+        entries[index] = Polynomial._trusted(ctx.chart.variables, terms)
     return CoefficientVector.make(ctx.n, ctx.delta, entries)
 
 

@@ -1,8 +1,11 @@
 """Exact rank computation for dense rational matrices.
 
-Plain fraction-free-enough Gaussian elimination over `Fraction`; matrices in
-this package are small (at most a few hundred entries), so no pivoting
-strategy beyond "first nonzero in column" is needed.
+`rank` is the dense oracle: plain Gauss-Jordan elimination over `Fraction`
+with "first nonzero in column" pivoting.  `residues` uses it on residue
+matrices (c-1 rows), and the tests check the per-block rank of
+`logconn.connection_rank` against it.  Connection matrices reach tens of
+thousands of cells; they are block diagonal, so their rank is read per block
+and never eliminated.
 """
 
 from __future__ import annotations
@@ -41,5 +44,7 @@ def rank(matrix: Matrix) -> int:
 
 
 def to_text(matrix: Matrix) -> str:
-    """Dense exact text format: one row per line, entries as p/q."""
-    return "\n".join(" ".join(str(Fraction(x)) for x in row) for row in matrix)
+    """Dense exact text format: one row per line, entries as p/q.
+
+    Entries must be Fractions or ints, whose ``str`` is already p/q."""
+    return "\n".join(" ".join(map(str, row)) for row in matrix)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -47,6 +48,19 @@ class NotDivisible(LogresError):
 
 class MissingAssignment(LogresError):
     """A substitution omits a variable of the polynomial."""
+
+
+def _accumulate(terms: dict[Exponent, Fraction], exp: Exponent, coeff: Fraction) -> None:
+    """Add a nonzero coefficient into a term map, dropping the term if it cancels."""
+    old = terms.get(exp)
+    if old is None:
+        terms[exp] = coeff
+        return
+    total = old + coeff
+    if total:
+        terms[exp] = total
+    else:
+        del terms[exp]
 
 
 def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
@@ -87,6 +101,23 @@ class Polynomial:
                 clean.pop(e, None)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(
+        cls, variables: tuple[str, ...], terms: dict[Exponent, Fraction]
+    ) -> "Polynomial":
+        """Wrap a term map that is already clean, without re-validating it.
+
+        The caller guarantees distinct variable names, int exponent tuples of
+        the frame's length, and only nonzero ``Fraction`` coefficients.  The
+        package's own arithmetic uses it; outside input goes through
+        ``Polynomial(...)``.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -164,17 +195,15 @@ class Polynomial:
         self._require_same_frame(other)
         terms = dict(self.terms)
         for exp, coeff in other.terms.items():
-            c = terms.get(exp, Fraction(0)) + coeff
-            if c:
-                terms[exp] = c
-            else:
-                terms.pop(exp, None)
-        return Polynomial(self.variables, terms)
+            _accumulate(terms, exp, coeff)
+        return Polynomial._trusted(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(
+            self.variables, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -187,20 +216,17 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             scalar = Fraction(other)
-            return Polynomial(
+            if not scalar:
+                return Polynomial._trusted(self.variables, {})
+            return Polynomial._trusted(
                 self.variables, {e: c * scalar for e, c in self.terms.items()}
             )
         self._require_same_frame(other)
         prod: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = prod.get(e, Fraction(0)) + c1 * c2
-                if c:
-                    prod[e] = c
-                else:
-                    prod.pop(e, None)
-        return Polynomial(self.variables, prod)
+                _accumulate(prod, tuple(map(add, e1, e2)), c1 * c2)
+        return Polynomial._trusted(self.variables, prod)
 
     __rmul__ = __mul__
 
@@ -227,8 +253,8 @@ class Polynomial:
             e = list(exp)
             k = e[idx]
             e[idx] = k - 1
-            terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + coeff * k
-        return Polynomial(self.variables, terms)
+            terms[tuple(e)] = coeff * k  # distinct: lowering one slot is injective
+        return Polynomial._trusted(self.variables, terms)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         missing = [v for v in self.variables if v not in point]
@@ -303,7 +329,7 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
                 remainder[e] = nc
             else:
                 remainder.pop(e, None)
-    return Polynomial(f.variables, quotient)
+    return Polynomial._trusted(f.variables, quotient)
 
 
 def substitute(f: Polynomial, assignment: Mapping[str, Polynomial]) -> Polynomial:
@@ -345,6 +371,8 @@ def substitute(f: Polynomial, assignment: Mapping[str, Polynomial]) -> Polynomia
 def extend_variables(f: Polynomial, variables: Iterable[str]) -> Polynomial:
     """Embed f into a larger variable frame, matching variables by name."""
     vs = tuple(variables)
+    if len(set(vs)) != len(vs):
+        raise ValueError(f"duplicate variable names in {vs}")
     positions = []
     for v in f.variables:
         if v not in vs:
@@ -356,7 +384,7 @@ def extend_variables(f: Polynomial, variables: Iterable[str]) -> Polynomial:
         for pos, x in zip(positions, exp):
             e[pos] = x
         terms[tuple(e)] = coeff
-    return Polynomial(vs, terms)
+    return Polynomial._trusted(vs, terms)
 
 
 # -- text format -------------------------------------------------------------
@@ -465,6 +493,8 @@ class _Parser:
                 dkind, dval = self.take()
                 if dkind != "int":
                     raise ValueError("expected integer denominator")
+                if int(dval) == 0:
+                    raise ValueError(f"zero denominator in {val}/{dval}")
                 return Polynomial.constant(self.variables, Fraction(num, int(dval)))
             return Polynomial.constant(self.variables, num)
         if kind == "name":

@@ -1,6 +1,11 @@
 import json
+import shlex
+from fractions import Fraction
+
+import pytest
 
 from logres.cli import run_command
+from logres.ratmat import rank
 
 
 def run_json(argv):
@@ -83,6 +88,19 @@ def test_rank_report():
     assert all(entry["bound"] == 5 for entry in payload["reports"])
 
 
+def test_rank_matrix_text_is_the_ranked_matrix():
+    code, payload = run_json(
+        ["rank", "--n", "2", "--delta", "2", "--stratum", "2", "--samples", "2",
+         "--seed", "3", "--matrix"]
+    )
+    assert code == 0
+    for entry in payload["reports"]:
+        cells = [line.split(" ") for line in entry["matrix"].split("\n")]
+        assert len(cells) == entry["rows"]
+        assert all(len(row) == entry["cols"] for row in cells)
+        assert entry["rank"] == rank([[Fraction(x) for x in row] for row in cells])
+
+
 def test_forms_command():
     code, payload = run_json(
         ["forms", "--n", "2", "--components", "x0; x1; x0^2 + x1^2 + x2^2"]
@@ -124,3 +142,24 @@ def test_out_file(tmp_path):
     assert code == 0
     assert text == ""
     assert json.loads(target.read_text())["effective"]["r_min"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "rank --n 0 --delta 4",
+        "rank --n 2 --delta 4 --samples -3",
+        "sample --n 0 --delta 4",
+        "sample --n 2 --delta 4 --eps 0",
+        "sample --n 2 --delta 4 --trials -5",
+        "forms --n 2 --components 1/0*x0",
+        "forms --n 2 --components 2",
+        "bounds --n 2 --delta 7,8 --eps 1,1 --c 1",
+        "bounds --n 2 --delta 4,6 --eps 1,1 --alpha 1/3",
+        "bounds --n 0 --delta '' --eps ''",
+    ],
+)
+def test_malformed_connection_argv_is_usage_error(argv):
+    code, text = run_command(shlex.split(argv))
+    assert code == 2
+    assert text.startswith("usage error: ")

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from logres import ratmat
 from logres.logconn import (
     BasepointNotInStratum,
     DegreeMismatch,
@@ -161,14 +163,52 @@ def test_matrix_is_block_diagonal_across_index_blocks():
     vector = LogTangentVector(
         Fraction(1), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(3))
     )
-    rows, matrix = connection_matrix(ctx, vector, set())
-    all_indices = enumerate_multiindices(2, 2)
-    width = len(monomial_basis(ctx))
-    for r, row_index in enumerate(rows):
-        for c, I in enumerate(all_indices):
-            block = matrix[r][c * width : (c + 1) * width]
-            if I != row_index:
-                assert not any(block)
+    twisted = make_connection_context(2, 2, 3, 2)
+    on_stratum = random_log_tangent_vector(twisted, random.Random(9), {2})
+    for ctx, vector, stratum in ((ctx, vector, set()), (twisted, on_stratum, {2})):
+        rows, matrix = connection_matrix(ctx, vector, stratum)
+        all_indices = enumerate_multiindices(ctx.n, ctx.delta)
+        basis = monomial_basis(ctx)
+        width = len(basis)
+        for r, row_index in enumerate(rows):
+            for c, I in enumerate(all_indices):
+                block = matrix[r][c * width : (c + 1) * width]
+                if I != row_index:
+                    assert not any(block)
+                else:
+                    assert block == [
+                        component_value(ctx, mono, I, vector) for _, mono in basis
+                    ]
+
+
+def test_block_rank_matches_dense_oracle():
+    # a generic vector, one along z1 alone with no dt/t part, and the zero
+    # vector (which the constructor refuses), whose blocks all vanish
+    for n in (1, 2, 3):
+        for delta in (1, 2, 3):
+            for eps in (1, 2):
+                ctx = make_connection_context(n, eps, delta, 1)
+                slots = ctx.stratum_candidates()
+                strata = [
+                    set(c) for k in range(len(slots) + 1) for c in combinations(slots, k)
+                ]
+                for stratum in strata:
+                    for seed in range(2):
+                        generic = random_log_tangent_vector(ctx, random.Random(seed), stratum)
+                        along_z1 = LogTangentVector(
+                            Fraction(0), (Fraction(1),) + (Fraction(0),) * (n - 1),
+                            generic.basepoint,
+                        )
+                        zero = object.__new__(LogTangentVector)
+                        object.__setattr__(zero, "xi0", Fraction(0))
+                        object.__setattr__(zero, "xi", (Fraction(0),) * n)
+                        object.__setattr__(zero, "basepoint", generic.basepoint)
+                        for vector in (generic, along_z1, zero):
+                            report = connection_rank(ctx, vector, stratum)
+                            rows, matrix = connection_matrix(ctx, vector, stratum)
+                            assert report.matrix == matrix
+                            assert report.rank == ratmat.rank(matrix)
+                        assert report.rank == 0 < report.rows
 
 
 def test_basepoint_stratum_mismatch():
@@ -271,6 +311,40 @@ def test_random_log_tangent_vector_draw_order():
             assert vector.xi0 == random_fraction(rng)
             assert vector.xi == tuple(random_fraction(rng) for _ in range(ctx.n))
             assert stratum_of_point(ctx, vector.basepoint) == frozenset(stratum)
+
+
+def summed_random_coefficients(ctx, rng):
+    """The original draw: one polynomial per index, summed term by term."""
+    basis = monomial_basis(ctx)
+    entries = {}
+    for index in enumerate_multiindices(ctx.n, ctx.delta):
+        a = Polynomial.zero(ctx.chart.variables)
+        for _, mono in basis:
+            a = a + mono * random_fraction(rng)
+        entries[index] = a
+    return CoefficientVector.make(ctx.n, ctx.delta, entries)
+
+
+class ZeroHeavyRandom(random.Random):
+    """Draws a zero numerator a third of the time, to exercise dropped terms."""
+
+    def randint(self, a, b):
+        return 0 if a < 0 and self.random() < 1 / 3 else super().randint(a, b)
+
+
+def test_random_coefficients_draw_order():
+    # seeded sample histograms depend on this order
+    for n, delta, eps in ((1, 2, 1), (2, 4, 1), (2, 3, 2), (3, 2, 2)):
+        ctx = make_connection_context(n, eps, delta, 1)
+        for seed in range(4):
+            for make_rng in (random.Random, ZeroHeavyRandom):
+                rng, oracle_rng = make_rng(seed), make_rng(seed)
+                coeffs = random_coefficients(ctx, rng)
+                assert coeffs == summed_random_coefficients(ctx, oracle_rng)
+                assert rng.random() == oracle_rng.random()
+                for _, a in coeffs.entries:
+                    assert a == Polynomial(a.variables, a.terms)
+                    assert all(type(c) is Fraction and c for c in a.terms.values())
 
 
 def test_sampling_requires_large_delta():

@@ -176,6 +176,33 @@ def test_substitute_is_ring_homomorphism(f, g):
     assert substitute(f + g, image) == substitute(f, image) + substitute(g, image)
 
 
+def assert_clean(p):
+    """p stores exactly what full validation would: nonzero Fractions only."""
+    assert p == Polynomial(p.variables, p.terms)
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert all(
+        type(e) is tuple and len(e) == len(p.variables) and all(type(x) is int for x in e)
+        for e in p.terms
+    )
+
+
+scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, polys, scalars)
+def test_arithmetic_results_are_clean(f, g, k):
+    results = [
+        f + g, f - g, f - f, -f, f * g, f * k, k * f, f * 0, f * Fraction(0),
+        f + 1, 2 - f, f.diff("x"), f.diff("y"), extend_variables(f, ("y", "t", "x")),
+    ]
+    if not g.is_zero:
+        results.append(exact_divide(f * g, g))
+    for p in results:
+        assert_clean(p)
+    assert (f * 0).terms == {} and (f - f).terms == {}
+
+
 @settings(max_examples=100, deadline=None)
 @given(polys)
 def test_text_round_trip(f):
@@ -208,6 +235,15 @@ def test_extend_variables():
     f = P("x + y")
     g = extend_variables(f, ("t", "x", "y"))
     assert g == parse_polynomial("x + y", ("t", "x", "y"))
+    with pytest.raises(ValueError):
+        extend_variables(f, ("x", "x", "y"))
+    with pytest.raises(ValueError):
+        extend_variables(f, ("t", "x"))
+
+
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(ValueError):
+        P("1/0*x")
 
 
 # -- log forms ----------------------------------------------------------------
