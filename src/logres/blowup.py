@@ -182,7 +182,7 @@ def transform_ideal(chart: Chart, ideal: MonomialIdeal) -> TransformRecord:
         )
     images = [e for _, e in chart.to_parent]
     width = len(chart.variables)
-    total = MonomialIdeal.make(
+    total = MonomialIdeal._trusted(
         chart.variables, [push_exponent(images, g, width) for g in ideal.generators]
     )
     mults = []
@@ -194,7 +194,7 @@ def transform_ideal(chart: Chart, ideal: MonomialIdeal) -> TransformRecord:
         if m:
             for g in strict_gens:
                 g[idx] -= m
-    strict = MonomialIdeal.make(chart.variables, [tuple(g) for g in strict_gens])
+    strict = MonomialIdeal._trusted(chart.variables, [tuple(g) for g in strict_gens])
     flag = strict.is_unit or is_simple_ideal(strict)
     return TransformRecord(total, tuple(mults), strict, flag)
 
@@ -208,7 +208,7 @@ def saturate_exceptional(chart: Chart, ideal: MonomialIdeal) -> MonomialIdeal:
         for idx in exc:
             e[idx] = 0
         gens.append(tuple(e))
-    return MonomialIdeal.make(chart.variables, gens)
+    return MonomialIdeal._trusted(chart.variables, gens)
 
 
 def strict_transform_variety(chart: Chart, variety: SimpleVariety) -> SimpleVariety | None:
@@ -287,7 +287,7 @@ class Atlas:
             raise ValueError("ideal must live over the root chart variables")
         chart = self.charts[chart_id]
         width = len(chart.variables)
-        return MonomialIdeal.make(
+        return MonomialIdeal._trusted(
             chart.variables,
             [push_exponent(chart.to_root, g, width) for g in ideal.generators],
         )

@@ -128,6 +128,8 @@ def _emit(payload: dict) -> str:
 
 def _cmd_resolve(args) -> tuple[int, str]:
     k = args.c if args.k is None else args.k
+    if args.n < 2:
+        raise UsageError("resolve needs n >= 2")
     if args.c > args.n:
         raise UsageError(f"c = {args.c} exceeds n = {args.n}")
     if not (0 <= k <= args.c) or not (1 <= args.t <= args.n):
@@ -189,8 +191,6 @@ def _cmd_resolve(args) -> tuple[int, str]:
 
 
 def _cmd_verify_jet(args) -> tuple[int, str]:
-    from .monideal import ideal_sum
-
     n = args.n
     if n < 2:
         raise UsageError("verify-jet needs n >= 2")
@@ -223,15 +223,7 @@ def _cmd_verify_jet(args) -> tuple[int, str]:
                 certificates.append(cert)
             for I in subsets:
                 for J in subsets:
-                    pi = logjet.stratum_prime(jet, I)
-                    pj = logjet.stratum_prime(jet, J)
-                    common = set(I) & set(J)
-                    if common:
-                        target = logjet.stratum_prime(jet, common)
-                        ok = ideal_sum([pi, pj]).contains_ideal(target)
-                    else:
-                        ok = pi.is_unit or pj.is_unit
-                    if not ok:
+                    if not logjet.stratum_relation_holds(jet, I, J):
                         relation_failures.append(
                             {"k": k, "t": t, "I": list(I), "J": list(J)}
                         )
@@ -442,8 +434,11 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         return 1, f"verification failure: {err}\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            return 2, f"usage error: cannot write --out {out!r}: {err.strerror}\n"
         return code, ""
     return code, text
 

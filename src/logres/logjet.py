@@ -33,7 +33,8 @@ obstruction ideal ranges over *nonempty* subsets of I only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -41,6 +42,7 @@ from .blowup import Chart, root_chart
 from .monideal import (
     MonomialIdeal,
     SimpleVariety,
+    ideal_sum,
     intersect_monomial_ideals,
 )
 from .resolution import CompatibleSystem, Member, ResolutionResult
@@ -61,13 +63,25 @@ class NotResolved(LogresError):
 
 @dataclass(frozen=True)
 class JetChart:
-    """A dehomogenized fiber chart: 2n-1 coordinates, base log marks z1..zk."""
+    """A dehomogenized fiber chart: 2n-1 coordinates, base log marks z1..zk.
+
+    A chart builds each stratum prime and each obstruction ideal once: the
+    primes on first use of `stratum_primes`, an obstruction ideal (both
+    routes) on the first certificate or check that asks for it.
+    """
 
     n: int
     c: int
     k: int
     t: int
     chart: Chart
+    # (intersected, closed form) per sorted component subset I
+    _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def stratum_primes(self) -> dict[tuple[int, ...], MonomialIdeal]:
+        """`stratum_prime` of every nonempty subset of 1..c, keyed by sorted tuple."""
+        return {J: stratum_prime(self, J) for J in component_subsets(range(1, self.c + 1))}
 
     @property
     def base_vars(self) -> tuple[str, ...]:
@@ -96,17 +110,23 @@ def component_subsets(items: Sequence[int]) -> list[tuple[int, ...]]:
     return [J for size in range(1, len(items) + 1) for J in combinations(items, size)]
 
 
+def _component_key(jet: JetChart, J: Iterable[int]) -> tuple[int, ...]:
+    """J as a sorted tuple; refuses an empty J or components outside 1..c."""
+    Js = tuple(sorted(frozenset(J)))
+    if not Js:
+        raise ValueError("component subset must be nonempty")
+    if not 1 <= Js[0] <= Js[-1] <= jet.c:
+        raise OutOfRange(f"components {list(Js)} out of range 1..{jet.c}")
+    return Js
+
+
 def stratum_prime(jet: JetChart, J: Iterable[int]) -> MonomialIdeal:
     """Dehomogenized prime of the residue stratum for component subset J.
 
     Unit ideal when the stratum misses the chart (a component of J does not
     pass through the point, or xi_t = 1 is one of its equations).
     """
-    Js = frozenset(J)
-    if not Js:
-        raise ValueError("component subset must be nonempty")
-    if not Js <= set(range(1, jet.c + 1)):
-        raise OutOfRange(f"components {sorted(Js)} out of range 1..{jet.c}")
+    Js = frozenset(_component_key(jet, J))
     variables = jet.chart.variables
     if not Js <= set(range(1, jet.k + 1)) or jet.t not in Js:
         return MonomialIdeal.unit(variables)
@@ -116,7 +136,7 @@ def stratum_prime(jet: JetChart, J: Iterable[int]) -> MonomialIdeal:
 
 
 def stratum_variety(jet: JetChart, J: Iterable[int]) -> SimpleVariety | None:
-    prime = stratum_prime(jet, J)
+    prime = jet.stratum_primes[_component_key(jet, J)]
     if prime.is_unit:
         return None
     return SimpleVariety(frozenset().union(*prime.gens_as_varsets()))
@@ -156,12 +176,20 @@ def resolve_obstruction_system(
     return resolve_system(system, mode=effective)
 
 
+def stratum_relation_holds(jet: JetChart, I: Iterable[int], J: Iterable[int]) -> bool:
+    """Whether P_I + P_J contains the prime of I & J when I and J meet, or,
+    when they are disjoint, one of the two strata misses the chart."""
+    primes = jet.stratum_primes
+    Is, Js = _component_key(jet, I), _component_key(jet, J)
+    common = sorted(set(Is) & set(Js))
+    if common:
+        return ideal_sum([primes[Is], primes[Js]]).contains_ideal(primes[tuple(common)])
+    return primes[Is].is_unit or primes[Js].is_unit
+
+
 def obstruction_ideal_intersected(jet: JetChart, I: Iterable[int]) -> MonomialIdeal:
     """Intersection of the stratum primes over nonempty subsets of I."""
-    Is = sorted(frozenset(I))
-    if not Is:
-        raise ValueError("component subset must be nonempty")
-    primes = [stratum_prime(jet, J) for J in component_subsets(Is)]
+    primes = [jet.stratum_primes[J] for J in component_subsets(_component_key(jet, I))]
     primes = [prime for prime in primes if not prime.is_unit]
     if not primes:
         return MonomialIdeal.unit(jet.chart.variables)
@@ -187,17 +215,25 @@ def obstruction_ideal_closed_form(jet: JetChart, I: Iterable[int]) -> MonomialId
     return MonomialIdeal.from_varsets(variables, sets)
 
 
+def _obstruction_routes(jet: JetChart, Is: tuple[int, ...]) -> tuple[MonomialIdeal, MonomialIdeal]:
+    """(intersected, closed form) for sorted I, built on the chart's first request."""
+    routes = jet._routes.get(Is)
+    if routes is None:
+        routes = (obstruction_ideal_intersected(jet, Is), obstruction_ideal_closed_form(jet, Is))
+        jet._routes[Is] = routes
+    return routes
+
+
 def obstruction_certificate(jet: JetChart, I: Iterable[int]) -> dict:
     """Both routes to the obstruction ideal plus their equality flag."""
-    Is = sorted(frozenset(I))
-    intersected = obstruction_ideal_intersected(jet, Is)
-    closed = obstruction_ideal_closed_form(jet, Is)
+    Is = _component_key(jet, I)
+    intersected, closed = _obstruction_routes(jet, Is)
     return {
         "n": jet.n,
         "c": jet.c,
         "k": jet.k,
         "t": jet.t,
-        "I": Is,
+        "I": list(Is),
         "generators": intersected.gens_as_strings(),
         "closed_form": closed.gens_as_strings(),
         "equal": intersected == closed,
@@ -207,11 +243,11 @@ def obstruction_certificate(jet: JetChart, I: Iterable[int]) -> dict:
 
 def obstruction_ideal(jet: JetChart, I: Iterable[int]) -> MonomialIdeal:
     """The obstruction ideal; raises if the two defining routes disagree."""
-    intersected = obstruction_ideal_intersected(jet, I)
-    closed = obstruction_ideal_closed_form(jet, I)
+    Is = _component_key(jet, I)
+    intersected, closed = _obstruction_routes(jet, Is)
     if intersected != closed:
         raise LogresError(
-            f"obstruction ideal mismatch for I={sorted(set(I))}: "
+            f"obstruction ideal mismatch for I={list(Is)}: "
             f"{intersected} vs {closed}"
         )
     return intersected
@@ -298,7 +334,7 @@ def verify_principalization(
     Returns the exceptional multiplicities per chart; raises NotResolved with
     the offending chart id otherwise.
     """
-    Is = tuple(sorted(frozenset(I)))
+    Is = _component_key(jet, I)
     ideal = obstruction_ideal(jet, Is)
     rows = []
     for leaf in result.leaves():

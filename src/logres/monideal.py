@@ -15,10 +15,18 @@ distinct, up to renaming) is called *simple*; its zero set is the union of
 the 2^(r-p) codimension-r coordinate subspaces obtained by picking one factor
 from each pair.  These unions are exactly the configurations the blow-up
 engine knows how to keep resolving.
+
+Two constructors build ideals.  The public ``MonomialIdeal.make`` coerces
+and checks every exponent it is given.  The private ``MonomialIdeal._trusted``
+only minimalizes: it takes exponents that this module's own operations
+(``from_varsets``, ``ideal_sum``, ``intersect_monomial_ideals``) or the
+monomial maps of the blow-up engine have just produced, which are well
+formed by construction, so they are not checked again.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
@@ -35,16 +43,16 @@ class NotSimpleShape(LogresError):
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def minimalize(generators: Iterable[Exponent]) -> tuple[Exponent, ...]:
     """Drop every generator strictly divisible by another; sort graded-lex."""
-    gens = sorted(set(tuple(g) for g in generators), key=grlex_key)
+    gens = sorted(set(map(tuple, generators)), key=grlex_key)
     kept: list[Exponent] = []
     for g in gens:
         if not any(_divides(h, g) for h in kept):
@@ -59,6 +67,7 @@ class MonomialIdeal:
 
     @classmethod
     def make(cls, variables: Iterable[str], generators: Iterable[Exponent]) -> "MonomialIdeal":
+        """Validating constructor: every exponent is coerced and checked."""
         vs = tuple(variables)
         gens = []
         for g in generators:
@@ -66,7 +75,14 @@ class MonomialIdeal:
             if len(e) != len(vs) or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent {e} over {vs}")
             gens.append(e)
-        return cls(vs, minimalize(gens))
+        return cls._trusted(vs, gens)
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], generators: Iterable[Exponent]) -> "MonomialIdeal":
+        """Minimalize exponents already known to be well formed: tuples of
+        nonnegative ints, one per variable.  For results of this module's own
+        operations and of monomial maps; anything else goes through `make`."""
+        return cls(variables, minimalize(generators))
 
     @classmethod
     def from_varsets(cls, variables: Iterable[str], sets: Iterable[Iterable[str]]) -> "MonomialIdeal":
@@ -79,7 +95,7 @@ class MonomialIdeal:
             for v in s:
                 exp[index[v]] = 1
             gens.append(tuple(exp))
-        return cls.make(vs, gens)
+        return cls._trusted(vs, gens)
 
     @classmethod
     def unit(cls, variables: Iterable[str]) -> "MonomialIdeal":
@@ -136,7 +152,7 @@ def ideal_sum(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
         if ideal.variables != vs:
             raise MixedVariableSets(f"{ideal.variables} vs {vs}")
         gens.extend(ideal.generators)
-    return MonomialIdeal.make(vs, gens)
+    return MonomialIdeal._trusted(vs, gens)
 
 
 def intersect_monomial_ideals(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
@@ -153,7 +169,7 @@ def intersect_monomial_ideals(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
     acc = MonomialIdeal.unit(vs)
     for ideal in ideals:
         gens = [_lcm(a, b) for a in acc.generators for b in ideal.generators]
-        acc = MonomialIdeal.make(vs, gens)
+        acc = MonomialIdeal._trusted(vs, gens)
     return acc
 
 

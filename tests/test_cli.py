@@ -1,6 +1,8 @@
+import hashlib
 import json
 import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +165,32 @@ def test_malformed_connection_argv_is_usage_error(argv):
     code, text = run_command(shlex.split(argv))
     assert code == 2
     assert text.startswith("usage error: ")
+
+
+def test_out_write_failure_is_usage_error(tmp_path):
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        code, text = run_command(
+            ["bounds", "--n", "1", "--delta", "3", "--eps", "1", "--out", str(target)]
+        )
+        assert code == 2
+        assert text.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", ["resolve --n 1 --c 1", "resolve --n 0 --c 0 --k 0"])
+def test_resolve_below_two_dimensions_is_usage_error(argv):
+    code, text = run_command(shlex.split(argv))
+    assert code == 2
+    assert text.startswith("usage error: ")
+
+
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+
+
+@pytest.mark.parametrize("n", ["3", "4"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_jet_stdout_matches_recorded_digest(n, fmt):
+    argv = ["verify-jet", "--n", n, "--format", fmt]
+    recorded = json.loads(DIGESTS.read_text())["digests"][shlex.join(argv)]
+    code, text = run_command(argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == recorded

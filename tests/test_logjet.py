@@ -16,10 +16,12 @@ from logres.logjet import (
     obstruction_ideal,
     obstruction_ideal_closed_form,
     obstruction_ideal_intersected,
+    resolve_obstruction_system,
     stratum_prime,
+    stratum_relation_holds,
     stratum_variety,
 )
-from logres.monideal import MonomialIdeal, SimpleVariety, ideal_sum
+from logres.monideal import MonomialIdeal, SimpleVariety, ideal_sum, intersect_monomial_ideals
 from logres.resolution import ResolutionResult, resolve_system, validate_compatible_system
 from logres.symcore import Polynomial
 
@@ -276,3 +278,73 @@ def test_unresolved_base_raises_not_resolved():
     with pytest.raises(NotResolved) as exc:
         verify_principalization(bare, jet, {1, 2})
     assert exc.value.chart_id == "root"
+
+
+# -- one build per chart --------------------------------------------------------------
+
+
+def test_shared_chart_route_matches_fresh_builds():
+    """A chart that builds each prime and obstruction ideal once (as verify-jet
+    uses it) gives the same certificates, divisors and relation verdicts as
+    fresh charts and freshly built primes."""
+    for n in (2, 3):
+        subsets = list(nonempty_subsets(range(1, n + 1)))
+        for k in range(0, n + 1):
+            for t in range(1, n + 1):
+                jet, system = build_obstruction_system(n, n, k, t)
+                result = resolve_obstruction_system(jet, system, "canonical")
+                for I in subsets:
+                    shared_cert = obstruction_certificate(jet, I)
+                    shared = verify_principalization(result, jet, I)
+                    fresh_cert = obstruction_certificate(make_jet_chart(n, n, k, t), I)
+                    fresh = verify_principalization(result, make_jet_chart(n, n, k, t), I)
+                    assert shared_cert == fresh_cert
+                    assert shared.to_dict() == fresh.to_dict()
+                    fresh_primes = [stratum_prime(jet, J) for J in nonempty_subsets(I)]
+                    fresh_primes = [p for p in fresh_primes if not p.is_unit]
+                    expected = (
+                        intersect_monomial_ideals(fresh_primes)
+                        if fresh_primes
+                        else MonomialIdeal.unit(jet.chart.variables)
+                    )
+                    assert obstruction_ideal(jet, I) == expected
+                for I in subsets:
+                    assert jet.stratum_primes[I] == stratum_prime(jet, I)
+                    for J in subsets:
+                        pi, pj = stratum_prime(jet, I), stratum_prime(jet, J)
+                        common = set(I) & set(J)
+                        if common:
+                            verdict = ideal_sum([pi, pj]).contains_ideal(stratum_prime(jet, common))
+                        else:
+                            verdict = pi.is_unit or pj.is_unit
+                        assert stratum_relation_holds(jet, I, J) == verdict
+
+
+def test_component_subsets_are_range_checked():
+    jet = make_jet_chart(3, 2, 2, 1)
+    for call in (
+        lambda: stratum_prime(jet, {3}),
+        lambda: obstruction_ideal_intersected(jet, {1, 3}),
+        lambda: obstruction_certificate(jet, {0, 1}),
+        lambda: stratum_relation_holds(jet, {1}, {3}),
+    ):
+        with pytest.raises(OutOfRange):
+            call()
+    with pytest.raises(ValueError):
+        obstruction_ideal(jet, set())
+    with pytest.raises(ValueError):
+        stratum_relation_holds(jet, set(), {1})
+
+
+def test_relation_verdict_reads_the_chart_primes():
+    # in chart t = 1 of n = k = 3 both relations hold; spoiling the primes they
+    # read must flip each verdict
+    jet = make_jet_chart(3, 3, 3, 1)
+    primes = jet.stratum_primes
+    visible = primes[(1,)]
+    assert stratum_relation_holds(jet, (1, 2), (1, 3))
+    assert stratum_relation_holds(jet, (2,), (3,))
+    primes[(1,)] = MonomialIdeal.unit(jet.chart.variables)
+    assert not stratum_relation_holds(jet, (1, 2), (1, 3))
+    primes[(2,)] = primes[(3,)] = visible
+    assert not stratum_relation_holds(jet, (2,), (3,))

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import all_simple_ideals
 
+from logres.blowup import Atlas, blow_up_center, root_chart, saturate_exceptional, transform_ideal
 from logres.monideal import (
     MixedVariableSets,
     MonomialIdeal,
@@ -16,6 +17,7 @@ from logres.monideal import (
     is_simple_ideal,
     simple_shape,
 )
+from logres.symcore import grlex_key
 
 VARS4 = ("z1", "z2", "xi1", "xi2")
 
@@ -181,3 +183,52 @@ def test_ideal_sum_and_containment():
 def test_is_simple_ideal():
     assert is_simple_ideal(sq(VARS4, {"z1"}, {"z2", "xi2"}))
     assert not is_simple_ideal(MonomialIdeal.unit(VARS4))
+
+
+# -- results built without re-validation ------------------------------------------
+
+FRAME3 = ("x1", "x2", "x3")
+exponents3 = st.tuples(*[st.integers(0, 2)] * 3)
+ideals3 = st.lists(exponents3, max_size=4).map(lambda gens: MonomialIdeal.make(FRAME3, gens))
+
+
+def assert_clean(ideal):
+    """Generators are well-formed, minimal, in graded-lex order, and the ideal
+    equals its validating rebuild."""
+    gens = ideal.generators
+    assert all(
+        len(g) == len(ideal.variables) and all(type(x) is int and x >= 0 for x in g)
+        for g in gens
+    )
+    assert list(gens) == sorted(set(gens), key=grlex_key)
+    assert not any(
+        a != b and all(x <= y for x, y in zip(a, b)) for a in gens for b in gens
+    )
+    assert ideal == MonomialIdeal.make(ideal.variables, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(ideals3, min_size=1, max_size=3),
+    st.lists(st.sampled_from(FRAME3), min_size=2, max_size=3, unique=True),
+    st.data(),
+)
+def test_trusted_results_equal_their_validated_rebuild(ideals, center, data):
+    assert_clean(ideal_sum(ideals))
+    assert_clean(intersect_monomial_ideals(ideals))
+    base = root_chart(FRAME3)
+    atlas = Atlas.for_root(base)
+    children = blow_up_center(base, SimpleVariety(frozenset(center)))
+    atlas.add_blowup(base.id, children)
+    child = data.draw(st.sampled_from(children))
+    again = data.draw(st.lists(st.sampled_from(child.variables), min_size=2, max_size=3, unique=True))
+    grandchildren = blow_up_center(child, SimpleVariety(frozenset(again)))
+    atlas.add_blowup(child.id, grandchildren)
+    leaf = data.draw(st.sampled_from(grandchildren))
+    for ideal in ideals:
+        assert_clean(atlas.total_transform(child.id, ideal))
+        assert_clean(atlas.total_transform(leaf.id, ideal))
+        record = transform_ideal(child, ideal)
+        assert_clean(record.total)
+        assert_clean(record.strict)
+        assert_clean(saturate_exceptional(child, record.total))
