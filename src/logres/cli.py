@@ -59,7 +59,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("resolve", help="resolve a fiber-chart obstruction system")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
+    p.add_argument("--c", type=_positive_int, required=True)
     p.add_argument("--k", type=int, default=None, help="components through the point (default c)")
     p.add_argument("--t", type=int, default=1, help="fiber chart index (default 1)")
     p.add_argument("--mode", choices=("canonical", "minimal"), default="canonical")
@@ -282,7 +282,7 @@ def _cmd_rank(args) -> tuple[int, str]:
             **report.to_dict(),
         }
         if args.matrix:
-            entry["matrix"] = to_text(report.matrix)
+            entry["matrix"] = to_text(logconn.connection_matrix(ctx, vector, stratum)[1])
         reports.append(entry)
         all_ok = all_ok and report.satisfied
     payload = {

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .multiindex import (
     CoefficientVector,
@@ -273,8 +273,6 @@ class RankReport:
     satisfied: bool
     rows: int
     cols: int
-    # the evaluation matrix the rank was read from; not part of the report
-    matrix: list[list[Fraction]] | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -286,9 +284,32 @@ class RankReport:
         }
 
 
-def _block_positions(ctx: ConnectionContext) -> dict[MultiIndex, int]:
-    """The column block of each weight-delta index, in listing order."""
-    return {I: p for p, I in enumerate(enumerate_multiindices(ctx.n, ctx.delta))}
+def _row_blocks(
+    ctx: ConnectionContext, vector: LogTangentVector, stratum: frozenset[int]
+) -> Iterator[tuple[MultiIndex, Iterator[Fraction]]]:
+    """Each row index of the restricted evaluation map with its own block,
+    the values of its component on the basis monomials, built lazily.
+
+    The arrangement entries and the basis monomials are evaluated once, tau^I
+    once per row from the entries.
+    """
+    point_stratum = stratum_of_point(ctx, vector.basepoint)
+    if point_stratum != stratum:
+        raise BasepointNotInStratum(
+            f"basepoint vanishes on {sorted(point_stratum)}, declared {sorted(stratum)}"
+        )
+    point = point_map(ctx, vector.basepoint)
+    basis = [_value_and_slope(ctx, mono, point, vector) for _, mono in monomial_basis(ctx)]
+    tau_values = [_value_and_slope(ctx, f, point, vector) for f in ctx.tau]
+
+    # a function, not a generator expression: each block binds its own
+    # row's factors even when it is read after the next row is yielded
+    def block(tau_val: Fraction, factor: Fraction) -> Iterator[Fraction]:
+        for a_val, a_slope in basis:
+            yield a_val * factor + tau_val * a_slope
+
+    for row_index in enumerate_multiindices(ctx.n, ctx.delta, stratum):
+        yield row_index, block(*_index_factors(ctx, row_index, tau_values, vector))
 
 
 def connection_matrix(
@@ -296,36 +317,26 @@ def connection_matrix(
     vector: LogTangentVector,
     stratum: Iterable[int],
 ) -> tuple[list[MultiIndex], list[list[Fraction]]]:
-    """Exact matrix of the restricted evaluation map.
+    """Exact matrix of the restricted evaluation map; only ``rank --matrix``
+    and the tests build it.
 
     Rows: weight-delta indices supported away from the stratum.  Columns:
     (index, basis monomial) pairs; entries vanish off the diagonal index
     block, which is what makes the rank bound a per-block statement.  Each
-    row meets exactly one block (its own index), so the rank is the number
-    of rows whose block is nonzero.  The arrangement entries and the basis
-    monomials are evaluated once per matrix, tau^I once per row from the
-    entries; every off-block cell is one shared zero.
+    row meets exactly one block (its own index).  ``connection_rank`` reads
+    the same blocks and never builds this matrix; here every off-block cell
+    is one shared zero.
     """
-    J = frozenset(stratum)
-    point_stratum = stratum_of_point(ctx, vector.basepoint)
-    if point_stratum != J:
-        raise BasepointNotInStratum(
-            f"basepoint vanishes on {sorted(point_stratum)}, declared {sorted(J)}"
-        )
-    point = point_map(ctx, vector.basepoint)
-    rows = enumerate_multiindices(ctx.n, ctx.delta, J)
-    position = _block_positions(ctx)
-    basis = [_value_and_slope(ctx, mono, point, vector) for _, mono in monomial_basis(ctx)]
-    tau_values = [_value_and_slope(ctx, f, point, vector) for f in ctx.tau]
-    width = len(basis)
+    position = {I: p for p, I in enumerate(enumerate_multiindices(ctx.n, ctx.delta))}
+    width = index_count(ctx.n, ctx.eps)
     zero = Fraction(0)
+    rows: list[MultiIndex] = []
     matrix: list[list[Fraction]] = []
-    for row_index in rows:
-        tau_val, factor = _index_factors(ctx, row_index, tau_values, vector)
-        block = [a_val * factor + tau_val * a_slope for a_val, a_slope in basis]
+    for row_index, block in _row_blocks(ctx, vector, frozenset(stratum)):
         before = position[row_index] * width
         after = (len(position) - 1) * width - before
-        matrix.append([zero] * before + block + [zero] * after)
+        rows.append(row_index)
+        matrix.append([zero] * before + list(block) + [zero] * after)
     return rows, matrix
 
 
@@ -336,25 +347,22 @@ def connection_rank(
 
     The matrix is block diagonal with one row per block (see
     ``connection_matrix``), so its rank is the number of rows whose own
-    block is nonzero; no elimination is needed.  ``ratmat.rank`` is the
-    dense oracle the tests compare against.
+    block has a nonzero entry.  Each block is read up to its first nonzero
+    entry; the matrix is never built and nothing is eliminated.
+    ``ratmat.rank`` is the dense oracle the tests compare against.
     """
     J = frozenset(stratum)
-    rows, matrix = connection_matrix(ctx, vector, J)
-    position = _block_positions(ctx)
-    width = len(matrix[0]) // len(position) if matrix else 0
-    got = 0
-    for row_index, row in zip(rows, matrix):
-        start = position[row_index] * width
-        got += any(row[start : start + width])
+    rows = got = 0
+    for _, block in _row_blocks(ctx, vector, J):
+        rows += 1
+        got += any(block)
     bound = index_count(ctx.n, ctx.delta, len(J))
     return RankReport(
         rank=got,
         bound=bound,
         satisfied=got >= bound,
-        rows=len(rows),
-        cols=len(matrix[0]) if matrix else 0,
-        matrix=matrix,
+        rows=rows,
+        cols=index_count(ctx.n, ctx.delta) * index_count(ctx.n, ctx.eps),
     )
 
 
@@ -386,20 +394,6 @@ def fermat_section(ctx: ConnectionContext, coeffs: CoefficientVector) -> Polynom
             continue
         total = total + a * tau_power(ctx, index, ctx.r + 1)
     return total
-
-
-def log_connection_cleared(s: Polynomial, s_ref: Polynomial) -> dict[str, Polynomial]:
-    """Numerators of (ds - s * d s_ref / s_ref), one polynomial per coordinate.
-
-    Multiplying through by s_ref clears the pole; the reference section is
-    tautologically flat: all numerators vanish when s = s_ref.
-    """
-    if s.variables != s_ref.variables:
-        raise ValueError("sections must share a variable frame")
-    return {
-        v: s_ref * s.diff(v) - s * s_ref.diff(v)
-        for v in s.variables
-    }
 
 
 def restriction_identity_residuals(

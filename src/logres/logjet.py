@@ -87,10 +87,6 @@ class JetChart:
     def base_vars(self) -> tuple[str, ...]:
         return tuple(f"z{i}" for i in range(1, self.n + 1))
 
-    @property
-    def fiber_vars(self) -> tuple[str, ...]:
-        return tuple(f"xi{j}" for j in range(1, self.n + 1) if j != self.t)
-
 
 def make_jet_chart(n: int, c: int, k: int, t: int) -> JetChart:
     if n < 2 or not (0 <= k <= c <= n) or not (1 <= t <= n):

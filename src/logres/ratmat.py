@@ -3,9 +3,10 @@
 `rank` is the dense oracle: plain Gauss-Jordan elimination over `Fraction`
 with "first nonzero in column" pivoting.  `residues` uses it on residue
 matrices (c-1 rows), and the tests check the per-block rank of
-`logconn.connection_rank` against it.  Connection matrices reach tens of
-thousands of cells; they are block diagonal, so their rank is read per block
-and never eliminated.
+`logconn.connection_rank` against it.  Connection matrices are block
+diagonal with one row per block, so `connection_rank` reads the blocks and
+never builds the matrix; the dense matrix exists only for `rank --matrix`,
+which prints it with `to_text`, and for the tests.
 """
 
 from __future__ import annotations

@@ -73,9 +73,6 @@ class CompatibleSystem:
         idx = self.indices
         return idx[-1] - idx[0] + 1 if idx else 0
 
-    def members_of_index(self, index: int) -> list[Member]:
-        return [m for m in self.members if m.index == index]
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -159,6 +159,8 @@ def test_out_file(tmp_path):
         "bounds --n 2 --delta 7,8 --eps 1,1 --c 1",
         "bounds --n 2 --delta 4,6 --eps 1,1 --alpha 1/3",
         "bounds --n 0 --delta '' --eps ''",
+        "resolve --n 3 --c 0",
+        "resolve --n 3 --c 0 --mode minimal",
     ],
 )
 def test_malformed_connection_argv_is_usage_error(argv):
