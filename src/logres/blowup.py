@@ -14,7 +14,9 @@ frame stays correct for residue and connection computations downstream.
 Every chart map is monomial, so composing chart maps is integer matrix
 arithmetic on exponents; ``push_exponent`` is the one routine that does it.
 Each chart stores its map to the root (``Chart.to_root``), composed once when
-the chart is built, so total transforms of root ideals never walk the tree.
+the chart is built, so total transforms of root ideals never walk the tree,
+and an ``Atlas`` keeps each pushed root monomial per chart, so a generator
+shared by many root ideals is pushed into a chart once.
 Two different strictness notions coexist:
 
 * ``transform_ideal`` divides the *common* power of each exceptional
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .monideal import MixedVariableSets, MonomialIdeal, SimpleVariety, is_simple_ideal
@@ -77,6 +80,11 @@ class Chart:
 
     def variable_index(self, name: str) -> int:
         return self.variables.index(name)
+
+    @cached_property
+    def exceptional_indices(self) -> tuple[tuple[str, int], ...]:
+        """`exceptional` with each defining variable replaced by its index."""
+        return tuple((label, self.variables.index(v)) for label, v in self.exceptional)
 
 
 def root_chart(
@@ -187,8 +195,7 @@ def transform_ideal(chart: Chart, ideal: MonomialIdeal) -> TransformRecord:
     )
     mults = []
     strict_gens = [list(g) for g in total.generators]
-    for label, var in chart.exceptional:
-        idx = chart.variable_index(var)
+    for label, idx in chart.exceptional_indices:
         m = min((g[idx] for g in total.generators), default=0)
         mults.append((label, m))
         if m:
@@ -201,11 +208,10 @@ def transform_ideal(chart: Chart, ideal: MonomialIdeal) -> TransformRecord:
 
 def saturate_exceptional(chart: Chart, ideal: MonomialIdeal) -> MonomialIdeal:
     """Divide each generator by its own maximal exceptional powers."""
-    exc = [chart.variable_index(v) for _, v in chart.exceptional]
     gens = []
     for g in ideal.generators:
         e = list(g)
-        for idx in exc:
+        for _, idx in chart.exceptional_indices:
             e[idx] = 0
         gens.append(tuple(e))
     return MonomialIdeal._trusted(chart.variables, gens)
@@ -252,6 +258,10 @@ class Atlas:
     charts: dict[str, Chart] = field(default_factory=dict)
     children: dict[str, list[str]] = field(default_factory=dict)
     stage_log: list[StageRecord] = field(default_factory=list)
+    # chart id -> {root exponent: its image in that chart}, filled by total_transform
+    _images: dict[str, dict[Exponent, Exponent]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def for_root(cls, root: Chart) -> "Atlas":
@@ -263,6 +273,10 @@ class Atlas:
         return atlas
 
     def add_blowup(self, parent_id: str, kids: list[Chart]) -> None:
+        """Attach the children of a blow-up; a chart id is never reused."""
+        taken = [chart.id for chart in kids if chart.id in self.charts]
+        if taken:
+            raise ValueError(f"chart ids {taken} already in the atlas")
         for chart in kids:
             self.charts[chart.id] = chart
             self.children[chart.id] = []
@@ -281,16 +295,23 @@ class Atlas:
         return dict(zip(root.variables, self.charts[chart_id].to_root))
 
     def total_transform(self, chart_id: str, ideal: MonomialIdeal) -> MonomialIdeal:
-        """Total transform of a root-chart monomial ideal in a given chart."""
+        """Total transform of a root-chart monomial ideal in a given chart.
+
+        Each root generator is pushed into a chart once per atlas; later
+        transforms in that chart reuse the image.
+        """
         root = self.charts[self.root_id]
         if tuple(ideal.variables) != root.variables:
             raise ValueError("ideal must live over the root chart variables")
         chart = self.charts[chart_id]
-        width = len(chart.variables)
-        return MonomialIdeal._trusted(
-            chart.variables,
-            [push_exponent(chart.to_root, g, width) for g in ideal.generators],
-        )
+        images = self._images.setdefault(chart_id, {})
+        pushed = []
+        for g in ideal.generators:
+            image = images.get(g)
+            if image is None:
+                image = images[g] = push_exponent(chart.to_root, g, len(chart.variables))
+            pushed.append(image)
+        return MonomialIdeal._trusted(chart.variables, pushed)
 
     def to_dict(self) -> dict:
         charts = []

@@ -190,43 +190,58 @@ def _cmd_resolve(args) -> tuple[int, str]:
     return (1 if failed else 0), text
 
 
+def _verify_jet_chart(n: int, k: int, t: int, subsets: list) -> tuple[list, list, list]:
+    """Certificates, principality failures and relation failures of one fiber
+    chart (c = n).  The chart's atlas is freed when this returns."""
+    jet, system = logjet.build_obstruction_system(n, n, k, t)
+    result = logjet.resolve_obstruction_system(jet, system, "canonical")
+    certificates = []
+    principality_failures = []
+    for I in subsets:
+        cert = logjet.obstruction_certificate(jet, I)
+        try:
+            principality = logjet.verify_principalization(result, jet, I)
+        except logjet.NotResolved as err:
+            cert["principal"] = False
+            principality_failures.append({"k": k, "t": t, "I": list(I), "error": str(err)})
+        else:
+            cert["principal"] = True
+            cert["divisor"] = principality.to_dict()["divisor"]
+        certificates.append(cert)
+    # The relation is symmetric and holds for I = J: check each unordered
+    # pair once, report failures in ordered (I, J) order.
+    failed = {
+        frozenset((I, J))
+        for pos, I in enumerate(subsets)
+        for J in subsets[pos + 1:]
+        if not logjet.stratum_relation_holds(jet, I, J)
+    }
+    relation_failures = [
+        {"k": k, "t": t, "I": list(I), "J": list(J)}
+        for I in subsets
+        for J in subsets
+        if failed and frozenset((I, J)) in failed
+    ]
+    return certificates, principality_failures, relation_failures
+
+
 def _cmd_verify_jet(args) -> tuple[int, str]:
     n = args.n
     if n < 2:
         raise UsageError("verify-jet needs n >= 2")
     c = n
-    lift_failures = []
     relation_failures = []
     principality_failures = []
     certificates = []
-    checked = 0
     subsets = logjet.component_subsets(range(1, c + 1))
     for k in range(0, c + 1):
         for t in range(1, n + 1):
-            jet, system = logjet.build_obstruction_system(n, c, k, t)
-            result = logjet.resolve_obstruction_system(jet, system, "canonical")
-            for I in subsets:
-                cert = logjet.obstruction_certificate(jet, I)
-                checked += 1
-                if not cert["equal"]:
-                    lift_failures.append(cert)
-                try:
-                    principality = logjet.verify_principalization(result, jet, I)
-                except logjet.NotResolved as err:
-                    cert["principal"] = False
-                    principality_failures.append(
-                        {"k": k, "t": t, "I": list(I), "error": str(err)}
-                    )
-                else:
-                    cert["principal"] = True
-                    cert["divisor"] = principality.to_dict()["divisor"]
-                certificates.append(cert)
-            for I in subsets:
-                for J in subsets:
-                    if not logjet.stratum_relation_holds(jet, I, J):
-                        relation_failures.append(
-                            {"k": k, "t": t, "I": list(I), "J": list(J)}
-                        )
+            certs, principality, relations = _verify_jet_chart(n, k, t, subsets)
+            certificates += certs
+            principality_failures += principality
+            relation_failures += relations
+    lift_failures = [cert for cert in certificates if not cert["equal"]]
+    checked = len(certificates)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify-jet",

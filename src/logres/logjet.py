@@ -174,13 +174,18 @@ def resolve_obstruction_system(
 
 def stratum_relation_holds(jet: JetChart, I: Iterable[int], J: Iterable[int]) -> bool:
     """Whether P_I + P_J contains the prime of I & J when I and J meet, or,
-    when they are disjoint, one of the two strata misses the chart."""
+    when they are disjoint, one of the two strata misses the chart.
+
+    Symmetric in I and J.  When either prime is the unit ideal (its stratum
+    misses the chart) the sum is the unit ideal, which contains every ideal,
+    so the relation holds without forming the sum.
+    """
     primes = jet.stratum_primes
     Is, Js = _component_key(jet, I), _component_key(jet, J)
-    common = sorted(set(Is) & set(Js))
-    if common:
-        return ideal_sum([primes[Is], primes[Js]]).contains_ideal(primes[tuple(common)])
-    return primes[Is].is_unit or primes[Js].is_unit
+    if primes[Is].is_unit or primes[Js].is_unit:
+        return True
+    common = tuple(sorted(set(Is) & set(Js)))
+    return bool(common) and ideal_sum([primes[Is], primes[Js]]).contains_ideal(primes[common])
 
 
 def obstruction_ideal_intersected(jet: JetChart, I: Iterable[int]) -> MonomialIdeal:
@@ -327,8 +332,11 @@ def verify_principalization(
     """Certify that the total transform of the obstruction ideal is a single
     exceptional monomial in every leaf chart.
 
-    Returns the exceptional multiplicities per chart; raises NotResolved with
-    the offending chart id otherwise.
+    The total transform comes from the atlas, which pushes each generator
+    into a leaf once however many ideals share it, and is principal exactly
+    when `minimalize` leaves one generator.  Returns the exceptional
+    multiplicities per chart; raises NotResolved with the offending chart id
+    otherwise.
     """
     Is = _component_key(jet, I)
     ideal = obstruction_ideal(jet, Is)
@@ -344,8 +352,7 @@ def verify_principalization(
         (gen,) = total.generators
         mults = []
         residual = list(gen)
-        for label, var in leaf.exceptional:
-            idx = leaf.variable_index(var)
+        for label, idx in leaf.exceptional_indices:
             if residual[idx]:
                 mults.append((label, residual[idx]))
                 residual[idx] = 0

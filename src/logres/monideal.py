@@ -51,8 +51,19 @@ def _lcm(a: Exponent, b: Exponent) -> Exponent:
 
 
 def minimalize(generators: Iterable[Exponent]) -> tuple[Exponent, ...]:
-    """Drop every generator strictly divisible by another; sort graded-lex."""
-    gens = sorted(set(map(tuple, generators)), key=grlex_key)
+    """Drop every generator strictly divisible by another; sort graded-lex.
+
+    A monomial ideal is principal exactly when the componentwise minimum of
+    its generators is one of them (Miller--Sturmfels, ch. 1): that generator
+    divides all the others, so it is returned alone, with no sort and no
+    divisibility scan.
+    """
+    distinct = set(map(tuple, generators))
+    if len(distinct) > 1:
+        gcd = tuple(map(min, *distinct))
+        if gcd in distinct:
+            return (gcd,)
+    gens = sorted(distinct, key=grlex_key)
     kept: list[Exponent] = []
     for g in gens:
         if not any(_divides(h, g) for h in kept):

@@ -208,3 +208,71 @@ def test_atlas_json_is_deterministic():
     assert [c["id"] for c in payload["charts"]] == sorted(
         c["id"] for c in payload["charts"]
     )
+
+
+def oracle_root_transform(atlas, chart_id, ideal):
+    """Total transform of a root ideal, substituting chart maps down the tree."""
+    path = [atlas.charts[chart_id]]
+    while path[-1].parent is not None:
+        path.append(atlas.charts[path[-1].parent])
+    polys = [Polynomial.monomial(ideal.variables, g) for g in ideal.generators]
+    for chart in reversed(path[:-1]):
+        assignment = chart_substitution_polys(chart)
+        polys = [substitute(f, assignment) for f in polys]
+    return MonomialIdeal.make(path[0].variables, [next(iter(f.terms)) for f in polys])
+
+
+def test_repeated_total_transform_reuses_pushed_images(monkeypatch):
+    import logres.blowup as blowup
+
+    base = root_chart(("x1", "x2", "x3"))
+    children = blow_up_center(base, V("x1", "x2"), label="E1")
+    grandchildren = blow_up_center(children[1], V("x2", "x3"), label="E2")
+    atlas = Atlas.for_root(base)
+    atlas.add_blowup(base.id, children)
+    atlas.add_blowup(children[1].id, grandchildren)
+    ideals = [
+        sq(base.variables, {"x1", "x2"}),  # principal
+        sq(base.variables, {"x1", "x3"}, {"x2"}),
+        sq(base.variables, {"x2"}, {"x3"}),  # shares x2 with the one before
+        MonomialIdeal.make(base.variables, [(2, 0, 1), (0, 3, 0), (1, 1, 1)]),
+    ]
+    pushes = []
+    real_push = blowup.push_exponent
+
+    def counted_push(images, exponent, width):
+        pushes.append(exponent)
+        return real_push(images, exponent, width)
+
+    monkeypatch.setattr(blowup, "push_exponent", counted_push)
+    for chart_id in sorted(atlas.charts):
+        for ideal in ideals:
+            expected = oracle_root_transform(atlas, chart_id, ideal)
+            first = atlas.total_transform(chart_id, ideal)
+            pushed = len(pushes)
+            again = atlas.total_transform(chart_id, ideal)
+            assert len(pushes) == pushed  # the second call is a memo hit
+            assert first == again == expected
+        # each distinct root generator was pushed into this chart once
+        distinct = {g for ideal in ideals for g in ideal.generators}
+        assert sorted(pushes) == sorted(distinct)
+        pushes.clear()
+
+
+def test_add_blowup_refuses_a_chart_id_already_in_the_atlas():
+    base = root_chart(("x1", "x2", "x3"))
+    children = blow_up_center(base, V("x1", "x2"))
+    atlas = Atlas.for_root(base)
+    atlas.add_blowup(base.id, children)
+    ideal = sq(base.variables, {"x1"}, {"x2"})
+    before = atlas.total_transform(children[0].id, ideal)
+    # a different chart under the same id would be served the first chart's images
+    impostor = blow_up_center(base, V("x1", "x3"))[0]
+    assert impostor.id == children[0].id and impostor != children[0]
+    with pytest.raises(ValueError, match="already in the atlas"):
+        atlas.add_blowup(base.id, [impostor])
+    assert atlas.charts[children[0].id] == children[0]
+    assert atlas.children[base.id] == [c.id for c in children]
+    assert atlas.total_transform(children[0].id, ideal) == before
+    with pytest.raises(ValueError):
+        atlas.add_blowup(base.id, [base])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from logres import logjet
 from logres.cli import run_command
 from logres.ratmat import rank
 
@@ -196,3 +197,28 @@ def test_verify_jet_stdout_matches_recorded_digest(n, fmt):
     code, text = run_command(argv)
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == recorded
+
+
+def test_verify_jet_reports_a_failed_pair_in_both_orders(monkeypatch):
+    """Negative control for the unordered relation loop: a pair that fails is
+    listed as (I, J) and (J, I), where the ordered loop would list them."""
+    holds = logjet.stratum_relation_holds
+    bad = {(2,), (1, 3)}
+
+    def spoiled(jet, I, J):
+        return {tuple(I), tuple(J)} != bad and holds(jet, I, J)
+
+    monkeypatch.setattr(logjet, "stratum_relation_holds", spoiled)
+    code, payload = run_json(["verify-jet", "--n", "3"])
+    assert code == 1
+    assert not payload["verified"]
+    # subsets run (1), (2), (3), (1,2), (1,3), (2,3), (1,2,3): (2) comes first
+    assert payload["intersection_failures"] == [
+        {"k": k, "t": t, "I": I, "J": J}
+        for k in range(4)
+        for t in range(1, 4)
+        for I, J in (([2], [1, 3]), ([1, 3], [2]))
+    ]
+    code, text = run_command(["verify-jet", "--n", "3", "--format", "text"])
+    assert code == 1
+    assert text == "verify-jet n=3: 84 ideals checked, 0 lift failures, 24 relation failures\n"

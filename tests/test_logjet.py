@@ -278,6 +278,9 @@ def test_unresolved_base_raises_not_resolved():
     with pytest.raises(NotResolved) as exc:
         verify_principalization(bare, jet, {1, 2})
     assert exc.value.chart_id == "root"
+    assert str(exc.value) == (
+        "total transform of obstruction ideal for I=[1, 2] has 2 minimal generators (chart root)"
+    )
 
 
 # -- one build per chart --------------------------------------------------------------
@@ -348,3 +351,26 @@ def test_relation_verdict_reads_the_chart_primes():
     assert not stratum_relation_holds(jet, (1, 2), (1, 3))
     primes[(2,)] = primes[(3,)] = visible
     assert not stratum_relation_holds(jet, (2,), (3,))
+
+
+def relation_oracle(primes, I, J):
+    """The relation from the sum alone, with no unit-prime shortcut."""
+    common = tuple(sorted(set(I) & set(J)))
+    if common:
+        return ideal_sum([primes[I], primes[J]]).contains_ideal(primes[common])
+    return primes[I].is_unit or primes[J].is_unit
+
+
+def test_relation_is_symmetric_and_matches_the_sum_oracle():
+    for n in (2, 3, 4):
+        for c in range(1, n + 1):
+            subsets = list(nonempty_subsets(range(1, c + 1)))
+            for k in range(0, c + 1):
+                for t in range(1, n + 1):
+                    jet = make_jet_chart(n, c, k, t)
+                    primes = {J: stratum_prime(jet, J) for J in subsets}
+                    for I in subsets:
+                        for J in subsets:
+                            verdict = stratum_relation_holds(jet, I, J)
+                            assert verdict == stratum_relation_holds(jet, J, I)
+                            assert verdict == relation_oracle(primes, I, J), (n, c, k, t, I, J)

@@ -1,7 +1,8 @@
 from itertools import combinations
+from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import all_simple_ideals
 
@@ -15,6 +16,7 @@ from logres.monideal import (
     ideal_sum,
     intersect_monomial_ideals,
     is_simple_ideal,
+    minimalize,
     simple_shape,
 )
 from logres.symcore import grlex_key
@@ -232,3 +234,56 @@ def test_trusted_results_equal_their_validated_rebuild(ideals, center, data):
         assert_clean(record.total)
         assert_clean(record.strict)
         assert_clean(saturate_exceptional(child, record.total))
+
+
+# -- minimalize: the attained-gcd shortcut against the sort-and-scan oracle --------
+
+
+def minimalize_by_scan(generators):
+    """Sort graded-lex, keep each generator no kept one divides."""
+    kept = []
+    for g in sorted(set(map(tuple, generators)), key=grlex_key):
+        if not any(all(x <= y for x, y in zip(h, g)) for h in kept):
+            kept.append(g)
+    return tuple(kept)
+
+
+@st.composite
+def exponent_lists(draw):
+    width = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * width)
+    gens = draw(st.lists(exps, max_size=6))
+    if gens and draw(st.booleans()):  # attained gcd: one generator divides the rest
+        base = draw(exps)
+        gens = [tuple(map(add, base, g)) for g in gens]
+        gens.insert(draw(st.integers(0, len(gens))), base)
+    if gens and draw(st.booleans()):
+        gens += draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
+    return gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_lists())
+@example([])
+@example([()])
+@example([(), ()])  # zero width, duplicated
+@example([(1, 2)])
+@example([(2, 3), (1, 2), (1, 2)])  # attained gcd, duplicated
+@example([(3, 1), (1, 1), (1, 4)])  # attained gcd, listed in the middle
+@example([(1, 0), (0, 1)])  # unattained gcd
+@example([(2, 1), (1, 2), (3, 3)])  # unattained gcd, one redundant generator
+def test_minimalize_matches_sort_and_scan(gens):
+    assert minimalize(gens) == minimalize_by_scan(gens)
+    assert minimalize(iter(gens)) == minimalize_by_scan(gens)
+
+
+def test_attained_gcd_is_returned_without_sorting(monkeypatch):
+    import logres.monideal as monideal
+
+    def refuse(_):
+        raise AssertionError("an attained gcd needs no sort")
+
+    monkeypatch.setattr(monideal, "grlex_key", refuse)
+    assert minimalize([(2, 1, 0), (1, 1, 0), (1, 3, 2)]) == ((1, 1, 0),)
+    with pytest.raises(AssertionError):
+        minimalize([(1, 0, 0), (0, 1, 0)])
