@@ -29,7 +29,6 @@ Two different strictness notions coexist:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -171,10 +170,6 @@ class TransformRecord:
     strict: MonomialIdeal
     strict_is_simple_or_trivial: bool
 
-    @property
-    def multiplicity_map(self) -> dict[str, int]:
-        return dict(self.multiplicities)
-
 
 def transform_ideal(chart: Chart, ideal: MonomialIdeal) -> TransformRecord:
     """Total transform, exceptional multiplicities, and residual ideal.
@@ -204,17 +199,6 @@ def transform_ideal(chart: Chart, ideal: MonomialIdeal) -> TransformRecord:
     strict = MonomialIdeal._trusted(chart.variables, [tuple(g) for g in strict_gens])
     flag = strict.is_unit or is_simple_ideal(strict)
     return TransformRecord(total, tuple(mults), strict, flag)
-
-
-def saturate_exceptional(chart: Chart, ideal: MonomialIdeal) -> MonomialIdeal:
-    """Divide each generator by its own maximal exceptional powers."""
-    gens = []
-    for g in ideal.generators:
-        e = list(g)
-        for _, idx in chart.exceptional_indices:
-            e[idx] = 0
-        gens.append(tuple(e))
-    return MonomialIdeal._trusted(chart.variables, gens)
 
 
 def strict_transform_variety(chart: Chart, variety: SimpleVariety) -> SimpleVariety | None:
@@ -351,6 +335,3 @@ class Atlas:
                 for record in self.stage_log
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)

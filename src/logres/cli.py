@@ -289,15 +289,19 @@ def _cmd_rank(args) -> tuple[int, str]:
     all_ok = True
     for _ in range(args.samples):
         vector = logconn.random_log_tangent_vector(ctx, rng, stratum)
-        report = logconn.connection_rank(ctx, vector, stratum)
         entry = {
             "basepoint": [str(x) for x in vector.basepoint],
             "xi0": str(vector.xi0),
             "xi": [str(x) for x in vector.xi],
-            **report.to_dict(),
         }
         if args.matrix:
-            entry["matrix"] = to_text(logconn.connection_matrix(ctx, vector, stratum)[1])
+            # one pass over the blocks: the report is read off the printed matrix
+            _, matrix = logconn.connection_matrix(ctx, vector, stratum)
+            report = logconn.rank_report(ctx, stratum, [any(row) for row in matrix])
+            entry["matrix"] = to_text(matrix)
+        else:
+            report = logconn.connection_rank(ctx, vector, stratum)
+        entry.update(report.to_dict())
         reports.append(entry)
         all_ok = all_ok and report.satisfied
     payload = {

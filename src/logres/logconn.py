@@ -22,9 +22,8 @@ j in J vanish is at least C(k + delta, k), k = n - #J.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -275,13 +274,7 @@ class RankReport:
     cols: int
 
     def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "bound": self.bound,
-            "satisfied": self.satisfied,
-            "rows": self.rows,
-            "cols": self.cols,
-        }
+        return asdict(self)
 
 
 def _row_blocks(
@@ -345,23 +338,27 @@ def connection_rank(
 ) -> RankReport:
     """Rank of the evaluation matrix against the bound C(k + delta, k).
 
-    The matrix is block diagonal with one row per block (see
-    ``connection_matrix``), so its rank is the number of rows whose own
-    block has a nonzero entry.  Each block is read up to its first nonzero
-    entry; the matrix is never built and nothing is eliminated.
-    ``ratmat.rank`` is the dense oracle the tests compare against.
+    Each block is read up to its first nonzero entry; the matrix is never
+    built and nothing is eliminated.  ``ratmat.rank`` is the dense oracle the
+    tests compare against.
     """
     J = frozenset(stratum)
-    rows = got = 0
-    for _, block in _row_blocks(ctx, vector, J):
-        rows += 1
-        got += any(block)
-    bound = index_count(ctx.n, ctx.delta, len(J))
+    return rank_report(ctx, J, [any(block) for _, block in _row_blocks(ctx, vector, J)])
+
+
+def rank_report(
+    ctx: ConnectionContext, stratum: Iterable[int], nonzero_rows: Sequence[bool]
+) -> RankReport:
+    """The report for an evaluation matrix, given whether each row has a
+    nonzero entry: the matrix is block diagonal with one row per block (see
+    ``connection_matrix``), so its rank is the number of nonzero rows."""
+    got = sum(nonzero_rows)
+    bound = index_count(ctx.n, ctx.delta, len(frozenset(stratum)))
     return RankReport(
         rank=got,
         bound=bound,
         satisfied=got >= bound,
-        rows=rows,
+        rows=len(nonzero_rows),
         cols=index_count(ctx.n, ctx.delta) * index_count(ctx.n, ctx.eps),
     )
 
@@ -378,7 +375,7 @@ def _as_polynomial(ctx: ConnectionContext, value) -> Polynomial:
 
 def fermat_section(ctx: ConnectionContext, coeffs: CoefficientVector) -> Polynomial:
     """Expand sum_I a_I * tau^((r+1)I) in chart form."""
-    if coeffs.n != ctx.n or coeffs.degree != ctx.delta or coeffs.excluded:
+    if coeffs.n != ctx.n or coeffs.degree != ctx.delta:
         raise DegreeMismatch(
             f"coefficient vector must be keyed by the full weight-{ctx.delta} index set"
         )
@@ -499,9 +496,6 @@ class SamplingReport:
             "failures": self.failures,
             "histogram": {key: count for key, count in self.histogram},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def sample_indeterminacy(

@@ -26,6 +26,9 @@ chart-by-chart equals the dehomogenization of
 Pulling a fiber-linear section back through (z, [xi]) -> (z, [z1*xi1, ...,
 zm*xim, xi_{m+1}, ...]) always lands in the obstruction ideal; the membership
 test is exact because the ideal is monomial and the pullback fiber-linear.
+No verb pulls sections back: the tests check this paragraph, with random
+sections and with the coordinate sections, whose pullbacks generate the
+obstruction ideal exactly.
 
 Convention recorded in every certificate: the intersection defining the
 obstruction ideal ranges over *nonempty* subsets of I only.
@@ -46,7 +49,7 @@ from .monideal import (
     intersect_monomial_ideals,
 )
 from .resolution import CompatibleSystem, Member, ResolutionResult
-from .symcore import LogresError, Polynomial, extend_variables, monomial_string
+from .symcore import LogresError, monomial_string
 
 
 class OutOfRange(LogresError):
@@ -82,10 +85,6 @@ class JetChart:
     def stratum_primes(self) -> dict[tuple[int, ...], MonomialIdeal]:
         """`stratum_prime` of every nonempty subset of 1..c, keyed by sorted tuple."""
         return {J: stratum_prime(self, J) for J in component_subsets(range(1, self.c + 1))}
-
-    @property
-    def base_vars(self) -> tuple[str, ...]:
-        return tuple(f"z{i}" for i in range(1, self.n + 1))
 
 
 def make_jet_chart(n: int, c: int, k: int, t: int) -> JetChart:
@@ -254,56 +253,6 @@ def obstruction_ideal(jet: JetChart, I: Iterable[int]) -> MonomialIdeal:
     return intersected
 
 
-# -- section pullbacks -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PullbackCheck:
-    pullback: Polynomial
-    member_of_obstruction_ideal: bool
-
-
-def check_section_pullback(
-    jet: JetChart, sections: Sequence[Polynomial], I: Iterable[int]
-) -> PullbackCheck:
-    """Pull a fiber-linear section sum(s_i * xi_i) back and test membership.
-
-    `sections` lists the coefficients s_1..s_n over the base coordinates.
-    The pullback multiplies xi_i by z_i for components of I through the
-    point, then dehomogenizes at xi_t = 1.
-    """
-    if len(sections) != jet.n:
-        raise ValueError(f"expected {jet.n} section coefficients")
-    through = frozenset(I) & set(range(1, jet.k + 1))
-    variables = jet.chart.variables
-    total = Polynomial.zero(variables)
-    for i, s in enumerate(sections, start=1):
-        coeff = extend_variables(s, variables)
-        factor = Polynomial.constant(variables, 1)
-        if i in through:
-            factor = factor * Polynomial.variable(variables, f"z{i}")
-        if i != jet.t:
-            factor = factor * Polynomial.variable(variables, f"xi{i}")
-        total = total + coeff * factor
-    ideal = obstruction_ideal(jet, I)
-    return PullbackCheck(total, ideal.contains_polynomial(total))
-
-
-def coordinate_section_pullbacks(jet: JetChart, I: Iterable[int]) -> MonomialIdeal:
-    """Ideal generated by the pullbacks of the n coordinate sections xi_i."""
-    gens = []
-    for i in range(1, jet.n + 1):
-        sections = [
-            Polynomial.constant(jet.base_vars, 1 if j == i else 0)
-            for j in range(1, jet.n + 1)
-        ]
-        pullback = check_section_pullback(jet, sections, I).pullback
-        if pullback.is_zero:
-            continue
-        gens.extend(pullback.terms.keys())
-    return MonomialIdeal.make(jet.chart.variables, gens)
-
-
 # -- principalization certificates -------------------------------------------------
 
 
@@ -311,9 +260,6 @@ def coordinate_section_pullbacks(jet: JetChart, I: Iterable[int]) -> MonomialIde
 class PrincipalizationCertificate:
     I: tuple[int, ...]
     per_chart: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
-
-    def divisor(self, chart_id: str) -> dict[str, int]:
-        return dict(dict(self.per_chart)[chart_id])
 
     def to_dict(self) -> dict:
         return {

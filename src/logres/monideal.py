@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .symcore import Exponent, LogresError, Polynomial, grlex_key, monomial_string
+from .symcore import Exponent, LogresError, grlex_key, monomial_string
 
 
 class MixedVariableSets(LogresError):
@@ -127,12 +127,6 @@ class MonomialIdeal:
 
     def contains_monomial(self, exponent: Exponent) -> bool:
         return any(_divides(g, exponent) for g in self.generators)
-
-    def contains_polynomial(self, f: Polynomial) -> bool:
-        """Monomial-wise membership; exact for monomial ideals."""
-        if f.variables != self.variables:
-            raise MixedVariableSets(f"{f.variables} vs {self.variables}")
-        return all(self.contains_monomial(e) for e in f.terms)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         if other.variables != self.variables:

@@ -7,7 +7,7 @@ meets a slot set J realizes the restriction of a homogeneous form to the
 coordinate subspace {x_j = 0 : j in J}.
 
 Indices are 0-based and listed in descending graded-lex order, so listings are
-deterministic.  Text form: ``(i0,i1,...,in)``.
+deterministic.
 """
 
 from __future__ import annotations
@@ -18,25 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 MultiIndex = tuple[int, ...]
-
-
-def weight(index: MultiIndex) -> int:
-    return sum(index)
-
-
-def support(index: MultiIndex) -> frozenset[int]:
-    return frozenset(j for j, e in enumerate(index) if e)
-
-
-def format_multiindex(index: MultiIndex) -> str:
-    return "(" + ",".join(str(e) for e in index) + ")"
-
-
-def parse_multiindex(text: str) -> MultiIndex:
-    body = text.strip()
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"malformed multi-index {text!r}")
-    return tuple(int(p) for p in body[1:-1].split(","))
 
 
 def index_count(n: int, degree: int, excluded_size: int = 0) -> int:
@@ -87,67 +68,25 @@ def enumerate_multiindices(
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """Coefficients of a degree-d form, keyed by the full index set.
-
-    `excluded` records slots already restricted away: the key set is exactly
-    the weight-`degree` indices avoiding those slots, zero entries stored
-    explicitly.  Values may be rationals or polynomials.
+    """Coefficients of a degree-d form, keyed by the full weight-d index set,
+    zero entries stored explicitly.  Values may be rationals or polynomials.
     """
 
     n: int
     degree: int
-    excluded: frozenset[int]
     entries: tuple[tuple[MultiIndex, object], ...]
 
     @classmethod
     def make(
-        cls,
-        n: int,
-        degree: int,
-        entries: Mapping[MultiIndex, object] | None = None,
-        excluded: Iterable[int] = (),
-        fill=Fraction(0),
+        cls, n: int, degree: int, entries: Mapping[MultiIndex, object] | None = None
     ) -> "CoefficientVector":
-        banned = frozenset(excluded)
-        keys = enumerate_multiindices(n, degree, banned)
+        keys = enumerate_multiindices(n, degree)
         given = dict(entries or {})
         unknown = set(given) - set(keys)
         if unknown:
             raise ValueError(f"entries keyed outside the index set: {sorted(unknown)}")
-        return cls(
-            n,
-            degree,
-            banned,
-            tuple((key, given.get(key, fill)) for key in keys),
-        )
+        return cls(n, degree, tuple((key, given.get(key, Fraction(0))) for key in keys))
 
     @property
     def as_dict(self) -> dict[MultiIndex, object]:
         return dict(self.entries)
-
-    def __getitem__(self, key: MultiIndex):
-        return self.as_dict[key]
-
-
-def restrict_coefficients(
-    vector: CoefficientVector, slots: Iterable[int]
-) -> CoefficientVector:
-    """Drop every entry whose index support meets `slots`."""
-    extra = frozenset(slots)
-    if not extra <= set(range(vector.n + 1)):
-        raise ValueError(f"slots {sorted(extra)} out of range 0..{vector.n}")
-    banned = vector.excluded | extra
-    kept = {
-        key: value
-        for key, value in vector.entries
-        if not (support(key) & extra)
-    }
-    return CoefficientVector(
-        vector.n,
-        vector.degree,
-        banned,
-        tuple(
-            (key, kept.get(key, Fraction(0)))
-            for key in enumerate_multiindices(vector.n, vector.degree, banned)
-        ),
-    )

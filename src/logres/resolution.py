@@ -20,7 +20,6 @@ and exceptional divisors are labeled ``E<stage>.<counter>``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -144,9 +143,6 @@ class ResolutionResult:
                 for stage in self.per_stage_systems
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def resolve_system(system: CompatibleSystem, mode: str = "canonical") -> ResolutionResult:

@@ -20,7 +20,11 @@ round-trips bit-exactly through ``parse_polynomial`` / ``str``.
 
 A ``LogForm`` is a 1-form written in a chart frame with some coordinates
 marked as logarithmic: it stores one polynomial coefficient per ``dz_j`` and
-one per ``dz_j/z_j`` (the latter only for log-marked coordinates).
+one per ``dz_j/z_j`` (the latter only for log-marked coordinates).  No verb
+builds one: ``rank`` and ``sample`` evaluate connection components without
+forming them, and ``forms`` reads residues off ``residues.GlobalLogForm``.
+Log forms are the second routes the tests check those verbs against
+(``logconn.connection_component`` and ``GlobalLogForm.as_coordinate_logform``).
 """
 
 from __future__ import annotations
@@ -531,6 +535,8 @@ class Frame:
     log_marked: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError(f"duplicate frame variables in {self.variables}")
         unknown = self.log_marked - set(self.variables)
         if unknown:
             raise ValueError(f"log-marked names {sorted(unknown)} not in frame")
@@ -540,20 +546,19 @@ class Frame:
 class LogForm:
     """A 1-form `sum h_j dz_j + sum b_j dz_j/z_j` in a chart frame.
 
-    `chart` is anything carrying `.variables` and `.log_marked`; log
-    coefficients are only allowed on log-marked coordinates.  Coefficients
-    are stored sorted by the frame's variable order, zero entries dropped,
-    so equal forms compare equal.
+    Log coefficients are only allowed on log-marked coordinates of the
+    frame.  Coefficients are stored sorted by the frame's variable order,
+    zero entries dropped, so equal forms compare equal.
     """
 
-    chart: object
+    chart: Frame
     holomorphic: tuple[tuple[str, Polynomial], ...]
     log: tuple[tuple[str, Polynomial], ...]
 
     @classmethod
     def make(
         cls,
-        chart,
+        chart: Frame,
         holomorphic: Mapping[str, Polynomial] | None = None,
         log: Mapping[str, Polynomial] | None = None,
     ) -> "LogForm":
@@ -599,14 +604,6 @@ class LogForm:
         for v, p in other.log:
             logpart[v] = logpart.get(v, Polynomial.zero(p.variables)) + p
         return LogForm.make(self.chart, holo, logpart)
-
-    def scale(self, factor) -> "LogForm":
-        """Multiply every coefficient by a polynomial or scalar."""
-        return LogForm.make(
-            self.chart,
-            {v: p * factor for v, p in self.holomorphic},
-            {v: p * factor for v, p in self.log},
-        )
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from logres import logjet
+from logres import logconn, logjet
 from logres.cli import run_command
 from logres.ratmat import rank
 
@@ -89,6 +89,28 @@ def test_rank_report():
     assert code == 0
     assert payload["verified"]
     assert all(entry["bound"] == 5 for entry in payload["reports"])
+
+
+def test_rank_reads_each_sample_blocks_once(monkeypatch):
+    """With or without --matrix, each sample's row blocks are evaluated in one
+    pass, and the report is the same either way."""
+    row_blocks = logconn._row_blocks
+    vectors = []
+
+    def counted(ctx, vector, stratum):
+        vectors.append(vector)
+        return row_blocks(ctx, vector, stratum)
+
+    monkeypatch.setattr(logconn, "_row_blocks", counted)
+    argv = ["rank", "--n", "2", "--delta", "4", "--stratum", "1", "--samples", "3"]
+    code, plain = run_json(argv)
+    assert code == 0 and len(vectors) == len(set(vectors)) == 3
+    vectors.clear()
+    code, with_matrix = run_json(argv + ["--matrix"])
+    assert code == 0 and len(vectors) == len(set(vectors)) == 3
+    for entry in with_matrix["reports"]:
+        del entry["matrix"]
+    assert with_matrix == plain
 
 
 def test_rank_matrix_text_is_the_ranked_matrix():

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
@@ -8,9 +9,7 @@ from logres.logjet import (
     verify_principalization,
     OutOfRange,
     build_obstruction_system,
-    check_section_pullback,
     component_subsets,
-    coordinate_section_pullbacks,
     make_jet_chart,
     obstruction_certificate,
     obstruction_ideal,
@@ -23,7 +22,7 @@ from logres.logjet import (
 )
 from logres.monideal import MonomialIdeal, SimpleVariety, ideal_sum, intersect_monomial_ideals
 from logres.resolution import ResolutionResult, resolve_system, validate_compatible_system
-from logres.symcore import Polynomial
+from logres.symcore import Polynomial, extend_variables
 
 
 def V(*names):
@@ -190,11 +189,69 @@ def test_intersection_relations_small():
 
 
 # -- pullbacks -------------------------------------------------------------------
+#
+# No verb pulls sections back; these helpers check the pullback-membership claim
+# of the logjet module docstring and give a third route to the obstruction ideal.
+
+
+def base_vars(jet):
+    return tuple(f"z{i}" for i in range(1, jet.n + 1))
+
+
+def contains_polynomial(ideal, f):
+    """Monomial-wise membership; exact for monomial ideals."""
+    assert f.variables == ideal.variables
+    return all(ideal.contains_monomial(e) for e in f.terms)
+
+
+@dataclass(frozen=True)
+class PullbackCheck:
+    pullback: Polynomial
+    member_of_obstruction_ideal: bool
+
+
+def check_section_pullback(jet, sections, I):
+    """Pull a fiber-linear section sum(s_i * xi_i) back and test membership.
+
+    `sections` lists the coefficients s_1..s_n over the base coordinates.
+    The pullback multiplies xi_i by z_i for components of I through the
+    point, then dehomogenizes at xi_t = 1.
+    """
+    if len(sections) != jet.n:
+        raise ValueError(f"expected {jet.n} section coefficients")
+    through = frozenset(I) & set(range(1, jet.k + 1))
+    variables = jet.chart.variables
+    total = Polynomial.zero(variables)
+    for i, s in enumerate(sections, start=1):
+        coeff = extend_variables(s, variables)
+        factor = Polynomial.constant(variables, 1)
+        if i in through:
+            factor = factor * Polynomial.variable(variables, f"z{i}")
+        if i != jet.t:
+            factor = factor * Polynomial.variable(variables, f"xi{i}")
+        total = total + coeff * factor
+    ideal = obstruction_ideal(jet, I)
+    return PullbackCheck(total, contains_polynomial(ideal, total))
+
+
+def coordinate_section_pullbacks(jet, I):
+    """Ideal generated by the pullbacks of the n coordinate sections xi_i."""
+    gens = []
+    for i in range(1, jet.n + 1):
+        sections = [
+            Polynomial.constant(base_vars(jet), 1 if j == i else 0)
+            for j in range(1, jet.n + 1)
+        ]
+        pullback = check_section_pullback(jet, sections, I).pullback
+        if pullback.is_zero:
+            continue
+        gens.extend(pullback.terms.keys())
+    return MonomialIdeal.make(jet.chart.variables, gens)
 
 
 def test_pullback_single_component():
     jet = make_jet_chart(2, 2, 1, 1)
-    z = jet.base_vars
+    z = base_vars(jet)
     s1 = Polynomial.variable(z, "z2") + 3
     s2 = Polynomial.variable(z, "z1") * Polynomial.variable(z, "z2")
     result = check_section_pullback(jet, [s1, s2], {1})
@@ -209,7 +266,7 @@ def test_pullback_single_component():
 
 def test_pullback_zero_section():
     jet = make_jet_chart(2, 2, 2, 1)
-    zero = Polynomial.zero(jet.base_vars)
+    zero = Polynomial.zero(base_vars(jet))
     result = check_section_pullback(jet, [zero, zero], {1, 2})
     assert result.pullback.is_zero
     assert result.member_of_obstruction_ideal
@@ -228,14 +285,13 @@ def test_random_section_pullbacks_are_always_members():
         jet = make_jet_chart(n, n, k, t)
         size = rng.randint(1, n)
         I = rng.sample(range(1, n + 1), size)
+        z = base_vars(jet)
         sections = []
         for _ in range(n):
-            poly = Polynomial.zero(jet.base_vars)
+            poly = Polynomial.zero(z)
             for _ in range(rng.randint(0, 3)):
-                exp = tuple(rng.randint(0, 2) for _ in jet.base_vars)
-                poly = poly + Polynomial.monomial(
-                    jet.base_vars, exp, random_fraction(rng)
-                )
+                exp = tuple(rng.randint(0, 2) for _ in z)
+                poly = poly + Polynomial.monomial(z, exp, random_fraction(rng))
             sections.append(poly)
         assert check_section_pullback(jet, sections, I).member_of_obstruction_ideal
 

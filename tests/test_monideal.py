@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import all_simple_ideals
 
-from logres.blowup import Atlas, blow_up_center, root_chart, saturate_exceptional, transform_ideal
+from logres.blowup import Atlas, blow_up_center, root_chart, transform_ideal
 from logres.monideal import (
     MixedVariableSets,
     MonomialIdeal,
@@ -233,7 +233,6 @@ def test_trusted_results_equal_their_validated_rebuild(ideals, center, data):
         record = transform_ideal(child, ideal)
         assert_clean(record.total)
         assert_clean(record.strict)
-        assert_clean(saturate_exceptional(child, record.total))
 
 
 # -- minimalize: the attained-gcd shortcut against the sort-and-scan oracle --------

@@ -135,7 +135,7 @@ def test_determinism_byte_for_byte():
     rng1, rng2 = random.Random(7), random.Random(7)
     a = resolve_system(random_compatible_system(rng1))
     b = resolve_system(random_compatible_system(rng2))
-    assert a.to_json() == b.to_json()
+    assert a.to_dict() == b.to_dict()
 
 
 # -- restriction ---------------------------------------------------------------

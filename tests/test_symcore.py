@@ -256,7 +256,7 @@ def test_logform_construction_and_addition():
     z2 = Polynomial.variable(frame.variables, "z2")
     eta = LogForm.make(frame, {"z2": one}, {"z1": z2})
     assert str(eta) == "(z2)*dlog(z1) + (1)*d(z2)"
-    assert (eta + eta.scale(-1)).is_zero
+    assert (eta + LogForm.make(frame, {"z2": -one}, {"z1": -z2})).is_zero
     assert LogForm.make(frame, {"z1": zero}, {}).is_zero
 
 
@@ -265,3 +265,5 @@ def test_logform_rejects_log_on_unmarked_coordinate():
     one = Polynomial.constant(frame.variables, 1)
     with pytest.raises(ValueError):
         LogForm.make(frame, {}, {"z2": one})
+    with pytest.raises(ValueError, match="duplicate frame variables"):
+        Frame(("z1", "z1"))
