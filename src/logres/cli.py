@@ -134,16 +134,52 @@ def _cmd_resolve(args) -> tuple[int, str]:
         raise UsageError(f"c = {args.c} exceeds n = {args.n}")
     if not (0 <= k <= args.c) or not (1 <= args.t <= args.n):
         raise UsageError(f"need 0 <= k <= c and 1 <= t <= n, got k={k}, t={args.t}")
-    jet, system = logjet.build_obstruction_system(args.n, args.c, k, args.t)
-    result = logjet.resolve_obstruction_system(jet, system, args.mode)
+    resolution, leaves, certificates, failed = _resolve_certificates(
+        args.n, args.c, k, args.t, args.mode
+    )
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "resolve",
+        "params": {
+            "n": args.n,
+            "c": args.c,
+            "k": k,
+            "t": args.t,
+            "mode": args.mode,
+            "seed": args.seed,
+        },
+        "result": resolution,
+        "certificates": certificates,
+    }
+    if args.format == "text":
+        lines = [f"resolution mode={args.mode} n={args.n} c={args.c} k={k} t={args.t}"]
+        lines.append(f"stages: {len(resolution['per_stage_systems'])}")
+        lines.append(f"leaf charts: {leaves}")
+        for entry in certificates:
+            status = "principal" if entry.get("principal") else "FAILED"
+            lines.append(f"  {entry['ideal']} (I={entry['I']}): {status}")
+        text = "\n".join(lines) + "\n"
+    else:
+        text = _emit(payload)
+    return (1 if failed else 0), text
+
+
+def _resolve_certificates(
+    n: int, c: int, k: int, t: int, mode: str
+) -> tuple[dict, int, list, str | None]:
+    """The resolution's dict form, its leaf count, the principalization
+    certificates and the first target that failed, if any.  The atlas is
+    freed when this returns, before the JSON is built."""
+    jet, system = logjet.build_obstruction_system(n, c, k, t)
+    result = logjet.resolve_obstruction_system(jet, system, mode)
 
     targets = []
-    for i in range(1, args.c + 1):
-        complement = sorted(set(range(1, args.c + 1)) - {i})
+    for i in range(1, c + 1):
+        complement = sorted(set(range(1, c + 1)) - {i})
         if complement:
             targets.append((f"complement_of_{i}", complement))
-    if args.mode == "canonical":
-        targets.append(("all_components", list(range(1, args.c + 1))))
+    if mode == "canonical":
+        targets.append(("all_components", list(range(1, c + 1))))
 
     certificates = []
     failed = None
@@ -162,32 +198,7 @@ def _cmd_resolve(args) -> tuple[int, str]:
         else:
             entry.update({"principal": True, "divisor": cert.to_dict()["divisor"]})
         certificates.append(entry)
-
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "resolve",
-        "params": {
-            "n": args.n,
-            "c": args.c,
-            "k": k,
-            "t": args.t,
-            "mode": args.mode,
-            "seed": args.seed,
-        },
-        "result": result.to_dict(),
-        "certificates": certificates,
-    }
-    if args.format == "text":
-        lines = [f"resolution mode={args.mode} n={args.n} c={args.c} k={k} t={args.t}"]
-        lines.append(f"stages: {len(result.per_stage_systems)}")
-        lines.append(f"leaf charts: {len(result.leaves())}")
-        for entry in certificates:
-            status = "principal" if entry.get("principal") else "FAILED"
-            lines.append(f"  {entry['ideal']} (I={entry['I']}): {status}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _emit(payload)
-    return (1 if failed else 0), text
+    return result.to_dict(), len(result.leaves()), certificates, failed
 
 
 def _verify_jet_chart(n: int, k: int, t: int, subsets: list) -> tuple[list, list, list]:

@@ -18,6 +18,19 @@ Evaluating the components against a log tangent vector
 xi = xi0*t*d/dt + sum xi_j*d/dz_j at a basepoint y assembles, block by index,
 an exact rational matrix whose rank at a point where exactly the tau_j with
 j in J vanish is at least C(k + delta, k), k = n - #J.
+
+Both ``rank`` and ``sample`` evaluate from one table per (basepoint, vector):
+the value and xi-slope of every degree-eps basis monomial m_K, computed by
+the power rule from its exponent, and of each arrangement entry, valued the
+first time an index's support needs it.  Component I of the section
+a = sum_K c_K*m_K is then
+
+  sum_K c_K * (m_K(y)*factor_I + tau^I(y)*xi(m_K)(y)),
+  factor_I = (r+1)*xi(tau^I)(y) - xi0*tau^I(y),
+
+so no section polynomial is differentiated or evaluated.
+``component_value`` differentiates and evaluates the section itself; it is
+the polynomial route the tests compare the table against.
 """
 
 from __future__ import annotations
@@ -25,7 +38,8 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .multiindex import (
     CoefficientVector,
@@ -81,6 +95,17 @@ class ConnectionContext:
     def stratum_candidates(self) -> list[int]:
         """Indices j whose tau_j can vanish (non-constant entries)."""
         return [j for j, f in enumerate(self.tau) if f.total_degree() >= 1]
+
+    @cached_property
+    def delta_indices(self) -> tuple[MultiIndex, ...]:
+        """The weight-delta indices, listed once per context."""
+        return tuple(enumerate_multiindices(self.n, self.delta))
+
+    @cached_property
+    def basis_exponents(self) -> tuple[tuple[int, ...], ...]:
+        """Chart exponents of the degree-eps basis monomials, in weight-eps
+        index order, listed once per context."""
+        return tuple(_chart_exponent(K) for K in enumerate_multiindices(self.n, self.eps))
 
 
 def make_connection_context(
@@ -186,15 +211,17 @@ def component_value(
     Computed directly from (r+1)*a*d(tau^I) + tau^I*(da - a*dt/t), which
     avoids the symbolic division; agrees with evaluating
     ``connection_component`` (tested).  With xi(f) = sum_j xi_j * df/dz_j
-    this is a * ((r+1)*xi(tau^I) - xi0*tau^I) + tau^I * xi(a)."""
+    this is a * ((r+1)*xi(tau^I) - xi0*tau^I) + tau^I * xi(a).
+
+    This is the polynomial route: it differentiates and evaluates ``a``
+    itself.  No verb calls it; ``is_indeterminate`` and the rank blocks read
+    a ``_PointTable`` instead.  It stays as the route the tests compare the
+    table against, and the benchmark's per-layer metrics name it."""
     _check_base_section(ctx, a)
     point = point_map(ctx, vector.basepoint)
-    # only the entries in the support of the index are read
-    tau_values = [
-        _value_and_slope(ctx, f, point, vector) if e else None
-        for f, e in zip(ctx.tau, index)
-    ]
-    tau_val, factor = _index_factors(ctx, index, tau_values, vector)
+    tau_val, factor = _index_factors(
+        ctx, index, lambda j: _value_and_slope(ctx, ctx.tau[j], point, vector), vector
+    )
     a_val, a_slope = _value_and_slope(ctx, a, point, vector)
     return a_val * factor + tau_val * a_slope
 
@@ -215,24 +242,96 @@ def _value_and_slope(
 def _index_factors(
     ctx: ConnectionContext,
     index: MultiIndex,
-    tau_values: Sequence[tuple[Fraction, Fraction] | None],
+    entry: Callable[[int], tuple[Fraction, Fraction]],
     vector: LogTangentVector,
 ) -> tuple[Fraction, Fraction]:
     """The two factors an index contributes to every component value:
     tau^I and (r+1)*xi(tau^I) - xi0*tau^I, from (tau_j, xi(tau_j)) at the
-    point for each j in the support of the index.
+    point, which ``entry(j)`` gives, for each j in the support of the index.
 
     tau^I and xi(tau^I) come from the entries' values by the Leibniz rule,
     xi(f^e * g) = e*f^(e-1)*xi(f)*g + f^e*xi(g), without expanding tau^I."""
     if len(index) != ctx.n + 1:
         raise ValueError(f"index {index} has wrong length")
     value, slope = Fraction(1), Fraction(0)
-    for values, e in zip(tau_values, index):
+    for j, e in enumerate(index):
         if e:
-            v, s = values
+            v, s = entry(j)
             power = v ** (e - 1)
-            value, slope = value * power * v, slope * power * v + value * e * power * s
+            full = power * v
+            value, slope = value * full, slope * full + value * e * power * s
     return value, (ctx.r + 1) * slope - vector.xi0 * value
+
+
+def _power_rule(
+    exponent: tuple[int, ...], powers: Sequence[Sequence[Fraction]], xi: Sequence[Fraction]
+) -> tuple[Fraction, Fraction]:
+    """m(p) and xi(m)(p) for the chart monomial m with this exponent (no fiber
+    part), from powers[j][e] = p_j^e, by the Leibniz rule over its factors."""
+    value, slope = 1, 0
+    for e, power, x in zip(exponent[1:], powers, xi):
+        if e:
+            value, slope = value * power[e], slope * power[e] + value * e * power[e - 1] * x
+    return value, slope
+
+
+class _PointTable:
+    """Everything one (basepoint, vector) pair contributes to component values.
+
+    ``basis`` maps the chart exponent of each degree-<=eps basis monomial m
+    to (m(p), xi(m)(p)), computed by the power rule from the exponent.  A
+    base section of degree <= eps is valued term by term from it, and so is
+    each arrangement entry (degree <= 1 <= eps), once and only when an
+    index's support first needs it.  Component I of a section a is then
+    a(p) * factor_I + tau^I(p) * xi(a)(p), with no polynomial built.
+    """
+
+    def __init__(self, ctx: ConnectionContext, vector: LogTangentVector):
+        if len(vector.basepoint) != ctx.n:
+            raise ValueError(f"basepoint needs {ctx.n} coordinates")
+        self.ctx = ctx
+        self.vector = vector
+        powers = []
+        for p in map(Fraction, vector.basepoint):
+            row = [1]
+            for _ in range(ctx.eps):
+                row.append(row[-1] * p)
+            powers.append(row)
+        self.basis = {
+            exp: _power_rule(exp, powers, vector.xi) for exp in ctx.basis_exponents
+        }
+        self._entries: list[tuple[Fraction, Fraction] | None] = [None] * len(ctx.tau)
+
+    def values(self, f: Polynomial) -> tuple[Fraction, Fraction]:
+        """f(p) and xi(f)(p), summed over the terms of f, all in the table."""
+        value = slope = 0
+        for exp, c in f.terms.items():
+            v, s = self.basis[exp]
+            value += c * v
+            slope += c * s
+        return value, slope
+
+    def entry(self, j: int) -> tuple[Fraction, Fraction]:
+        """(tau_j(p), xi(tau_j)(p)), valued on first use."""
+        values = self._entries[j]
+        if values is None:
+            values = self._entries[j] = self.values(self.ctx.tau[j])
+        return values
+
+    def factors(self, index: MultiIndex) -> tuple[Fraction, Fraction]:
+        return _index_factors(self.ctx, index, self.entry, self.vector)
+
+    def component(self, index: MultiIndex, a: Polynomial) -> Fraction:
+        """The value of ``component_value(ctx, a, index, vector)``."""
+        ctx = self.ctx
+        if a.variables != ctx.chart.variables or not a.terms.keys() <= self.basis.keys():
+            _check_base_section(ctx, a)
+            raise DegreeMismatch(
+                f"coefficient for {index} has degree {a.total_degree()} > eps = {ctx.eps}"
+            )
+        tau_val, factor = self.factors(index)
+        a_val, a_slope = self.values(a)
+        return a_val * factor + tau_val * a_slope
 
 
 def point_map(ctx: ConnectionContext, basepoint: Sequence[Fraction]) -> dict[str, Fraction]:
@@ -248,14 +347,6 @@ def _chart_exponent(K: MultiIndex) -> tuple[int, ...]:
     """The chart exponent of a degree-eps index: slot 0 dehomogenized away,
     no fiber coordinate.  Distinct indices give distinct exponents."""
     return (0,) + K[1:]
-
-
-def monomial_basis(ctx: ConnectionContext) -> list[tuple[MultiIndex, Polynomial]]:
-    """Chart forms of the degree-eps monomials (slot 0 dehomogenized away)."""
-    return [
-        (K, Polynomial.monomial(ctx.chart.variables, _chart_exponent(K)))
-        for K in enumerate_multiindices(ctx.n, ctx.eps)
-    ]
 
 
 def stratum_of_point(ctx: ConnectionContext, basepoint: Sequence[Fraction]) -> frozenset[int]:
@@ -281,19 +372,16 @@ def _row_blocks(
     ctx: ConnectionContext, vector: LogTangentVector, stratum: frozenset[int]
 ) -> Iterator[tuple[MultiIndex, Iterator[Fraction]]]:
     """Each row index of the restricted evaluation map with its own block,
-    the values of its component on the basis monomials, built lazily.
-
-    The arrangement entries and the basis monomials are evaluated once, tau^I
-    once per row from the entries.
+    the values of its component on the basis monomials, built lazily from
+    the point table.
     """
     point_stratum = stratum_of_point(ctx, vector.basepoint)
     if point_stratum != stratum:
         raise BasepointNotInStratum(
             f"basepoint vanishes on {sorted(point_stratum)}, declared {sorted(stratum)}"
         )
-    point = point_map(ctx, vector.basepoint)
-    basis = [_value_and_slope(ctx, mono, point, vector) for _, mono in monomial_basis(ctx)]
-    tau_values = [_value_and_slope(ctx, f, point, vector) for f in ctx.tau]
+    table = _PointTable(ctx, vector)
+    basis = list(table.basis.values())
 
     # a function, not a generator expression: each block binds its own
     # row's factors even when it is read after the next row is yielded
@@ -301,15 +389,16 @@ def _row_blocks(
         for a_val, a_slope in basis:
             yield a_val * factor + tau_val * a_slope
 
-    for row_index in enumerate_multiindices(ctx.n, ctx.delta, stratum):
-        yield row_index, block(*_index_factors(ctx, row_index, tau_values, vector))
+    for row_index in ctx.delta_indices:
+        if not any(row_index[j] for j in stratum):
+            yield row_index, block(*table.factors(row_index))
 
 
 def connection_matrix(
     ctx: ConnectionContext,
     vector: LogTangentVector,
     stratum: Iterable[int],
-) -> tuple[list[MultiIndex], list[list[Fraction]]]:
+) -> tuple[list[MultiIndex], list[list[Fraction | int]]]:
     """Exact matrix of the restricted evaluation map; only ``rank --matrix``
     and the tests build it.
 
@@ -318,18 +407,17 @@ def connection_matrix(
     block, which is what makes the rank bound a per-block statement.  Each
     row meets exactly one block (its own index).  ``connection_rank`` reads
     the same blocks and never builds this matrix; here every off-block cell
-    is one shared zero.
+    is one shared int zero, which prints as a Fraction zero does.
     """
-    position = {I: p for p, I in enumerate(enumerate_multiindices(ctx.n, ctx.delta))}
+    position = {I: p for p, I in enumerate(ctx.delta_indices)}
     width = index_count(ctx.n, ctx.eps)
-    zero = Fraction(0)
     rows: list[MultiIndex] = []
-    matrix: list[list[Fraction]] = []
+    matrix: list[list[Fraction | int]] = []
     for row_index, block in _row_blocks(ctx, vector, frozenset(stratum)):
         before = position[row_index] * width
         after = (len(position) - 1) * width - before
         rows.append(row_index)
-        matrix.append([zero] * before + list(block) + [zero] * after)
+        matrix.append([0] * before + list(block) + [0] * after)
     return rows, matrix
 
 
@@ -434,16 +522,17 @@ def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
 def random_coefficients(ctx: ConnectionContext, rng: random.Random) -> CoefficientVector:
     """One random degree-<=eps section per weight-delta index: a draw per basis
     monomial, in basis order, zero draws dropped."""
-    exponents = [_chart_exponent(K) for K in enumerate_multiindices(ctx.n, ctx.eps)]
-    entries = {}
-    for index in enumerate_multiindices(ctx.n, ctx.delta):
+    exponents = ctx.basis_exponents
+    entries = []
+    for index in ctx.delta_indices:
         terms = {}
         for exp in exponents:
             c = random_fraction(rng)
             if c:
                 terms[exp] = c
-        entries[index] = Polynomial._trusted(ctx.chart.variables, terms)
-    return CoefficientVector.make(ctx.n, ctx.delta, entries)
+        entries.append((index, Polynomial._trusted(ctx.chart.variables, terms)))
+    # built in index order over the full index set, as make would build it
+    return CoefficientVector(ctx.n, ctx.delta, tuple(entries))
 
 
 def random_stratum_point(
@@ -476,10 +565,17 @@ def random_log_tangent_vector(
 def is_indeterminate(
     ctx: ConnectionContext, coeffs: CoefficientVector, vector: LogTangentVector
 ) -> bool:
-    """True when every twisted component vanishes on the vector at once."""
-    lookup = coeffs.as_dict
-    for index in enumerate_multiindices(ctx.n, ctx.delta):
-        if component_value(ctx, _as_polynomial(ctx, lookup[index]), index, vector):
+    """True when every twisted component vanishes on the vector at once.
+
+    Every component is read from one point table; a section of degree > eps
+    raises DegreeMismatch."""
+    if coeffs.n != ctx.n or coeffs.degree != ctx.delta:
+        raise DegreeMismatch(
+            f"coefficient vector must be keyed by the full weight-{ctx.delta} index set"
+        )
+    table = _PointTable(ctx, vector)
+    for index, value in coeffs.entries:
+        if table.component(index, _as_polynomial(ctx, value)):
             return False
     return True
 

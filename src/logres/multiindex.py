@@ -86,7 +86,3 @@ class CoefficientVector:
         if unknown:
             raise ValueError(f"entries keyed outside the index set: {sorted(unknown)}")
         return cls(n, degree, tuple((key, given.get(key, Fraction(0))) for key in keys))
-
-    @property
-    def as_dict(self) -> dict[MultiIndex, object]:
-        return dict(self.entries)

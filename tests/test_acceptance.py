@@ -232,7 +232,7 @@ def test_c07_divisibility():
         indices = enumerate_multiindices(n, delta)
         index = indices[rng.randrange(len(indices))]
         coeffs = random_coefficients(ctx, rng)
-        a = coeffs.as_dict[index]
+        a = dict(coeffs.entries)[index]
         connection_component(ctx, a, index)  # raises DivisibilityFailure on defect
         draws += 1
     _pass(7, 60, started, f"{draws} twisted components divided exactly")

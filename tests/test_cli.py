@@ -113,6 +113,29 @@ def test_rank_reads_each_sample_blocks_once(monkeypatch):
     assert with_matrix == plain
 
 
+def test_index_sets_are_listed_once_per_op(monkeypatch):
+    """However many trials or samples an op runs, it lists the weight-delta
+    and the weight-eps index sets once each."""
+    listing = logconn.enumerate_multiindices
+    calls = []
+
+    def counted(n, degree, excluded=None):
+        calls.append((n, degree))
+        return listing(n, degree, excluded)
+
+    monkeypatch.setattr(logconn, "enumerate_multiindices", counted)
+    for argv in (
+        ["sample", "--n", "2", "--delta", "5", "--eps", "2", "--trials"],
+        ["rank", "--n", "2", "--delta", "5", "--eps", "2", "--stratum", "1", "--samples"],
+        ["rank", "--n", "2", "--delta", "5", "--eps", "2", "--matrix", "--samples"],
+    ):
+        for count in ("1", "6"):
+            calls.clear()
+            code, _ = run_command(argv + [count])
+            assert code == 0
+            assert sorted(calls) == [(2, 2), (2, 5)]
+
+
 def test_rank_matrix_text_is_the_ranked_matrix():
     code, payload = run_json(
         ["rank", "--n", "2", "--delta", "2", "--stratum", "2", "--samples", "2",

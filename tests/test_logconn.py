@@ -16,7 +16,6 @@ from logres.logconn import (
     fermat_section,
     is_indeterminate,
     make_connection_context,
-    monomial_basis,
     point_map,
     random_coefficients,
     random_fraction,
@@ -29,6 +28,19 @@ from logres.logconn import (
 )
 from logres.multiindex import CoefficientVector, enumerate_multiindices
 from logres.symcore import LogForm, Polynomial, parse_polynomial
+
+
+def monomial_basis(ctx):
+    """Chart forms of the degree-eps monomials (slot 0 dehomogenized away)."""
+    return [
+        (K, Polynomial.monomial(ctx.chart.variables, (0,) + K[1:]))
+        for K in enumerate_multiindices(ctx.n, ctx.eps)
+    ]
+
+
+def all_strata(ctx):
+    slots = ctx.stratum_candidates()
+    return [set(c) for k in range(len(slots) + 1) for c in combinations(slots, k)]
 
 
 def ctx_n1(r=1, delta=2, eps=1):
@@ -187,11 +199,7 @@ def test_block_rank_matches_dense_oracle():
         for delta in (1, 2, 3):
             for eps in (1, 2):
                 ctx = make_connection_context(n, eps, delta, 1)
-                slots = ctx.stratum_candidates()
-                strata = [
-                    set(c) for k in range(len(slots) + 1) for c in combinations(slots, k)
-                ]
-                for stratum in strata:
+                for stratum in all_strata(ctx):
                     for seed in range(2):
                         generic = random_log_tangent_vector(ctx, random.Random(seed), stratum)
                         along_z1 = LogTangentVector(
@@ -223,6 +231,25 @@ def test_rank_never_builds_the_matrix(monkeypatch):
 
     monkeypatch.setattr(logconn, "connection_matrix", refuse)
     assert [connection_rank(ctx, vector, stratum) for vector, stratum in cases] == expected
+
+
+def test_power_rule_table_matches_polynomial_route():
+    # points on every stratum, so some coordinates are zero (0^0 = 1)
+    for n in (1, 2, 3):
+        for eps in (1, 2, 3):
+            ctx = make_connection_context(n, eps, 2, 1)
+            for stratum in all_strata(ctx):
+                vector = random_log_tangent_vector(ctx, random.Random(eps), stratum)
+                point = point_map(ctx, vector.basepoint)
+                table = logconn._PointTable(ctx, vector)
+                basis = monomial_basis(ctx)
+                assert list(table.basis) == [mono.sorted_terms()[0][0] for _, mono in basis]
+                assert list(table.basis.values()) == [
+                    logconn._value_and_slope(ctx, mono, point, vector) for _, mono in basis
+                ]
+                assert [table.entry(j) for j in range(n + 1)] == [
+                    logconn._value_and_slope(ctx, f, point, vector) for f in ctx.tau
+                ]
 
 
 def test_basepoint_stratum_mismatch():
@@ -350,6 +377,62 @@ def test_random_coefficients_draw_order():
                 for _, a in coeffs.entries:
                     assert a == Polynomial(a.variables, a.terms)
                     assert all(type(c) is Fraction and c for c in a.terms.values())
+
+
+def test_is_indeterminate_matches_component_value_oracle():
+    """The point table against the polynomial route on every stratum.  The
+    first k sections are zeroed so the loop has to move past index 0.  Along
+    a generic vector the next section is random; along d/dz1 it is z1 - p1,
+    which vanishes at the point, so only its slope can keep its component
+    nonzero."""
+    for n in (1, 2, 3):
+        for eps in (1, 2):
+            for delta in range(2 * n, 2 * n + 3):
+                ctx = make_connection_context(n, eps, delta, 1)
+                variables = ctx.chart.variables
+                zero = Polynomial.zero(variables)
+                for stratum in all_strata(ctx):
+                    for make_rng in (random.Random, ZeroHeavyRandom):
+                        rng = make_rng(100 * n + 10 * eps + delta)
+                        generic = random_log_tangent_vector(ctx, rng, stratum)
+                        along_z1 = LogTangentVector(
+                            Fraction(0), (Fraction(1),) + (Fraction(0),) * (n - 1),
+                            generic.basepoint,
+                        )
+                        flat = Polynomial.variable(variables, "z1") - Polynomial.constant(
+                            variables, generic.basepoint[0]
+                        )
+                        entries = random_coefficients(ctx, rng).entries
+                        for vector, section in ((generic, None), (along_z1, flat)):
+                            for k in (0, 2):
+                                case = [(I, zero) for I, _ in entries[:k]]
+                                case.append((entries[k][0], section or entries[k][1]))
+                                case += entries[k + 1:]
+                                coeffs = CoefficientVector(n, delta, tuple(case))
+                                # a zero section's component is zero by linearity
+                                expected = all(
+                                    not (a and component_value(ctx, a, I, vector))
+                                    for I, a in case
+                                )
+                                assert is_indeterminate(ctx, coeffs, vector) == expected
+                    # every section zero: the loop reads every index
+                    coeffs = CoefficientVector.make(n, delta)
+                    assert is_indeterminate(ctx, coeffs, generic)
+
+
+def test_is_indeterminate_refuses_what_fermat_section_refuses():
+    ctx = ctx_n2(delta=4, eps=1)
+    vector = LogTangentVector(
+        Fraction(1), (Fraction(2), Fraction(-1)), (Fraction(3), Fraction(5))
+    )
+    for text, error in (("z1^2", DegreeMismatch), ("t*z1", ValueError), ("t", ValueError)):
+        section = parse_polynomial(text, ctx.chart.variables)
+        coeffs = CoefficientVector.make(2, 4, {(4, 0, 0): section})
+        for check in (fermat_section, lambda c, k: is_indeterminate(c, k, vector)):
+            with pytest.raises(error):
+                check(ctx, coeffs)
+    with pytest.raises(DegreeMismatch):
+        is_indeterminate(ctx, CoefficientVector.make(2, 3), vector)
 
 
 def test_sampling_requires_large_delta():
