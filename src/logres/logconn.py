@@ -31,15 +31,22 @@ a = sum_K c_K*m_K is then
 so no section polynomial is differentiated or evaluated.
 ``component_value`` differentiates and evaluates the section itself; it is
 the polynomial route the tests compare the table against.
+
+``sample`` draws one random section per weight-delta index in each trial.
+Every ``randint`` of a trial happens when ``random_coefficients`` is called,
+so the RNG stream does not depend on what is read; the draws are kept as
+integer pairs, and each section is built the first time its entry is read.
+A trial whose first component is nonzero builds one section.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .multiindex import (
     CoefficientVector,
@@ -519,20 +526,76 @@ def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
             return value
 
 
+class _DrawnSections(Sequence):
+    """The entries of a ``random_coefficients`` vector, built on first read.
+
+    Holds the raw (numerator, denominator) draws, one pair per basis monomial
+    per weight-delta index.  Position i becomes (index_i, section_i), with its
+    ``Fraction`` terms and zero draws dropped, the first time it is read, and
+    is kept.  Length, iteration, indexing, slicing, ``==`` and ``hash`` match
+    the tuple of the same entries.
+    """
+
+    __slots__ = ("_ctx", "_draws", "_built")
+
+    def __init__(self, ctx: ConnectionContext, draws: list[tuple[int, int]]):
+        self._ctx = ctx
+        self._draws = draws
+        self._built: list[tuple[MultiIndex, Polynomial] | None] = [None] * len(
+            ctx.delta_indices
+        )
+
+    def _build(self, position: int) -> tuple[MultiIndex, Polynomial]:
+        ctx = self._ctx
+        exponents = ctx.basis_exponents
+        start = position * len(exponents)
+        draws = self._draws[start:start + len(exponents)]
+        terms = {exp: Fraction(p, q) for exp, (p, q) in zip(exponents, draws) if p}
+        entry = ctx.delta_indices[position], Polynomial._trusted(ctx.chart.variables, terms)
+        self._built[position] = entry
+        return entry
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, key):
+        built = self._built
+        if isinstance(key, slice):
+            return tuple(built[p] or self._build(p) for p in range(len(built))[key])
+        position = range(len(built))[key]
+        return built[position] or self._build(position)
+
+    def __iter__(self) -> Iterator[tuple[MultiIndex, Polynomial]]:
+        built = self._built
+        for position in range(len(built)):
+            yield built[position] or self._build(position)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _DrawnSections)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 def random_coefficients(ctx: ConnectionContext, rng: random.Random) -> CoefficientVector:
-    """One random degree-<=eps section per weight-delta index: a draw per basis
-    monomial, in basis order, zero draws dropped."""
-    exponents = ctx.basis_exponents
-    entries = []
-    for index in ctx.delta_indices:
-        terms = {}
-        for exp in exponents:
-            c = random_fraction(rng)
-            if c:
-                terms[exp] = c
-        entries.append((index, Polynomial._trusted(ctx.chart.variables, terms)))
-    # built in index order over the full index set, as make would build it
-    return CoefficientVector(ctx.n, ctx.delta, tuple(entries))
+    """One random degree-<=eps section per weight-delta index.
+
+    Every draw is made here, before this returns: per index in index order,
+    per basis monomial in basis order, the two ``randint`` calls of
+    ``random_fraction``.  Only the integer pairs are kept; a section's
+    ``Fraction`` terms, zero draws dropped, are built the first time its
+    entry is read, so a trial that stops at the first section builds one."""
+    randint = rng.randint
+    draws = [
+        (randint(-COEFF_BOUND, COEFF_BOUND), randint(1, COEFF_BOUND))
+        for _ in range(len(ctx.delta_indices) * len(ctx.basis_exponents))
+    ]
+    return CoefficientVector(ctx.n, ctx.delta, _DrawnSections(ctx, draws))
 
 
 def random_stratum_point(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 MultiIndex = tuple[int, ...]
 
@@ -70,11 +70,15 @@ def enumerate_multiindices(
 class CoefficientVector:
     """Coefficients of a degree-d form, keyed by the full weight-d index set,
     zero entries stored explicitly.  Values may be rationals or polynomials.
+
+    ``entries`` is a tuple of (index, value) pairs in index order, or a
+    sequence that reads, compares and hashes like that tuple but builds each
+    pair the first time it is read (``logconn.random_coefficients``).
     """
 
     n: int
     degree: int
-    entries: tuple[tuple[MultiIndex, object], ...]
+    entries: Sequence[tuple[MultiIndex, object]]
 
     @classmethod
     def make(

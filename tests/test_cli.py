@@ -136,6 +136,30 @@ def test_index_sets_are_listed_once_per_op(monkeypatch):
             assert sorted(calls) == [(2, 2), (2, 5)]
 
 
+def test_sample_builds_only_the_sections_it_reads(monkeypatch):
+    """A trial draws every section's coefficients but builds a section only
+    when is_indeterminate reads its component: once per component read."""
+    build = logconn._DrawnSections._build
+    component = logconn._PointTable.component
+    built, read = [], []
+
+    def counted_build(self, position):
+        built.append(position)
+        return build(self, position)
+
+    def counted_component(self, index, a):
+        read.append(index)
+        return component(self, index, a)
+
+    monkeypatch.setattr(logconn._DrawnSections, "_build", counted_build)
+    monkeypatch.setattr(logconn._PointTable, "component", counted_component)
+    code, payload = run_json(
+        ["sample", "--n", "3", "--delta", "8", "--trials", "5", "--seed", "1789"]
+    )
+    assert code == 0 and payload["trials"] == 5
+    assert len(built) == len(read) == 5
+
+
 def test_rank_matrix_text_is_the_ranked_matrix():
     code, payload = run_json(
         ["rank", "--n", "2", "--delta", "2", "--stratum", "2", "--samples", "2",

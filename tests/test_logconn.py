@@ -365,15 +365,34 @@ class ZeroHeavyRandom(random.Random):
 
 
 def test_random_coefficients_draw_order():
-    # seeded sample histograms depend on this order
+    """Seeded sample histograms depend on this order.  Every draw is made
+    before random_coefficients returns; the sections, built on first read,
+    equal the summed oracle's in whatever order they are read."""
     for n, delta, eps in ((1, 2, 1), (2, 4, 1), (2, 3, 2), (3, 2, 2)):
         ctx = make_connection_context(n, eps, delta, 1)
         for seed in range(4):
             for make_rng in (random.Random, ZeroHeavyRandom):
                 rng, oracle_rng = make_rng(seed), make_rng(seed)
                 coeffs = random_coefficients(ctx, rng)
+                drawn_state = rng.getstate()  # before any section is read
                 assert coeffs == summed_random_coefficients(ctx, oracle_rng)
+                assert drawn_state == oracle_rng.getstate()
                 assert rng.random() == oracle_rng.random()
+                expected = summed_random_coefficients(ctx, make_rng(seed))
+                assert hash(coeffs) == hash(expected)
+                oracle = expected.entries
+                size = len(oracle)
+                backwards = random_coefficients(ctx, make_rng(seed)).entries
+                assert len(backwards) == size
+                assert [backwards[i] for i in reversed(range(size))] == list(oracle[::-1])
+                negative = random_coefficients(ctx, make_rng(seed)).entries
+                assert [negative[-k] for k in range(1, size + 1)] == list(oracle[::-1])
+                with pytest.raises(IndexError):
+                    negative[-size - 1]
+                sliced = random_coefficients(ctx, make_rng(seed)).entries
+                for cut in (slice(-2, None), slice(None, None, -2), slice(1, -1), slice(None)):
+                    assert sliced[cut] == oracle[cut]
+                assert sliced == oracle and oracle == sliced and tuple(sliced) == oracle
                 for _, a in coeffs.entries:
                     assert a == Polynomial(a.variables, a.terms)
                     assert all(type(c) is Fraction and c for c in a.terms.values())
