@@ -17,14 +17,12 @@ Each chart stores its map to the root (``Chart.to_root``), composed once when
 the chart is built, so total transforms of root ideals never walk the tree,
 and an ``Atlas`` keeps each pushed root monomial per chart, so a generator
 shared by many root ideals is pushed into a chart once.
-Two different strictness notions coexist:
 
-* ``transform_ideal`` divides the *common* power of each exceptional
-  coordinate out of the total transform -- the divisor/ideal factorization
-  used for principality certificates;
-* ``strict_transform_variety`` saturates generator-wise -- the geometric
-  strict transform of a single coordinate subspace, which is either empty in
-  the chart or again a coordinate subspace.
+``strict_transform_variety`` is the geometric strict transform of a single
+coordinate subspace, which is either empty in the chart or again a
+coordinate subspace.  The strict transform of an ideal in one chart, with
+the common power of each exceptional coordinate divided out, is a route the
+tests check, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .monideal import MixedVariableSets, MonomialIdeal, SimpleVariety, is_simple_ideal
+from .monideal import MonomialIdeal, SimpleVariety
 from .symcore import Exponent, LogresError, monomial_string
 
 
@@ -161,44 +159,6 @@ def push_exponent(images: Sequence[Exponent], exponent: Exponent, width: int) ->
             for i, x in enumerate(img):
                 out[i] += e * x
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class TransformRecord:
-    total: MonomialIdeal
-    multiplicities: tuple[tuple[str, int], ...]  # per exceptional divisor label
-    strict: MonomialIdeal
-    strict_is_simple_or_trivial: bool
-
-
-def transform_ideal(chart: Chart, ideal: MonomialIdeal) -> TransformRecord:
-    """Total transform, exceptional multiplicities, and residual ideal.
-
-    The multiplicity of an exceptional divisor is the largest power of its
-    defining coordinate dividing every generator of the total transform; the
-    strict part is the total with those common powers divided out.
-    """
-    parent_vars = tuple(v for v, _ in chart.to_parent)
-    if tuple(ideal.variables) != parent_vars:
-        raise MixedVariableSets(
-            f"ideal over {ideal.variables}, chart parent has {parent_vars}"
-        )
-    images = [e for _, e in chart.to_parent]
-    width = len(chart.variables)
-    total = MonomialIdeal._trusted(
-        chart.variables, [push_exponent(images, g, width) for g in ideal.generators]
-    )
-    mults = []
-    strict_gens = [list(g) for g in total.generators]
-    for label, idx in chart.exceptional_indices:
-        m = min((g[idx] for g in total.generators), default=0)
-        mults.append((label, m))
-        if m:
-            for g in strict_gens:
-                g[idx] -= m
-    strict = MonomialIdeal._trusted(chart.variables, [tuple(g) for g in strict_gens])
-    flag = strict.is_unit or is_simple_ideal(strict)
-    return TransformRecord(total, tuple(mults), strict, flag)
 
 
 def strict_transform_variety(chart: Chart, variety: SimpleVariety) -> SimpleVariety | None:

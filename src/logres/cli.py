@@ -9,8 +9,11 @@ key-sorted and seeded, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -286,8 +289,6 @@ def _connection_context(args) -> logconn.ConnectionContext:
 
 
 def _cmd_rank(args) -> tuple[int, str]:
-    import random
-
     stratum = frozenset(_int_list(args.stratum))
     ctx = _connection_context(args)
     if not stratum <= set(ctx.stratum_candidates()):
@@ -455,9 +456,15 @@ _HANDLERS = {
 
 def run_command(argv: list[str]) -> tuple[int, str]:
     """Parse and execute; returns (exit status, output text)."""
+    printed = io.StringIO()
     try:
-        args = _parser().parse_args(argv)
+        with contextlib.redirect_stdout(printed):
+            args = _parser().parse_args(argv)
         code, text = _HANDLERS[args.verb](args)
+    except SystemExit:
+        # argparse exits only after printing --help or --version; its parse
+        # errors raise UsageError (see _Parser.error)
+        return 0, printed.getvalue()
     except UsageError as err:
         return 2, f"usage error: {err}\n"
     except LogresError as err:

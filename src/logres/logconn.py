@@ -10,9 +10,10 @@ divisible by tau^(rI); the quotient
 
   (r+1)*a*d(tau^I) + tau^I*da - a*tau^I*dt/t
 
-is the twisted component attached to the weight-delta index I.  Division is
-performed symbolically and certified; a failure would contradict the
-construction and is surfaced as DivisibilityFailure.
+is the twisted component attached to the weight-delta index I.  The verbs
+only evaluate components; the symbolic component with its certified exact
+division, the deformed Fermat sections and their graph-substitution identity
+are routes the tests check, in ``tests/oracles.py``.
 
 Evaluating the components against a log tangent vector
 xi = xi0*t*d/dt + sum xi_j*d/dz_j at a basepoint y assembles, block by index,
@@ -29,8 +30,9 @@ a = sum_K c_K*m_K is then
   factor_I = (r+1)*xi(tau^I)(y) - xi0*tau^I(y),
 
 so no section polynomial is differentiated or evaluated.
-``component_value`` differentiates and evaluates the section itself; it is
-the polynomial route the tests compare the table against.
+``component_value`` differentiates and evaluates the section itself; no verb
+calls it.  It is the polynomial route the tests compare the table against,
+and the benchmark's per-layer metrics name it.
 
 ``sample`` draws one random section per weight-delta index in each trial.
 Every ``randint`` of a trial happens when ``random_coefficients`` is called,
@@ -54,18 +56,7 @@ from .multiindex import (
     enumerate_multiindices,
     index_count,
 )
-from .symcore import (
-    Frame,
-    LogForm,
-    LogresError,
-    NotDivisible,
-    Polynomial,
-    exact_divide,
-)
-
-
-class DivisibilityFailure(LogresError):
-    """The connection image was not divisible by tau^(rI); a bug signal."""
+from .symcore import Frame, LogresError, Polynomial
 
 
 class BasepointNotInStratum(LogresError):
@@ -166,45 +157,11 @@ class LogTangentVector:
             raise ValueError("log tangent vector must be nonzero")
 
 
-def tau_power(ctx: ConnectionContext, index: MultiIndex, scale: int = 1) -> Polynomial:
-    """The product of tau_j raised to scale * index_j."""
-    if len(index) != ctx.n + 1:
-        raise ValueError(f"index {index} has wrong length")
-    out = Polynomial.constant(ctx.chart.variables, 1)
-    for f, e in zip(ctx.tau, index):
-        if e:
-            out = out * f ** (scale * e)
-    return out
-
-
 def _check_base_section(ctx: ConnectionContext, a: Polynomial) -> None:
     if a.variables != ctx.chart.variables:
         raise ValueError("section must live over the chart frame")
     if a.degree_in("t") > 0:
         raise ValueError("section must not involve the fiber coordinate")
-
-
-def connection_component(
-    ctx: ConnectionContext, a: Polynomial, index: MultiIndex
-) -> LogForm:
-    """The twisted component: apply the connection to a*tau^((r+1)I) and
-    exact-divide every coefficient by tau^(rI)."""
-    _check_base_section(ctx, a)
-    if sum(index) != ctx.delta:
-        raise ValueError(f"index weight {sum(index)} != delta = {ctx.delta}")
-    product = a * tau_power(ctx, index, ctx.r + 1)
-    divisor = tau_power(ctx, index, ctx.r)
-    holo = {}
-    try:
-        for z in ctx.base_vars:
-            d = product.diff(z)
-            holo[z] = exact_divide(d, divisor) if d else d
-        logpart = {"t": exact_divide(-product, divisor) if product else product}
-    except NotDivisible as err:
-        raise DivisibilityFailure(
-            f"component for index {index} not divisible by tau^(r*I)"
-        ) from err
-    return LogForm.make(ctx.chart, holo, logpart)
 
 
 def component_value(
@@ -216,8 +173,8 @@ def component_value(
     """Evaluate the twisted component on a log tangent vector at its basepoint.
 
     Computed directly from (r+1)*a*d(tau^I) + tau^I*(da - a*dt/t), which
-    avoids the symbolic division; agrees with evaluating
-    ``connection_component`` (tested).  With xi(f) = sum_j xi_j * df/dz_j
+    avoids the symbolic division; agrees with evaluating the symbolic
+    component of ``tests/oracles.py`` (tested).  With xi(f) = sum_j xi_j * df/dz_j
     this is a * ((r+1)*xi(tau^I) - xi0*tau^I) + tau^I * xi(a).
 
     This is the polynomial route: it differentiates and evaluates ``a``
@@ -458,60 +415,11 @@ def rank_report(
     )
 
 
-# -- deformed Fermat sections -----------------------------------------------------
-
-
 def _as_polynomial(ctx: ConnectionContext, value) -> Polynomial:
     """A coefficient as a polynomial over the chart; scalars become constants."""
     if isinstance(value, Polynomial):
         return value
     return Polynomial.constant(ctx.chart.variables, value)
-
-
-def fermat_section(ctx: ConnectionContext, coeffs: CoefficientVector) -> Polynomial:
-    """Expand sum_I a_I * tau^((r+1)I) in chart form."""
-    if coeffs.n != ctx.n or coeffs.degree != ctx.delta:
-        raise DegreeMismatch(
-            f"coefficient vector must be keyed by the full weight-{ctx.delta} index set"
-        )
-    total = Polynomial.zero(ctx.chart.variables)
-    for index, value in coeffs.entries:
-        a = _as_polynomial(ctx, value)
-        _check_base_section(ctx, a)
-        if a.total_degree() > ctx.eps:
-            raise DegreeMismatch(
-                f"coefficient for {index} has degree {a.total_degree()} > eps = {ctx.eps}"
-            )
-        if a.is_zero:
-            continue
-        total = total + a * tau_power(ctx, index, ctx.r + 1)
-    return total
-
-
-def restriction_identity_residuals(
-    ctx: ConnectionContext, coeffs: CoefficientVector
-) -> list[Polynomial]:
-    """Residuals of the graph-substitution identity, one per base coordinate.
-
-    Substituting t = sigma into sum_I tau^(rI) * component_I(a_I) replaces
-    dt/t by d(sigma)/sigma; clearing the denominator leaves
-    sigma * h_j + g * d_j(sigma) per coordinate, which must vanish
-    identically.
-    """
-    sigma = fermat_section(ctx, coeffs)
-    residuals = [Polynomial.zero(ctx.chart.variables) for _ in ctx.base_vars]
-    for index, value in coeffs.entries:
-        a = _as_polynomial(ctx, value)
-        if a.is_zero:
-            continue
-        form = connection_component(ctx, a, index)
-        holo = form.holomorphic_map
-        g = form.log_map.get("t", Polynomial.zero(ctx.chart.variables))
-        weight = tau_power(ctx, index, ctx.r)
-        for j, z in enumerate(ctx.base_vars):
-            h = holo.get(z, Polynomial.zero(ctx.chart.variables))
-            residuals[j] = residuals[j] + weight * (sigma * h + g * sigma.diff(z))
-    return residuals
 
 
 # -- indeterminacy sampling ----------------------------------------------------------

@@ -48,7 +48,7 @@ from .monideal import (
     ideal_sum,
     intersect_monomial_ideals,
 )
-from .resolution import CompatibleSystem, Member, ResolutionResult
+from .resolution import CompatibleSystem, Member, ResolutionResult, resolve_system
 from .symcore import LogresError, monomial_string
 
 
@@ -162,8 +162,6 @@ def resolve_obstruction_system(
     resolution runs *all* k local stages.  Only when k = c does minimal mode
     drop the last local stage.
     """
-    from .resolution import resolve_system
-
     if mode == "minimal" and jet.k < jet.c:
         effective = "canonical"
     else:

@@ -3,18 +3,13 @@
 A ``MonomialIdeal`` stores its minimal monomial generators as exponent tuples
 over a fixed variable frame.  Square-free generators are the main case (each
 is just a subset of the variables), but blow-up transforms introduce powers of
-exceptional coordinates, so general exponents are supported; the simple-shape
-operations check square-freeness where they need it.
+exceptional coordinates, so general exponents are supported.  A
+``SimpleVariety`` is a coordinate subspace, given by its vanishing variables.
 
-An ideal of the special shape
-
-  <x_1, ..., x_p, x_{p+1}*x_{r+1}, ..., x_r*x_{2r-p}>
-
-(``p`` lone variables plus ``r - p`` products of pairs, all variables
-distinct, up to renaming) is called *simple*; its zero set is the union of
-the 2^(r-p) codimension-r coordinate subspaces obtained by picking one factor
-from each pair.  These unions are exactly the configurations the blow-up
-engine knows how to keep resolving.
+The verbs need sums, intersections and containment of monomial ideals.  The
+*simple* shape <x_1, ..., x_p, x_{p+1}*x_{r+1}, ..., x_r*x_{2r-p}>, its
+decomposition into coordinate subspaces and the prime of a subspace are
+routes the tests check, in ``tests/oracles.py``.
 
 Two constructors build ideals.  The public ``MonomialIdeal.make`` coerces
 and checks every exponent it is given.  The private ``MonomialIdeal._trusted``
@@ -28,7 +23,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Sequence
 
 from .symcore import Exponent, LogresError, grlex_key, monomial_string
@@ -36,10 +30,6 @@ from .symcore import Exponent, LogresError, grlex_key, monomial_string
 
 class MixedVariableSets(LogresError):
     """Ideal operation applied across different variable frames."""
-
-
-class NotSimpleShape(LogresError):
-    """The ideal does not match the simple pattern under any renaming."""
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
@@ -118,10 +108,6 @@ class MonomialIdeal:
         return len(self.generators) == 1 and not any(self.generators[0])
 
     @property
-    def is_zero(self) -> bool:
-        return not self.generators
-
-    @property
     def is_squarefree(self) -> bool:
         return all(all(e <= 1 for e in g) for g in self.generators)
 
@@ -192,13 +178,6 @@ class SimpleVariety:
     def codim(self) -> int:
         return len(self.vanishing)
 
-    def prime(self, variables: Iterable[str]) -> MonomialIdeal:
-        vs = tuple(variables)
-        missing = self.vanishing - set(vs)
-        if missing:
-            raise MixedVariableSets(f"variety variables {sorted(missing)} not in chart")
-        return MonomialIdeal.from_varsets(vs, [{v} for v in sorted(self.vanishing)])
-
     def sorted_by(self, variables: Sequence[str]) -> tuple[str, ...]:
         order = {v: i for i, v in enumerate(variables)}
         return tuple(sorted(self.vanishing, key=lambda v: order[v]))
@@ -206,52 +185,3 @@ class SimpleVariety:
     def __str__(self) -> str:
         return "V(" + ",".join(sorted(self.vanishing)) + ")"
 
-
-def simple_shape(ideal: MonomialIdeal) -> tuple[list[str], list[tuple[str, str]]]:
-    """Match the simple pattern: lone variables plus disjoint variable pairs.
-
-    Returns (singletons, pairs); raises NotSimpleShape when the minimal
-    generators do not fit the pattern under any renaming.
-    """
-    if ideal.is_zero or ideal.is_unit:
-        raise NotSimpleShape(f"{ideal} is trivial")
-    if not ideal.is_squarefree:
-        raise NotSimpleShape(f"{ideal} has a non-square-free generator")
-    singles: list[str] = []
-    pairs: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for sets in ideal.gens_as_varsets():
-        names = sorted(sets, key=ideal.variables.index)
-        if seen & set(names):
-            raise NotSimpleShape(f"variable reused across generators of {ideal}")
-        seen.update(names)
-        if len(names) == 1:
-            singles.append(names[0])
-        elif len(names) == 2:
-            pairs.append((names[0], names[1]))
-        else:
-            raise NotSimpleShape(f"generator of degree {len(names)} in {ideal}")
-    return singles, pairs
-
-
-def is_simple_ideal(ideal: MonomialIdeal) -> bool:
-    try:
-        simple_shape(ideal)
-    except NotSimpleShape:
-        return False
-    return True
-
-
-def decompose_simple_ideal(ideal: MonomialIdeal) -> list[SimpleVariety]:
-    """The 2^(pairs) coordinate subspaces whose union the simple ideal cuts out.
-
-    Every returned variety has codimension p + (r - p) = r, one variable taken
-    from each pair generator.
-    """
-    singles, pairs = simple_shape(ideal)
-    varieties = []
-    for choice in product(*pairs) if pairs else [()]:
-        varieties.append(SimpleVariety(frozenset(singles) | frozenset(choice)))
-    order = {v: i for i, v in enumerate(ideal.variables)}
-    varieties.sort(key=lambda V: tuple(sorted(order[v] for v in V.vanishing)))
-    return varieties

@@ -1,10 +1,4 @@
-"""Residues of logarithmic forms and explicit global log 1-forms on
-projective space.
-
-For a form written in a chart frame, the residue along a log-marked
-coordinate divisor is the coefficient of its dlog term restricted to the
-divisor.  Holomorphic forms have residue zero, and a form pulled back from
-the sub-frame omitting some components has zero residue along each of them.
+"""Explicit global log 1-forms on projective space and their residues.
 
 For an arrangement of c distinct hypersurfaces s_1..s_c in P^n with degrees
 d_1..d_c, the combinations
@@ -22,6 +16,11 @@ has dimension at least c-1.
 Smoothness/transversality of the arrangement is an input assumption; the
 constructor only enforces what is decidable exactly (homogeneity, declared
 degrees, pairwise non-proportionality).
+
+The ``forms`` verb reads the residues off each form's constant vector.
+Residues of forms written in a chart frame, and a global form rewritten as a
+chart form when every component is a coordinate hyperplane, are the second
+routes the tests check this against, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -31,26 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import ratmat
-from .symcore import LogForm, LogresError, Polynomial
-
-
-class ComponentNotLogMarked(LogresError):
-    """Residue requested along a coordinate the chart does not log-mark."""
-
-
-def residue_of_form(form: LogForm, coordinate: str) -> Polynomial:
-    """Residue along the divisor (coordinate = 0), restricted to it."""
-    if coordinate not in form.chart.log_marked:
-        raise ComponentNotLogMarked(
-            f"{coordinate!r} is not a log-marked coordinate of the chart"
-        )
-    beta = form.log_map.get(coordinate)
-    variables = tuple(form.chart.variables)
-    if beta is None:
-        return Polynomial.zero(variables)
-    idx = variables.index(coordinate)
-    restricted = {e: c for e, c in beta.terms.items() if e[idx] == 0}
-    return Polynomial(variables, restricted)
+from .symcore import LogresError, Polynomial
 
 
 # -- arrangements on projective space ---------------------------------------------
@@ -163,28 +143,6 @@ class GlobalLogForm:
         for poly, _ in self.arrangement.components:
             out = out * dehomogenize(poly, n, chart_index)
         return out
-
-    def as_coordinate_logform(self, chart_index: int) -> LogForm:
-        """Chart-frame form when every component is a coordinate hyperplane."""
-        n = self.arrangement.n
-        variables = chart_variables(n, chart_index)
-        logpart: dict[str, Polynomial] = {}
-        marked = set()
-        for res, (poly, _) in zip(self.residues, self.arrangement.components):
-            if len(poly.terms) != 1 or poly.total_degree() != 1:
-                raise ValueError(f"{poly} is not a coordinate hyperplane")
-            (exp,) = poly.terms
-            slot = exp.index(1)
-            if slot == chart_index:
-                continue  # dehomogenizes to a constant: no pole on this chart
-            name = f"u{slot}"
-            marked.add(name)
-            if res:
-                current = logpart.get(name, Polynomial.zero(variables))
-                logpart[name] = current + Polynomial.constant(variables, res)
-        from .symcore import Frame
-
-        return LogForm.make(Frame(variables, frozenset(marked)), {}, logpart)
 
     def serialize(self) -> dict:
         return {

@@ -16,12 +16,15 @@ dropped).  A system whose indices span `length` consecutive values is
 resolved canonically in `length` stages; the minimal variant stops one stage
 early.  The whole process is deterministic: charts are processed in id order
 and exceptional divisors are labeled ``E<stage>.<counter>``.
+
+Slice restriction and subsystem principalization are not verbs: they are
+the functoriality routes the tests check the resolution against, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .blowup import (
     Atlas,
@@ -29,23 +32,14 @@ from .blowup import (
     Chart,
     StageRecord,
     blow_up_center,
-    root_chart,
     strict_transform_variety,
 )
-from .monideal import MonomialIdeal, SimpleVariety, intersect_monomial_ideals
+from .monideal import SimpleVariety
 from .symcore import LogresError
 
 
 class InvalidSystem(LogresError):
     """The family is not a compatible system."""
-
-
-class NonTransverseSlice(LogresError):
-    """A member's vanishing set is contained in the slice's zeroed variables."""
-
-
-class NotSubsystem(LogresError):
-    """The selected members do not form a subsystem."""
 
 
 @dataclass(frozen=True)
@@ -211,89 +205,3 @@ def resolve_system(system: CompatibleSystem, mode: str = "canonical") -> Resolut
         raise InvalidSystem("canonical resolution left unresolved members")
     return ResolutionResult(atlas, tuple(per_stage), mode)
 
-
-def restrict_system(system: CompatibleSystem, zeroed: Iterable[str]) -> CompatibleSystem:
-    """Intersect every member with the coordinate slice {v = 0 : v in zeroed}.
-
-    The slice must be combinatorially transverse: no member's vanishing set
-    may be contained in the zeroed variables.
-    """
-    zs = frozenset(zeroed)
-    unknown = zs - set(system.chart.variables)
-    if unknown:
-        raise ValueError(f"slice variables {sorted(unknown)} not in chart")
-    for m in system.members:
-        if m.variety.vanishing <= zs:
-            raise NonTransverseSlice(f"{m.label} is contained in the slice")
-    chart = system.chart
-    slice_chart = root_chart(
-        (v for v in chart.variables if v not in zs),
-        (v for v in chart.log_marked if v not in zs),
-        chart_id=chart.id,
-    )
-    members = tuple(
-        Member(m.index, m.label, SimpleVariety(m.variety.vanishing - zs))
-        for m in system.members
-    )
-    return CompatibleSystem(slice_chart, members)
-
-
-def _is_subsystem(system: CompatibleSystem, sub_labels: frozenset[str]) -> bool:
-    """Subsystem condition: every (outside, inside) pair of comparable index
-    has its intersection inside a lower-index subsystem member."""
-    members = system.members
-    sub = [m for m in members if m.label in sub_labels]
-    if not sub:
-        return False
-    b = max(m.index for m in sub)
-    outside = [m for m in members if m.label not in sub_labels and m.index <= b]
-    for out in outside:
-        for inner in sub:
-            if inner.index < out.index:
-                continue
-            union = out.variety.vanishing | inner.variety.vanishing
-            if not any(
-                s.index < out.index and s.variety.vanishing <= union for s in sub
-            ):
-                return False
-    return True
-
-
-def subsystem_ideal(system: CompatibleSystem, sub_labels: Iterable[str]) -> MonomialIdeal:
-    labels = frozenset(sub_labels)
-    primes = [
-        m.variety.prime(system.chart.variables)
-        for m in system.members
-        if m.label in labels
-    ]
-    if not primes:
-        raise NotSubsystem("empty member selection")
-    return intersect_monomial_ideals(primes)
-
-
-def verify_subsystem_resolution(
-    system: CompatibleSystem, sub_labels: Iterable[str]
-) -> bool:
-    """Check that the canonical resolution principalizes the subsystem ideal.
-
-    The selection must satisfy the subsystem condition and itself be a
-    compatible system; the check then asks for the total transform of the
-    intersection ideal to be principal in every leaf chart.
-    """
-    labels = frozenset(sub_labels)
-    unknown = labels - {m.label for m in system.members}
-    if unknown:
-        raise NotSubsystem(f"unknown member labels {sorted(unknown)}")
-    sub_members = tuple(m for m in system.members if m.label in labels)
-    sub_system = CompatibleSystem(system.chart, sub_members)
-    if not validate_compatible_system(sub_system).valid:
-        raise NotSubsystem("selection is not itself a compatible system")
-    if not _is_subsystem(system, labels):
-        raise NotSubsystem("selection violates the subsystem condition")
-    ideal = subsystem_ideal(system, labels)
-    result = resolve_system(system, mode="canonical")
-    for leaf in result.leaves():
-        total = result.atlas.total_transform(leaf.id, ideal)
-        if len(total.generators) != 1:
-            return False
-    return True

@@ -1,5 +1,5 @@
-"""Exact sparse multivariate polynomial arithmetic over the rationals, plus
-logarithmic 1-forms in chart frames.
+"""Exact sparse multivariate polynomial arithmetic over the rationals, its
+text format, and chart frames.
 
 A polynomial is a pair (variables, terms): an ordered tuple of variable names
 and a dictionary mapping exponent tuples to nonzero rational coefficients.
@@ -18,13 +18,10 @@ printing lists terms in descending order.  The text format
 
 round-trips bit-exactly through ``parse_polynomial`` / ``str``.
 
-A ``LogForm`` is a 1-form written in a chart frame with some coordinates
-marked as logarithmic: it stores one polynomial coefficient per ``dz_j`` and
-one per ``dz_j/z_j`` (the latter only for log-marked coordinates).  No verb
-builds one: ``rank`` and ``sample`` evaluate connection components without
-forming them, and ``forms`` reads residues off ``residues.GlobalLogForm``.
-Log forms are the second routes the tests check those verbs against
-(``logconn.connection_component`` and ``GlobalLogForm.as_coordinate_logform``).
+A ``Frame`` names a chart's coordinates and marks some of them logarithmic.
+No verb divides, substitutes or builds a 1-form in a frame: exact division,
+substitution, frame extension and the ``LogForm`` class live in
+``tests/oracles.py``, as the second routes the tests check the verbs against.
 """
 
 from __future__ import annotations
@@ -42,16 +39,8 @@ class LogresError(Exception):
     """Base class for all structured errors raised by this package."""
 
 
-class DivisionByZero(LogresError):
-    """Exact division by the zero polynomial."""
-
-
-class NotDivisible(LogresError):
-    """Exact polynomial division has a nonzero remainder."""
-
-
 class MissingAssignment(LogresError):
-    """A substitution omits a variable of the polynomial."""
+    """An evaluation point or a substitution omits a variable of the polynomial."""
 
 
 def _accumulate(terms: dict[Exponent, Fraction], exp: Exponent, coeff: Fraction) -> None:
@@ -75,8 +64,7 @@ def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
 class Polynomial:
     """Immutable sparse polynomial with Fraction coefficients.
 
-    Arithmetic requires both operands to share the same variable tuple;
-    ``extend_variables`` embeds a polynomial into a larger frame by name.
+    Arithmetic requires both operands to share the same variable tuple.
     """
 
     __slots__ = ("variables", "terms", "_hash")
@@ -142,10 +130,6 @@ class Polynomial:
         exp = tuple(1 if v == name else 0 for v in vs)
         return cls(vs, {exp: Fraction(1)})
 
-    @classmethod
-    def monomial(cls, variables: Iterable[str], exponent: Exponent, coeff=1) -> "Polynomial":
-        return cls(variables, {tuple(exponent): Fraction(coeff)})
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -170,12 +154,6 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in descending graded-lex order (canonical listing)."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-
-    def leading(self) -> tuple[Exponent, Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=grlex_key)
-        return exp, self.terms[exp]
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degrees = {sum(e) for e in self.terms}
@@ -297,98 +275,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.variables!r}, {str(self)!r})"
-
-
-# -- exact operations -------------------------------------------------------
-
-
-def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Return q with f = q*g exactly.
-
-    Raises NotDivisible when no exact quotient exists and DivisionByZero when
-    g = 0.  Single-divisor reduction in graded-lex order terminates because
-    the leading monomial strictly decreases; for a divisible f the remainder
-    reaches zero, and a leading monomial not divisible by g's certifies
-    non-divisibility.
-    """
-    if g.is_zero:
-        raise DivisionByZero("exact division by the zero polynomial")
-    f._require_same_frame(g)
-    if f.is_zero:
-        return Polynomial.zero(f.variables)
-    g_lead, g_coeff = g.leading()
-    remainder = dict(f.terms)
-    quotient: dict[Exponent, Fraction] = {}
-    while remainder:
-        lead = max(remainder, key=grlex_key)
-        shift = tuple(a - b for a, b in zip(lead, g_lead))
-        if any(s < 0 for s in shift):
-            raise NotDivisible(f"{f} is not divisible by {g}")
-        coeff = remainder[lead] / g_coeff
-        quotient[shift] = coeff
-        for exp, c in g.terms.items():
-            e = tuple(a + b for a, b in zip(shift, exp))
-            nc = remainder.get(e, Fraction(0)) - coeff * c
-            if nc:
-                remainder[e] = nc
-            else:
-                remainder.pop(e, None)
-    return Polynomial._trusted(f.variables, quotient)
-
-
-def substitute(f: Polynomial, assignment: Mapping[str, Polynomial]) -> Polynomial:
-    """Replace every variable of f by its assigned polynomial, fully expanded.
-
-    All images must share one variable frame, which becomes the result frame.
-    """
-    missing = [v for v in f.variables if v not in assignment]
-    if missing:
-        raise MissingAssignment(f"no assignment for {missing}")
-    images = [assignment[v] for v in f.variables]
-    if not images:
-        raise ValueError("cannot substitute into a polynomial with no variables")
-    target = images[0].variables
-    for img in images:
-        if img.variables != target:
-            raise ValueError("substitution images use inconsistent variable frames")
-    result = Polynomial.zero(target)
-    # cache powers of each image; exponents in charts stay small
-    powers: list[dict[int, Polynomial]] = [
-        {0: Polynomial.constant(target, 1)} for _ in images
-    ]
-
-    def power(i: int, e: int) -> Polynomial:
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = power(i, e - 1) * images[i]
-        return cache[e]
-
-    for exp, coeff in sorted(f.terms.items()):
-        term = Polynomial.constant(target, coeff)
-        for i, e in enumerate(exp):
-            if e:
-                term = term * power(i, e)
-        result = result + term
-    return result
-
-
-def extend_variables(f: Polynomial, variables: Iterable[str]) -> Polynomial:
-    """Embed f into a larger variable frame, matching variables by name."""
-    vs = tuple(variables)
-    if len(set(vs)) != len(vs):
-        raise ValueError(f"duplicate variable names in {vs}")
-    positions = []
-    for v in f.variables:
-        if v not in vs:
-            raise ValueError(f"target frame {vs} is missing variable {v!r}")
-        positions.append(vs.index(v))
-    terms = {}
-    for exp, coeff in f.terms.items():
-        e = [0] * len(vs)
-        for pos, x in zip(positions, exp):
-            e[pos] = x
-        terms[tuple(e)] = coeff
-    return Polynomial._trusted(vs, terms)
 
 
 # -- text format -------------------------------------------------------------
@@ -524,7 +410,7 @@ def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
     return _Parser(text, vs).parse()
 
 
-# -- logarithmic 1-forms ------------------------------------------------------
+# -- chart frames ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -541,73 +427,3 @@ class Frame:
         if unknown:
             raise ValueError(f"log-marked names {sorted(unknown)} not in frame")
 
-
-@dataclass(frozen=True)
-class LogForm:
-    """A 1-form `sum h_j dz_j + sum b_j dz_j/z_j` in a chart frame.
-
-    Log coefficients are only allowed on log-marked coordinates of the
-    frame.  Coefficients are stored sorted by the frame's variable order,
-    zero entries dropped, so equal forms compare equal.
-    """
-
-    chart: Frame
-    holomorphic: tuple[tuple[str, Polynomial], ...]
-    log: tuple[tuple[str, Polynomial], ...]
-
-    @classmethod
-    def make(
-        cls,
-        chart: Frame,
-        holomorphic: Mapping[str, Polynomial] | None = None,
-        log: Mapping[str, Polynomial] | None = None,
-    ) -> "LogForm":
-        variables = tuple(chart.variables)
-        order = {v: i for i, v in enumerate(variables)}
-        holo = {}
-        for v, p in (holomorphic or {}).items():
-            if v not in order:
-                raise ValueError(f"coefficient on unknown coordinate {v!r}")
-            if p:
-                holo[v] = p
-        logpart = {}
-        for v, p in (log or {}).items():
-            if v not in chart.log_marked:
-                raise ValueError(f"log coefficient on non-log coordinate {v!r}")
-            if p:
-                logpart[v] = p
-        return cls(
-            chart,
-            tuple(sorted(holo.items(), key=lambda kv: order[kv[0]])),
-            tuple(sorted(logpart.items(), key=lambda kv: order[kv[0]])),
-        )
-
-    @property
-    def holomorphic_map(self) -> dict[str, Polynomial]:
-        return dict(self.holomorphic)
-
-    @property
-    def log_map(self) -> dict[str, Polynomial]:
-        return dict(self.log)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.holomorphic and not self.log
-
-    def __add__(self, other: "LogForm") -> "LogForm":
-        if tuple(self.chart.variables) != tuple(other.chart.variables):
-            raise ValueError("cannot add forms from different charts")
-        holo = self.holomorphic_map
-        for v, p in other.holomorphic:
-            holo[v] = holo.get(v, Polynomial.zero(p.variables)) + p
-        logpart = self.log_map
-        for v, p in other.log:
-            logpart[v] = logpart.get(v, Polynomial.zero(p.variables)) + p
-        return LogForm.make(self.chart, holo, logpart)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        pieces = [f"({p})*dlog({v})" for v, p in self.log]
-        pieces += [f"({p})*d({v})" for v, p in self.holomorphic]
-        return " + ".join(pieces)

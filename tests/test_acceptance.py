@@ -21,13 +21,11 @@ from logres.bounds import chain_inequality_holds, degree_threshold, reconstruct_
 from logres.cli import run_command
 from logres.logconn import (
     LogTangentVector,
-    connection_component,
     connection_rank,
     make_connection_context,
     random_coefficients,
     random_fraction,
     random_stratum_point,
-    restriction_identity_residuals,
     sample_indeterminacy,
 )
 from logres.logjet import (
@@ -39,13 +37,7 @@ from logres.logjet import (
     stratum_prime,
     verify_principalization,
 )
-from logres.monideal import (
-    MonomialIdeal,
-    SimpleVariety,
-    decompose_simple_ideal,
-    ideal_sum,
-    simple_shape,
-)
+from logres.monideal import MonomialIdeal, SimpleVariety, ideal_sum
 from logres.multiindex import enumerate_multiindices
 from logres.residues import (
     DivisorArrangement,
@@ -54,9 +46,18 @@ from logres.residues import (
     residue_matrix,
 )
 from logres.ratmat import rank
-from logres.resolution import resolve_system, restrict_system
+from logres.resolution import resolve_system
 from logres.symcore import Polynomial, parse_polynomial
-from logres.blowup import strict_transform_variety, transform_ideal
+from logres.blowup import strict_transform_variety
+from oracles import (
+    connection_component,
+    decompose_simple_ideal,
+    prime,
+    restrict_system,
+    restriction_identity_residuals,
+    simple_shape,
+    transform_ideal,
+)
 
 
 def _pass(num, budget, started, message):
@@ -200,9 +201,9 @@ def test_c05_disjointness_preservation():
                 assert t3.vanishing <= (t1.vanishing | t2.vanishing)
                 # ideal-theoretic route agrees with the combinatorial one
                 both = ideal_sum(
-                    [t1.prime(chart.variables), t2.prime(chart.variables)]
+                    [prime(t1, chart.variables), prime(t2, chart.variables)]
                 )
-                assert both.contains_ideal(t3.prime(chart.variables))
+                assert both.contains_ideal(prime(t3, chart.variables))
                 # second claim: a center containing the intersection separates
                 assert not case
     _pass(5, 30, started, "2 x 500 random quadruples, both conclusions in every chart")

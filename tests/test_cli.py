@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from logres import logconn, logjet
-from logres.cli import run_command
+from logres import __version__, logconn, logjet
+from logres.cli import main, run_command
 from logres.ratmat import rank
 
 
@@ -204,6 +204,24 @@ def test_sample_usage_error_for_small_delta():
 def test_unknown_flag_is_usage_error():
     code, text = run_command(["bounds", "--n", "2", "--delta", "7", "--eps", "1", "--bogus"])
     assert code == 2
+
+
+def test_help_and_version_return_instead_of_exiting(capsys):
+    assert run_command(["--version"]) == (0, f"{__version__}\n")
+    code, text = run_command(["rank", "--help"])
+    assert code == 0
+    assert text.startswith("usage: logres rank ")
+    assert "--matrix" in text
+    assert capsys.readouterr().out == ""  # the text was returned, not printed
+    # main routes exit 2 to stderr only, every other exit to stdout only
+    assert main(["--version"]) == 0
+    assert capsys.readouterr() == (f"{__version__}\n", "")
+    assert main(["resolve", "--n", "2", "--c", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: ")
+    assert main(["bounds", "--n", "2", "--delta", "7,8", "--eps", "1,1"]) == 0
+    out, err = capsys.readouterr()
+    assert "r_min = 128" in out and err == ""
 
 
 def test_out_file(tmp_path):

@@ -10,10 +10,8 @@ from logres.logconn import (
     DegreeMismatch,
     LogTangentVector,
     component_value,
-    connection_component,
     connection_matrix,
     connection_rank,
-    fermat_section,
     is_indeterminate,
     make_connection_context,
     point_map,
@@ -21,19 +19,25 @@ from logres.logconn import (
     random_fraction,
     random_log_tangent_vector,
     random_stratum_point,
-    restriction_identity_residuals,
     sample_indeterminacy,
     stratum_of_point,
-    tau_power,
 )
 from logres.multiindex import CoefficientVector, enumerate_multiindices
-from logres.symcore import LogForm, Polynomial, parse_polynomial
+from logres.symcore import Polynomial, parse_polynomial
+from oracles import (
+    LogForm,
+    connection_component,
+    fermat_section,
+    monomial,
+    restriction_identity_residuals,
+    tau_power,
+)
 
 
 def monomial_basis(ctx):
     """Chart forms of the degree-eps monomials (slot 0 dehomogenized away)."""
     return [
-        (K, Polynomial.monomial(ctx.chart.variables, (0,) + K[1:]))
+        (K, monomial(ctx.chart.variables, (0,) + K[1:]))
         for K in enumerate_multiindices(ctx.n, ctx.eps)
     ]
 

@@ -6,20 +6,24 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import all_simple_ideals
 
-from logres.blowup import Atlas, blow_up_center, root_chart, transform_ideal
+from logres.blowup import Atlas, blow_up_center, root_chart
 from logres.monideal import (
     MixedVariableSets,
     MonomialIdeal,
-    NotSimpleShape,
     SimpleVariety,
-    decompose_simple_ideal,
     ideal_sum,
     intersect_monomial_ideals,
-    is_simple_ideal,
     minimalize,
-    simple_shape,
 )
 from logres.symcore import grlex_key
+from oracles import (
+    NotSimpleShape,
+    decompose_simple_ideal,
+    is_simple_ideal,
+    prime,
+    simple_shape,
+    transform_ideal,
+)
 
 VARS4 = ("z1", "z2", "xi1", "xi2")
 
@@ -153,7 +157,7 @@ def test_reintersecting_decomposition_recovers_ideal_exhaustively():
     for ideal in all_simple_ideals(vs, 3):
         parts = decompose_simple_ideal(ideal)
         assert len({v.codim for v in parts}) == 1
-        primes = [v.prime(vs) for v in parts]
+        primes = [prime(v, vs) for v in parts]
         assert intersect_monomial_ideals(primes) == ideal
         count += 1
     assert count > 100  # enumeration actually covered the shape space

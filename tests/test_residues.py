@@ -5,16 +5,15 @@ import pytest
 
 from logres.ratmat import rank
 from logres.residues import (
-    ComponentNotLogMarked,
     DivisorArrangement,
     chart_variables,
     construct_global_log_forms,
     dehomogenize,
     projective_variables,
     residue_matrix,
-    residue_of_form,
 )
-from logres.symcore import Frame, LogForm, Polynomial, parse_polynomial
+from logres.symcore import Frame, Polynomial, parse_polynomial
+from oracles import ComponentNotLogMarked, LogForm, as_coordinate_logform, residue_of_form
 
 P2 = projective_variables(2)
 
@@ -90,7 +89,7 @@ def test_pencil_of_lines():
     assert form.residues == (Fraction(1), Fraction(-1))
     assert form.degree_balance() == 0
     # on the chart x2 != 0 this is dlog(u0) - dlog(u1)
-    chart_form = form.as_coordinate_logform(2)
+    chart_form = as_coordinate_logform(form, 2)
     assert residue_of_form(chart_form, "u0") == Polynomial.constant(
         chart_form.chart.variables, 1
     )

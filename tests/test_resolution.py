@@ -13,11 +13,13 @@ from logres.resolution import (
     CompatibleSystem,
     InvalidSystem,
     Member,
+    resolve_system,
+    validate_compatible_system,
+)
+from oracles import (
     NonTransverseSlice,
     NotSubsystem,
-    resolve_system,
     restrict_system,
-    validate_compatible_system,
     verify_subsystem_resolution,
 )
 

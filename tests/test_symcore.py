@@ -4,16 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logres.symcore import (
-    DivisionByZero,
     Frame,
-    LogForm,
     MissingAssignment,
-    NotDivisible,
     Polynomial,
-    exact_divide,
-    extend_variables,
     format_polynomial,
     parse_polynomial,
+)
+from oracles import (
+    DivisionByZero,
+    LogForm,
+    NotDivisible,
+    exact_divide,
+    extend_variables,
     substitute,
 )
 

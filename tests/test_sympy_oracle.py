@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from logres.ratmat import rank
-from logres.symcore import NotDivisible, Polynomial, exact_divide, substitute
+from logres.symcore import Polynomial
+from oracles import NotDivisible, exact_divide, substitute
 
 sympy = pytest.importorskip("sympy")
 
