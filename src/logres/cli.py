@@ -30,6 +30,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # Help wraps at a fixed width, not the terminal's COLUMNS, so --help
+        # prints the same bytes everywhere; add_parser builds subparsers here too.
+        super().__init__(formatter_class=functools.partial(argparse.HelpFormatter, width=78), **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 

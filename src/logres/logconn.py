@@ -34,11 +34,11 @@ so no section polynomial is differentiated or evaluated.
 calls it.  It is the polynomial route the tests compare the table against,
 and the benchmark's per-layer metrics name it.
 
-``sample`` draws one random section per weight-delta index in each trial.
-Every ``randint`` of a trial happens when ``random_coefficients`` is called,
-so the RNG stream does not depend on what is read; the draws are kept as
-integer pairs, and each section is built the first time its entry is read.
-A trial whose first component is nonzero builds one section.
+``sample`` keeps each trial's random sections as the (numerator, denominator)
+draws of their coefficients; ``random_coefficients`` makes every ``randint``
+before it returns, so the RNG stream does not depend on what is read.
+``is_indeterminate`` values each section from its draws and the point table,
+stops at the first nonzero component, and builds no polynomial.
 """
 
 from __future__ import annotations
@@ -50,12 +50,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
-from .multiindex import (
-    CoefficientVector,
-    MultiIndex,
-    enumerate_multiindices,
-    index_count,
-)
+from .multiindex import MultiIndex, enumerate_multiindices, index_count
 from .symcore import Frame, LogresError, Polynomial
 
 
@@ -243,11 +238,10 @@ class _PointTable:
     """Everything one (basepoint, vector) pair contributes to component values.
 
     ``basis`` maps the chart exponent of each degree-<=eps basis monomial m
-    to (m(p), xi(m)(p)), computed by the power rule from the exponent.  A
-    base section of degree <= eps is valued term by term from it, and so is
-    each arrangement entry (degree <= 1 <= eps), once and only when an
-    index's support first needs it.  Component I of a section a is then
-    a(p) * factor_I + tau^I(p) * xi(a)(p), with no polynomial built.
+    to (m(p), xi(m)(p)), computed by the power rule from the exponent.  Each
+    arrangement entry (degree <= 1 <= eps) is valued term by term from it
+    the first time an index's support needs it.  Component I of a section a
+    is a(p) * factor_I + tau^I(p) * xi(a)(p), with no polynomial built.
     """
 
     def __init__(self, ctx: ConnectionContext, vector: LogTangentVector):
@@ -267,7 +261,7 @@ class _PointTable:
         self._entries: list[tuple[Fraction, Fraction] | None] = [None] * len(ctx.tau)
 
     def values(self, f: Polynomial) -> tuple[Fraction, Fraction]:
-        """f(p) and xi(f)(p), summed over the terms of f, all in the table."""
+        """f(p) and xi(f)(p) for an arrangement entry f, all in the table."""
         value = slope = 0
         for exp, c in f.terms.items():
             v, s = self.basis[exp]
@@ -284,18 +278,6 @@ class _PointTable:
 
     def factors(self, index: MultiIndex) -> tuple[Fraction, Fraction]:
         return _index_factors(self.ctx, index, self.entry, self.vector)
-
-    def component(self, index: MultiIndex, a: Polynomial) -> Fraction:
-        """The value of ``component_value(ctx, a, index, vector)``."""
-        ctx = self.ctx
-        if a.variables != ctx.chart.variables or not a.terms.keys() <= self.basis.keys():
-            _check_base_section(ctx, a)
-            raise DegreeMismatch(
-                f"coefficient for {index} has degree {a.total_degree()} > eps = {ctx.eps}"
-            )
-        tau_val, factor = self.factors(index)
-        a_val, a_slope = self.values(a)
-        return a_val * factor + tau_val * a_slope
 
 
 def point_map(ctx: ConnectionContext, basepoint: Sequence[Fraction]) -> dict[str, Fraction]:
@@ -415,13 +397,6 @@ def rank_report(
     )
 
 
-def _as_polynomial(ctx: ConnectionContext, value) -> Polynomial:
-    """A coefficient as a polynomial over the chart; scalars become constants."""
-    if isinstance(value, Polynomial):
-        return value
-    return Polynomial.constant(ctx.chart.variables, value)
-
-
 # -- indeterminacy sampling ----------------------------------------------------------
 
 
@@ -434,76 +409,18 @@ def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
             return value
 
 
-class _DrawnSections(Sequence):
-    """The entries of a ``random_coefficients`` vector, built on first read.
+def random_coefficients(ctx: ConnectionContext, rng: random.Random) -> list[tuple[int, int]]:
+    """The draws of one random degree-<=eps section per weight-delta index.
 
-    Holds the raw (numerator, denominator) draws, one pair per basis monomial
-    per weight-delta index.  Position i becomes (index_i, section_i), with its
-    ``Fraction`` terms and zero draws dropped, the first time it is read, and
-    is kept.  Length, iteration, indexing, slicing, ``==`` and ``hash`` match
-    the tuple of the same entries.
-    """
-
-    __slots__ = ("_ctx", "_draws", "_built")
-
-    def __init__(self, ctx: ConnectionContext, draws: list[tuple[int, int]]):
-        self._ctx = ctx
-        self._draws = draws
-        self._built: list[tuple[MultiIndex, Polynomial] | None] = [None] * len(
-            ctx.delta_indices
-        )
-
-    def _build(self, position: int) -> tuple[MultiIndex, Polynomial]:
-        ctx = self._ctx
-        exponents = ctx.basis_exponents
-        start = position * len(exponents)
-        draws = self._draws[start:start + len(exponents)]
-        terms = {exp: Fraction(p, q) for exp, (p, q) in zip(exponents, draws) if p}
-        entry = ctx.delta_indices[position], Polynomial._trusted(ctx.chart.variables, terms)
-        self._built[position] = entry
-        return entry
-
-    def __len__(self) -> int:
-        return len(self._built)
-
-    def __getitem__(self, key):
-        built = self._built
-        if isinstance(key, slice):
-            return tuple(built[p] or self._build(p) for p in range(len(built))[key])
-        position = range(len(built))[key]
-        return built[position] or self._build(position)
-
-    def __iter__(self) -> Iterator[tuple[MultiIndex, Polynomial]]:
-        built = self._built
-        for position in range(len(built)):
-            yield built[position] or self._build(position)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, _DrawnSections)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-def random_coefficients(ctx: ConnectionContext, rng: random.Random) -> CoefficientVector:
-    """One random degree-<=eps section per weight-delta index.
-
-    Every draw is made here, before this returns: per index in index order,
-    per basis monomial in basis order, the two ``randint`` calls of
-    ``random_fraction``.  Only the integer pairs are kept; a section's
-    ``Fraction`` terms, zero draws dropped, are built the first time its
-    entry is read, so a trial that stops at the first section builds one."""
+    A flat list of (numerator, denominator) pairs, index-major and
+    basis-minor: per index in index order, per basis monomial in basis order,
+    the two ``randint`` calls of ``random_fraction``, all made before this
+    returns.  The pair (p, q) is the coefficient p/q of its basis monomial."""
     randint = rng.randint
-    draws = [
+    return [
         (randint(-COEFF_BOUND, COEFF_BOUND), randint(1, COEFF_BOUND))
         for _ in range(len(ctx.delta_indices) * len(ctx.basis_exponents))
     ]
-    return CoefficientVector(ctx.n, ctx.delta, _DrawnSections(ctx, draws))
 
 
 def random_stratum_point(
@@ -534,19 +451,29 @@ def random_log_tangent_vector(
 
 
 def is_indeterminate(
-    ctx: ConnectionContext, coeffs: CoefficientVector, vector: LogTangentVector
+    ctx: ConnectionContext, draws: Sequence[tuple[int, int]], vector: LogTangentVector
 ) -> bool:
     """True when every twisted component vanishes on the vector at once.
 
-    Every component is read from one point table; a section of degree > eps
-    raises DegreeMismatch."""
-    if coeffs.n != ctx.n or coeffs.degree != ctx.delta:
-        raise DegreeMismatch(
-            f"coefficient vector must be keyed by the full weight-{ctx.delta} index set"
-        )
+    ``draws`` are as ``random_coefficients`` returns them.  Row i values its
+    section from the point table, skipping zero numerators, as
+    a(p) = sum_K (p/q)*m_K(p) and xi(a)(p) = sum_K (p/q)*xi(m_K)(p); component
+    I is a(p)*factor_I + tau^I(p)*xi(a)(p).  The loop stops at the first
+    nonzero component.  Draws of any other length raise DegreeMismatch."""
+    width = len(ctx.basis_exponents)
+    if len(draws) != len(ctx.delta_indices) * width:
+        raise DegreeMismatch(f"need {len(ctx.delta_indices) * width} draws, got {len(draws)}")
     table = _PointTable(ctx, vector)
-    for index, value in coeffs.entries:
-        if table.component(index, _as_polynomial(ctx, value)):
+    basis = list(table.basis.values())
+    for row, index in enumerate(ctx.delta_indices):
+        value = slope = 0
+        for (p, q), (v, s) in zip(draws[row * width:(row + 1) * width], basis):
+            if p:
+                c = Fraction(p, q)
+                value += c * v
+                slope += c * s
+        tau_val, factor = table.factors(index)
+        if value * factor + tau_val * slope:
             return False
     return True
 
@@ -584,7 +511,6 @@ def sample_indeterminacy(
         key = "{" + ",".join(map(str, sorted(J))) + "}"
         histogram[key] = histogram.get(key, 0) + 1
         vector = random_log_tangent_vector(ctx, rng, J)
-        coeffs = random_coefficients(ctx, rng)
-        if is_indeterminate(ctx, coeffs, vector):
+        if is_indeterminate(ctx, random_coefficients(ctx, rng), vector):
             failures += 1
     return SamplingReport(trials, failures, tuple(sorted(histogram.items())))

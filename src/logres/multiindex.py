@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 MultiIndex = tuple[int, ...]
 
@@ -71,14 +71,15 @@ class CoefficientVector:
     """Coefficients of a degree-d form, keyed by the full weight-d index set,
     zero entries stored explicitly.  Values may be rationals or polynomials.
 
-    ``entries`` is a tuple of (index, value) pairs in index order, or a
-    sequence that reads, compares and hashes like that tuple but builds each
-    pair the first time it is read (``logconn.random_coefficients``).
+    ``entries`` is a tuple of (index, value) pairs in index order.  Only the
+    tests and their oracles build this class; ``make`` stays in the package
+    because a per-layer benchmark metric names it, until that metric is
+    replaced (ROADMAP item 1).
     """
 
     n: int
     degree: int
-    entries: Sequence[tuple[MultiIndex, object]]
+    entries: tuple[tuple[MultiIndex, object], ...]
 
     @classmethod
     def make(

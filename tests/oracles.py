@@ -14,7 +14,8 @@ CLI verb needs it, so it is not shipped in ``src/logres``:
 * slice restriction of compatible systems and subsystem principalization
   (c06);
 * the symbolic twisted connection component with certified exact division
-  (c07) and the graph-substitution identity of deformed Fermat sections (c09);
+  (c07) and the graph-substitution identity of deformed Fermat sections (c09),
+  on random sections summed as polynomials from ``sample``'s draws;
 * residues of chart forms, and global log forms written as chart forms when
   every component is a coordinate hyperplane.
 """
@@ -30,8 +31,8 @@ from logres.blowup import Chart, push_exponent, root_chart
 from logres.logconn import (
     ConnectionContext,
     DegreeMismatch,
-    _as_polynomial,
     _check_base_section,
+    random_fraction,
 )
 from logres.monideal import (
     MixedVariableSets,
@@ -39,7 +40,7 @@ from logres.monideal import (
     SimpleVariety,
     intersect_monomial_ideals,
 )
-from logres.multiindex import CoefficientVector, MultiIndex
+from logres.multiindex import CoefficientVector, MultiIndex, enumerate_multiindices
 from logres.residues import GlobalLogForm, chart_variables
 from logres.resolution import (
     CompatibleSystem,
@@ -479,6 +480,35 @@ def connection_component(
             f"component for index {index} not divisible by tau^(r*I)"
         ) from err
     return LogForm.make(ctx.chart, holo, logpart)
+
+
+def _as_polynomial(ctx: ConnectionContext, value) -> Polynomial:
+    """A coefficient as a polynomial over the chart; scalars become constants."""
+    if isinstance(value, Polynomial):
+        return value
+    return Polynomial.constant(ctx.chart.variables, value)
+
+
+def monomial_basis(ctx: ConnectionContext) -> list[tuple[MultiIndex, Polynomial]]:
+    """Chart forms of the degree-eps monomials (slot 0 dehomogenized away)."""
+    return [
+        (K, monomial(ctx.chart.variables, (0,) + K[1:]))
+        for K in enumerate_multiindices(ctx.n, ctx.eps)
+    ]
+
+
+def summed_random_coefficients(ctx: ConnectionContext, rng) -> CoefficientVector:
+    """One random degree-<=eps section per weight-delta index, summed term by
+    term from ``random_fraction`` draws: per index in index order, per basis
+    monomial in basis order, the RNG stream ``sample`` draws."""
+    basis = monomial_basis(ctx)
+    entries = {}
+    for index in enumerate_multiindices(ctx.n, ctx.delta):
+        a = Polynomial.zero(ctx.chart.variables)
+        for _, mono in basis:
+            a = a + mono * random_fraction(rng)
+        entries[index] = a
+    return CoefficientVector.make(ctx.n, ctx.delta, entries)
 
 
 def fermat_section(ctx: ConnectionContext, coeffs: CoefficientVector) -> Polynomial:

@@ -23,7 +23,6 @@ from logres.logconn import (
     LogTangentVector,
     connection_rank,
     make_connection_context,
-    random_coefficients,
     random_fraction,
     random_stratum_point,
     sample_indeterminacy,
@@ -56,6 +55,7 @@ from oracles import (
     restrict_system,
     restriction_identity_residuals,
     simple_shape,
+    summed_random_coefficients,
     transform_ideal,
 )
 
@@ -232,7 +232,7 @@ def test_c07_divisibility():
         ctx = make_connection_context(n, 2, delta, r)
         indices = enumerate_multiindices(n, delta)
         index = indices[rng.randrange(len(indices))]
-        coeffs = random_coefficients(ctx, rng)
+        coeffs = summed_random_coefficients(ctx, rng)
         a = dict(coeffs.entries)[index]
         connection_component(ctx, a, index)  # raises DivisibilityFailure on defect
         draws += 1
@@ -274,7 +274,7 @@ def test_c09_restriction_identity():
         delta = rng.randint(1, 3)
         r = rng.randint(1, 2)
         ctx = make_connection_context(n, 1, delta, r)
-        coeffs = random_coefficients(ctx, rng)
+        coeffs = summed_random_coefficients(ctx, rng)
         residuals = restriction_identity_residuals(ctx, coeffs)
         assert all(p.is_zero for p in residuals)
         draws += 1

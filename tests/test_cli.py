@@ -9,6 +9,7 @@ import pytest
 from logres import __version__, logconn, logjet
 from logres.cli import main, run_command
 from logres.ratmat import rank
+from logres.symcore import Polynomial
 
 
 def run_json(argv):
@@ -136,28 +137,49 @@ def test_index_sets_are_listed_once_per_op(monkeypatch):
             assert sorted(calls) == [(2, 2), (2, 5)]
 
 
-def test_sample_builds_only_the_sections_it_reads(monkeypatch):
-    """A trial draws every section's coefficients but builds a section only
-    when is_indeterminate reads its component: once per component read."""
-    build = logconn._DrawnSections._build
-    component = logconn._PointTable.component
-    built, read = [], []
+def test_sample_values_one_component_per_trial_from_its_draws(monkeypatch):
+    """Each trial values its first component, which is nonzero here, and
+    builds no polynomial while it does: the section is summed from its draws
+    against the point table."""
+    factors = logconn._PointTable.factors
+    judge = logconn.is_indeterminate
+    trusted = Polynomial.__dict__["_trusted"].__func__
+    init = Polynomial.__init__
+    valued, built = [], []
+    inside = False
 
-    def counted_build(self, position):
-        built.append(position)
-        return build(self, position)
+    def counted_factors(self, index):
+        valued.append(index)
+        return factors(self, index)
 
-    def counted_component(self, index, a):
-        read.append(index)
-        return component(self, index, a)
+    def watched(ctx, draws, vector):
+        nonlocal inside
+        inside = True
+        try:
+            return judge(ctx, draws, vector)
+        finally:
+            inside = False
 
-    monkeypatch.setattr(logconn._DrawnSections, "_build", counted_build)
-    monkeypatch.setattr(logconn._PointTable, "component", counted_component)
+    def counted_trusted(cls, variables, terms):
+        if inside:
+            built.append(terms)
+        return trusted(cls, variables, terms)
+
+    def counted_init(self, *args, **kwargs):
+        if inside:
+            built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(logconn._PointTable, "factors", counted_factors)
+    monkeypatch.setattr(logconn, "is_indeterminate", watched)
+    monkeypatch.setattr(Polynomial, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(Polynomial, "__init__", counted_init)
     code, payload = run_json(
         ["sample", "--n", "3", "--delta", "8", "--trials", "5", "--seed", "1789"]
     )
     assert code == 0 and payload["trials"] == 5
-    assert len(built) == len(read) == 5
+    assert len(valued) == 5
+    assert built == []
 
 
 def test_rank_matrix_text_is_the_ranked_matrix():
@@ -222,6 +244,14 @@ def test_help_and_version_return_instead_of_exiting(capsys):
     assert main(["bounds", "--n", "2", "--delta", "7,8", "--eps", "1,1"]) == 0
     out, err = capsys.readouterr()
     assert "r_min = 128" in out and err == ""
+
+
+def test_help_does_not_depend_on_the_terminal_width(monkeypatch):
+    texts = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        texts.append([run_command(argv) for argv in (["--help"], ["rank", "--help"])])
+    assert texts[0] == texts[1]
 
 
 def test_out_file(tmp_path):

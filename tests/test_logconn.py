@@ -29,17 +29,28 @@ from oracles import (
     connection_component,
     fermat_section,
     monomial,
+    monomial_basis,
     restriction_identity_residuals,
+    summed_random_coefficients,
     tau_power,
 )
 
 
-def monomial_basis(ctx):
-    """Chart forms of the degree-eps monomials (slot 0 dehomogenized away)."""
-    return [
-        (K, monomial(ctx.chart.variables, (0,) + K[1:]))
-        for K in enumerate_multiindices(ctx.n, ctx.eps)
-    ]
+def sections_from_draws(ctx, draws):
+    """The sections ``sample`` values, built as polynomials from its draws:
+    the pair (p, q) is the coefficient p/q of its basis monomial, index-major
+    and basis-minor."""
+    basis = monomial_basis(ctx)
+    pairs = iter(draws)
+    entries = {}
+    for index in enumerate_multiindices(ctx.n, ctx.delta):
+        a = Polynomial.zero(ctx.chart.variables)
+        for _, mono in basis:
+            p, q = next(pairs)
+            a = a + mono * Fraction(p, q)
+        entries[index] = a
+    assert next(pairs, None) is None
+    return CoefficientVector.make(ctx.n, ctx.delta, entries)
 
 
 def all_strata(ctx):
@@ -299,6 +310,11 @@ def test_fermat_section_degree_mismatch():
     wrong_degree = CoefficientVector.make(1, 3)
     with pytest.raises(DegreeMismatch):
         fermat_section(ctx, wrong_degree)
+    ctx = ctx_n2(delta=4, eps=1)
+    for text, error in (("z1^2", DegreeMismatch), ("t*z1", ValueError), ("t", ValueError)):
+        section = parse_polynomial(text, ctx.chart.variables)
+        with pytest.raises(error):
+            fermat_section(ctx, CoefficientVector.make(2, 4, {(4, 0, 0): section}))
 
 
 # -- identities ------------------------------------------------------------------------
@@ -310,7 +326,7 @@ def test_restriction_identity_residuals_vanish():
         for r in (1, 2):
             for delta in (1, 2, 3):
                 ctx = make_connection_context(n, 1, delta, r)
-                coeffs = random_coefficients(ctx, rng)
+                coeffs = summed_random_coefficients(ctx, rng)
                 assert all(
                     p.is_zero for p in restriction_identity_residuals(ctx, coeffs)
                 )
@@ -330,10 +346,10 @@ def test_sampling_small_run_has_no_failures():
 def test_zero_coefficients_are_always_indeterminate():
     ctx = ctx_n2(delta=4)
     rng = random.Random(3)
-    coeffs = CoefficientVector.make(2, 4)
+    zero = [(0, 1)] * len(random_coefficients(ctx, random.Random(0)))
     basepoint = random_stratum_point(ctx, rng, set())
     vector = LogTangentVector(Fraction(1), (Fraction(1), Fraction(1)), basepoint)
-    assert is_indeterminate(ctx, coeffs, vector)
+    assert is_indeterminate(ctx, zero, vector)
 
 
 def test_random_log_tangent_vector_draw_order():
@@ -349,18 +365,6 @@ def test_random_log_tangent_vector_draw_order():
             assert stratum_of_point(ctx, vector.basepoint) == frozenset(stratum)
 
 
-def summed_random_coefficients(ctx, rng):
-    """The original draw: one polynomial per index, summed term by term."""
-    basis = monomial_basis(ctx)
-    entries = {}
-    for index in enumerate_multiindices(ctx.n, ctx.delta):
-        a = Polynomial.zero(ctx.chart.variables)
-        for _, mono in basis:
-            a = a + mono * random_fraction(rng)
-        entries[index] = a
-    return CoefficientVector.make(ctx.n, ctx.delta, entries)
-
-
 class ZeroHeavyRandom(random.Random):
     """Draws a zero numerator a third of the time, to exercise dropped terms."""
 
@@ -370,50 +374,40 @@ class ZeroHeavyRandom(random.Random):
 
 def test_random_coefficients_draw_order():
     """Seeded sample histograms depend on this order.  Every draw is made
-    before random_coefficients returns; the sections, built on first read,
-    equal the summed oracle's in whatever order they are read."""
+    before random_coefficients returns, two randint calls per basis monomial
+    per index, index-major, and the sections they stand for are the summed
+    oracle's."""
+    bound = logconn.COEFF_BOUND
     for n, delta, eps in ((1, 2, 1), (2, 4, 1), (2, 3, 2), (3, 2, 2)):
         ctx = make_connection_context(n, eps, delta, 1)
+        size = len(enumerate_multiindices(n, delta)) * len(enumerate_multiindices(n, eps))
         for seed in range(4):
             for make_rng in (random.Random, ZeroHeavyRandom):
                 rng, oracle_rng = make_rng(seed), make_rng(seed)
-                coeffs = random_coefficients(ctx, rng)
-                drawn_state = rng.getstate()  # before any section is read
-                assert coeffs == summed_random_coefficients(ctx, oracle_rng)
-                assert drawn_state == oracle_rng.getstate()
-                assert rng.random() == oracle_rng.random()
-                expected = summed_random_coefficients(ctx, make_rng(seed))
-                assert hash(coeffs) == hash(expected)
-                oracle = expected.entries
-                size = len(oracle)
-                backwards = random_coefficients(ctx, make_rng(seed)).entries
-                assert len(backwards) == size
-                assert [backwards[i] for i in reversed(range(size))] == list(oracle[::-1])
-                negative = random_coefficients(ctx, make_rng(seed)).entries
-                assert [negative[-k] for k in range(1, size + 1)] == list(oracle[::-1])
-                with pytest.raises(IndexError):
-                    negative[-size - 1]
-                sliced = random_coefficients(ctx, make_rng(seed)).entries
-                for cut in (slice(-2, None), slice(None, None, -2), slice(1, -1), slice(None)):
-                    assert sliced[cut] == oracle[cut]
-                assert sliced == oracle and oracle == sliced and tuple(sliced) == oracle
-                for _, a in coeffs.entries:
-                    assert a == Polynomial(a.variables, a.terms)
-                    assert all(type(c) is Fraction and c for c in a.terms.values())
+                draws = random_coefficients(ctx, rng)
+                assert draws == [
+                    (oracle_rng.randint(-bound, bound), oracle_rng.randint(1, bound))
+                    for _ in range(size)
+                ]
+                assert rng.getstate() == oracle_rng.getstate()
+                summed = summed_random_coefficients(ctx, make_rng(seed))
+                assert sections_from_draws(ctx, draws) == summed
 
 
 def test_is_indeterminate_matches_component_value_oracle():
     """The point table against the polynomial route on every stratum.  The
-    first k sections are zeroed so the loop has to move past index 0.  Along
-    a generic vector the next section is random; along d/dz1 it is z1 - p1,
-    which vanishes at the point, so only its slope can keep its component
-    nonzero."""
+    first k rows of draws are zeroed so the loop has to move past index 0.
+    Along a generic vector the next section is random; along d/dz1 it is
+    z1 - p1, written as draws, which vanishes at the point, so only its slope
+    can keep its component nonzero."""
     for n in (1, 2, 3):
         for eps in (1, 2):
             for delta in range(2 * n, 2 * n + 3):
                 ctx = make_connection_context(n, eps, delta, 1)
-                variables = ctx.chart.variables
-                zero = Polynomial.zero(variables)
+                basis = [K for K, _ in monomial_basis(ctx)]
+                width = len(basis)
+                constant = basis.index((eps,) + (0,) * n)
+                z1 = basis.index((eps - 1, 1) + (0,) * (n - 1))
                 for stratum in all_strata(ctx):
                     for make_rng in (random.Random, ZeroHeavyRandom):
                         rng = make_rng(100 * n + 10 * eps + delta)
@@ -422,40 +416,36 @@ def test_is_indeterminate_matches_component_value_oracle():
                             Fraction(0), (Fraction(1),) + (Fraction(0),) * (n - 1),
                             generic.basepoint,
                         )
-                        flat = Polynomial.variable(variables, "z1") - Polynomial.constant(
-                            variables, generic.basepoint[0]
-                        )
-                        entries = random_coefficients(ctx, rng).entries
-                        for vector, section in ((generic, None), (along_z1, flat)):
+                        p1 = generic.basepoint[0]
+                        flat = [(0, 1)] * width
+                        flat[constant] = (-p1.numerator, p1.denominator)
+                        flat[z1] = (1, 1)
+                        draws = random_coefficients(ctx, rng)
+                        for vector, row in ((generic, None), (along_z1, flat)):
                             for k in (0, 2):
-                                case = [(I, zero) for I, _ in entries[:k]]
-                                case.append((entries[k][0], section or entries[k][1]))
-                                case += entries[k + 1:]
-                                coeffs = CoefficientVector(n, delta, tuple(case))
+                                case = [(0, 1)] * (k * width)
+                                case += row or draws[k * width:(k + 1) * width]
+                                case += draws[(k + 1) * width:]
                                 # a zero section's component is zero by linearity
                                 expected = all(
                                     not (a and component_value(ctx, a, I, vector))
-                                    for I, a in case
+                                    for I, a in sections_from_draws(ctx, case).entries
                                 )
-                                assert is_indeterminate(ctx, coeffs, vector) == expected
+                                assert is_indeterminate(ctx, case, vector) == expected
                     # every section zero: the loop reads every index
-                    coeffs = CoefficientVector.make(n, delta)
-                    assert is_indeterminate(ctx, coeffs, generic)
+                    assert is_indeterminate(ctx, [(0, 1)] * len(draws), generic)
 
 
-def test_is_indeterminate_refuses_what_fermat_section_refuses():
+def test_is_indeterminate_refuses_draws_of_the_wrong_length():
     ctx = ctx_n2(delta=4, eps=1)
     vector = LogTangentVector(
         Fraction(1), (Fraction(2), Fraction(-1)), (Fraction(3), Fraction(5))
     )
-    for text, error in (("z1^2", DegreeMismatch), ("t*z1", ValueError), ("t", ValueError)):
-        section = parse_polynomial(text, ctx.chart.variables)
-        coeffs = CoefficientVector.make(2, 4, {(4, 0, 0): section})
-        for check in (fermat_section, lambda c, k: is_indeterminate(c, k, vector)):
-            with pytest.raises(error):
-                check(ctx, coeffs)
-    with pytest.raises(DegreeMismatch):
-        is_indeterminate(ctx, CoefficientVector.make(2, 3), vector)
+    size = len(random_coefficients(ctx, random.Random(0)))
+    other_delta = len(random_coefficients(ctx_n2(delta=3), random.Random(0)))
+    for wrong in (0, size - 1, size + 1, other_delta):
+        with pytest.raises(DegreeMismatch):
+            is_indeterminate(ctx, [(1, 1)] * wrong, vector)
 
 
 def test_sampling_requires_large_delta():
