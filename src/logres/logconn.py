@@ -4,13 +4,16 @@ connection components, exact evaluation matrices, and indeterminacy sampling.
 Local model: base coordinates z1..zn plus a fiber coordinate t cutting the
 zero section, which is the log divisor; the frame is (dt/t, dz1, ..., dzn).
 The connection sends a function s to ds - s*dt/t.  For a section written as
-a * tau^((r+1)I) with a of degree <= eps and tau_0..tau_n a fixed
-general-position arrangement (defaults: tau_0 = 1, tau_j = z_j), the image is
-divisible by tau^(rI); the quotient
+a * tau^((r+1)I) with a of degree <= eps, the image is divisible by
+tau^(rI); the quotient
 
   (r+1)*a*d(tau^I) + tau^I*da - a*tau^I*dt/t
 
-is the twisted component attached to the weight-delta index I.  The verbs
+is the twisted component attached to the weight-delta index I.  The
+arrangement is written in its local normal form, tau_0 = 1 and tau_j = z_j:
+general hypersurfaces meet at a point in simple normal crossings, so every
+point has local coordinates in which they are these, and the strata are the
+coordinate subspaces {z_j = 0 : j in J}, J a subset of 1..n.  The verbs
 only evaluate components; the symbolic component with its certified exact
 division, the deformed Fermat sections and their graph-substitution identity
 are routes the tests check, in ``tests/oracles.py``.
@@ -20,19 +23,21 @@ xi = xi0*t*d/dt + sum xi_j*d/dz_j at a basepoint y assembles, block by index,
 an exact rational matrix whose rank at a point where exactly the tau_j with
 j in J vanish is at least C(k + delta, k), k = n - #J.
 
-Both ``rank`` and ``sample`` evaluate from one table per (basepoint, vector):
-the value and xi-slope of every degree-eps basis monomial m_K, computed by
-the power rule from its exponent, and of each arrangement entry, valued the
-first time an index's support needs it.  Component I of the section
+Both ``rank`` and ``sample`` evaluate from one table per (basepoint, vector)
+of the powers of each coordinate.  The value and xi-slope of every
+degree-eps basis monomial m_K, and of every tau^I, which is the chart
+monomial of I, follow from it by the power rule.  Component I of the section
 a = sum_K c_K*m_K is then
 
   sum_K c_K * (m_K(y)*factor_I + tau^I(y)*xi(m_K)(y)),
   factor_I = (r+1)*xi(tau^I)(y) - xi0*tau^I(y),
 
 so no section polynomial is differentiated or evaluated.
-``component_value`` differentiates and evaluates the section itself; no verb
-calls it.  It is the polynomial route the tests compare the table against,
-and the benchmark's per-layer metrics name it.
+``component_value`` builds tau^I as a polynomial and differentiates and
+evaluates it and the section; no verb calls it.  It is the polynomial route
+the tests compare the table against; beyond ``point_map`` and the context's
+accessors it shares no code with the table, and the benchmark's per-layer
+metrics name it.
 
 ``sample`` keeps each trial's random sections as the (numerator, denominator)
 draws of their coefficients; ``random_coefficients`` makes every ``randint``
@@ -48,7 +53,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .multiindex import MultiIndex, enumerate_multiindices, index_count
 from .symcore import Frame, LogresError, Polynomial
@@ -67,11 +72,8 @@ COEFF_BOUND = 1000  # numerator/denominator bound for reproducible random draws
 
 @dataclass(frozen=True)
 class ConnectionContext:
-    """Fixed data: dimension, twist degrees, and the section arrangement.
-
-    tau entries must be coordinate-like in the chart: nonzero constants or
-    scalar multiples of a single base coordinate, with distinct coordinates
-    across entries, so that the strata are coordinate subspaces.
+    """Fixed data: dimension, twist degrees, and the section arrangement
+    in its local normal form, tau = (1, z1, ..., zn) as chart polynomials.
     """
 
     n: int
@@ -86,8 +88,8 @@ class ConnectionContext:
         return self.chart.variables[1:]
 
     def stratum_candidates(self) -> list[int]:
-        """Indices j whose tau_j can vanish (non-constant entries)."""
-        return [j for j, f in enumerate(self.tau) if f.total_degree() >= 1]
+        """Indices j whose tau_j can vanish: 1..n, since tau_0 = 1."""
+        return list(range(1, self.n + 1))
 
     @cached_property
     def delta_indices(self) -> tuple[MultiIndex, ...]:
@@ -106,36 +108,14 @@ def make_connection_context(
     eps: int,
     delta: int,
     r: int,
-    tau: Sequence[Polynomial] | None = None,
 ) -> ConnectionContext:
     if n < 1 or eps < 1 or delta < 1 or r < 1:
         raise ValueError("n, eps, delta, r must all be positive")
     variables = ("t",) + tuple(f"z{i}" for i in range(1, n + 1))
     chart = Frame(variables, frozenset({"t"}))
-    if tau is None:
-        entries = [Polynomial.constant(variables, 1)]
-        entries += [Polynomial.variable(variables, f"z{j}") for j in range(1, n + 1)]
-        tau = tuple(entries)
-    else:
-        tau = tuple(tau)
-    if len(tau) != n + 1:
-        raise ValueError(f"need n+1 = {n + 1} arrangement sections")
-    seen_vars: set[str] = set()
-    for j, f in enumerate(tau):
-        if f.variables != variables:
-            raise ValueError("arrangement sections must live over the chart frame")
-        if f.is_zero or f.degree_in("t") > 0:
-            raise ValueError(f"tau_{j} must be a nonzero function of the base")
-        deg = f.total_degree()
-        if deg == 0:
-            continue
-        if deg != 1 or len(f.terms) != 1:
-            raise ValueError(f"tau_{j} = {f} is not coordinate-like")
-        (exp,) = f.terms
-        name = variables[exp.index(1)]
-        if name in seen_vars:
-            raise ValueError(f"two arrangement sections vanish along {name}")
-        seen_vars.add(name)
+    tau = (Polynomial.constant(variables, 1),) + tuple(
+        Polynomial.variable(variables, z) for z in variables[1:]
+    )
     return ConnectionContext(n, eps, delta, r, chart, tau)
 
 
@@ -155,7 +135,7 @@ class LogTangentVector:
 def _check_base_section(ctx: ConnectionContext, a: Polynomial) -> None:
     if a.variables != ctx.chart.variables:
         raise ValueError("section must live over the chart frame")
-    if a.degree_in("t") > 0:
+    if any(exp[0] for exp in a.terms):  # slot 0 of the chart is t
         raise ValueError("section must not involve the fiber coordinate")
 
 
@@ -172,17 +152,21 @@ def component_value(
     component of ``tests/oracles.py`` (tested).  With xi(f) = sum_j xi_j * df/dz_j
     this is a * ((r+1)*xi(tau^I) - xi0*tau^I) + tau^I * xi(a).
 
-    This is the polynomial route: it differentiates and evaluates ``a``
-    itself.  No verb calls it; ``is_indeterminate`` and the rank blocks read
-    a ``_PointTable`` instead.  It stays as the route the tests compare the
-    table against, and the benchmark's per-layer metrics name it."""
+    This is the polynomial route: it multiplies out tau^I from ``ctx.tau``,
+    then differentiates and evaluates it and ``a``.  No verb calls it;
+    ``is_indeterminate`` and the rank blocks read a ``_PointTable`` instead.
+    It stays as the route the tests compare the table against, and the
+    benchmark's per-layer metrics name it."""
     _check_base_section(ctx, a)
+    if len(index) != ctx.n + 1:
+        raise ValueError(f"index {index} has wrong length")
     point = point_map(ctx, vector.basepoint)
-    tau_val, factor = _index_factors(
-        ctx, index, lambda j: _value_and_slope(ctx, ctx.tau[j], point, vector), vector
-    )
+    tau_i = Polynomial.constant(ctx.chart.variables, 1)
+    for f, e in zip(ctx.tau, index):
+        tau_i = tau_i * f**e
+    tau_val, tau_slope = _value_and_slope(ctx, tau_i, point, vector)
     a_val, a_slope = _value_and_slope(ctx, a, point, vector)
-    return a_val * factor + tau_val * a_slope
+    return a_val * ((ctx.r + 1) * tau_slope - vector.xi0 * tau_val) + tau_val * a_slope
 
 
 def _value_and_slope(
@@ -196,30 +180,6 @@ def _value_and_slope(
         f.diff(z).evaluate(point) * vector.xi[j] for j, z in enumerate(ctx.base_vars)
     )
     return f.evaluate(point), slope
-
-
-def _index_factors(
-    ctx: ConnectionContext,
-    index: MultiIndex,
-    entry: Callable[[int], tuple[Fraction, Fraction]],
-    vector: LogTangentVector,
-) -> tuple[Fraction, Fraction]:
-    """The two factors an index contributes to every component value:
-    tau^I and (r+1)*xi(tau^I) - xi0*tau^I, from (tau_j, xi(tau_j)) at the
-    point, which ``entry(j)`` gives, for each j in the support of the index.
-
-    tau^I and xi(tau^I) come from the entries' values by the Leibniz rule,
-    xi(f^e * g) = e*f^(e-1)*xi(f)*g + f^e*xi(g), without expanding tau^I."""
-    if len(index) != ctx.n + 1:
-        raise ValueError(f"index {index} has wrong length")
-    value, slope = Fraction(1), Fraction(0)
-    for j, e in enumerate(index):
-        if e:
-            v, s = entry(j)
-            power = v ** (e - 1)
-            full = power * v
-            value, slope = value * full, slope * full + value * e * power * s
-    return value, (ctx.r + 1) * slope - vector.xi0 * value
 
 
 def _power_rule(
@@ -237,11 +197,11 @@ def _power_rule(
 class _PointTable:
     """Everything one (basepoint, vector) pair contributes to component values.
 
-    ``basis`` maps the chart exponent of each degree-<=eps basis monomial m
-    to (m(p), xi(m)(p)), computed by the power rule from the exponent.  Each
-    arrangement entry (degree <= 1 <= eps) is valued term by term from it
-    the first time an index's support needs it.  Component I of a section a
-    is a(p) * factor_I + tau^I(p) * xi(a)(p), with no polynomial built.
+    ``powers[j][e]`` is p_(j+1)^e for e <= max(eps, delta).  ``basis`` maps
+    the chart exponent of each degree-<=eps basis monomial m to
+    (m(p), xi(m)(p)), and ``factors`` values tau^I, the chart monomial of I,
+    by the same power rule.  Component I of a section a is
+    a(p) * factor_I + tau^I(p) * xi(a)(p), with no polynomial built.
     """
 
     def __init__(self, ctx: ConnectionContext, vector: LogTangentVector):
@@ -249,35 +209,21 @@ class _PointTable:
             raise ValueError(f"basepoint needs {ctx.n} coordinates")
         self.ctx = ctx
         self.vector = vector
-        powers = []
+        self.powers = []
         for p in map(Fraction, vector.basepoint):
             row = [1]
-            for _ in range(ctx.eps):
+            for _ in range(max(ctx.eps, ctx.delta)):
                 row.append(row[-1] * p)
-            powers.append(row)
+            self.powers.append(row)
         self.basis = {
-            exp: _power_rule(exp, powers, vector.xi) for exp in ctx.basis_exponents
+            exp: _power_rule(exp, self.powers, vector.xi) for exp in ctx.basis_exponents
         }
-        self._entries: list[tuple[Fraction, Fraction] | None] = [None] * len(ctx.tau)
-
-    def values(self, f: Polynomial) -> tuple[Fraction, Fraction]:
-        """f(p) and xi(f)(p) for an arrangement entry f, all in the table."""
-        value = slope = 0
-        for exp, c in f.terms.items():
-            v, s = self.basis[exp]
-            value += c * v
-            slope += c * s
-        return value, slope
-
-    def entry(self, j: int) -> tuple[Fraction, Fraction]:
-        """(tau_j(p), xi(tau_j)(p)), valued on first use."""
-        values = self._entries[j]
-        if values is None:
-            values = self._entries[j] = self.values(self.ctx.tau[j])
-        return values
 
     def factors(self, index: MultiIndex) -> tuple[Fraction, Fraction]:
-        return _index_factors(self.ctx, index, self.entry, self.vector)
+        """The two factors index I contributes to every component value:
+        tau^I(p) and (r+1)*xi(tau^I)(p) - xi0*tau^I(p)."""
+        value, slope = _power_rule(_chart_exponent(index), self.powers, self.vector.xi)
+        return value, (self.ctx.r + 1) * slope - self.vector.xi0 * value
 
 
 def point_map(ctx: ConnectionContext, basepoint: Sequence[Fraction]) -> dict[str, Fraction]:
@@ -290,16 +236,15 @@ def point_map(ctx: ConnectionContext, basepoint: Sequence[Fraction]) -> dict[str
 
 
 def _chart_exponent(K: MultiIndex) -> tuple[int, ...]:
-    """The chart exponent of a degree-eps index: slot 0 dehomogenized away,
-    no fiber coordinate.  Distinct indices give distinct exponents."""
+    """The chart exponent of an index: slot 0 dehomogenized away, no fiber
+    coordinate.  Distinct indices of one weight give distinct exponents."""
     return (0,) + K[1:]
 
 
 def stratum_of_point(ctx: ConnectionContext, basepoint: Sequence[Fraction]) -> frozenset[int]:
+    """The slots j >= 1 whose coordinate z_j vanishes at the basepoint."""
     point = point_map(ctx, basepoint)
-    return frozenset(
-        j for j, f in enumerate(ctx.tau) if f.evaluate(point) == 0
-    )
+    return frozenset(j for j, z in enumerate(ctx.base_vars, 1) if point[z] == 0)
 
 
 @dataclass(frozen=True)
@@ -426,15 +371,12 @@ def random_coefficients(ctx: ConnectionContext, rng: random.Random) -> list[tupl
 def random_stratum_point(
     ctx: ConnectionContext, rng: random.Random, stratum: Iterable[int]
 ) -> tuple[Fraction, ...]:
+    """A random point with z_j = 0 for j in the stratum; the other
+    coordinates are drawn in order, nonzero."""
     J = frozenset(stratum)
-    zeroed = set()
-    for j in J:
-        f = ctx.tau[j]
-        (exp,) = f.terms
-        zeroed.add(ctx.chart.variables[exp.index(1)])
     return tuple(
-        Fraction(0) if z in zeroed else random_fraction(rng, nonzero=True)
-        for z in ctx.base_vars
+        Fraction(0) if j in J else random_fraction(rng, nonzero=True)
+        for j in range(1, ctx.n + 1)
     )
 
 

@@ -2,9 +2,10 @@
 
 A multi-index is a tuple (i0, ..., in) of non-negative integers; its weight is
 the sum of the entries.  The weight-d indices over n+1 slots are in bijection
-with the degree-d monomials in x0..xn, and dropping every index whose support
-meets a slot set J realizes the restriction of a homogeneous form to the
-coordinate subspace {x_j = 0 : j in J}.
+with the degree-d monomials in x0..xn.  The indices whose support avoids a
+slot set J, which ``index_count`` counts, are those of the restriction of a
+homogeneous form to the coordinate subspace {x_j = 0 : j in J}; callers keep
+them by testing the support of the full listing.
 
 Indices are 0-based and listed in descending graded-lex order, so listings are
 deterministic.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 MultiIndex = tuple[int, ...]
 
@@ -29,10 +30,8 @@ def index_count(n: int, degree: int, excluded_size: int = 0) -> int:
     return math.comb(k + degree, k)
 
 
-def enumerate_multiindices(
-    n: int, degree: int, excluded: Iterable[int] | None = None
-) -> list[MultiIndex]:
-    """All I with |I| = degree over slots {0..n}, support avoiding `excluded`.
+def enumerate_multiindices(n: int, degree: int) -> list[MultiIndex]:
+    """All I with |I| = degree over slots {0..n}.
 
     Listed in descending lexicographic order (equivalently graded-lex, since
     the weight is fixed).
@@ -41,23 +40,17 @@ def enumerate_multiindices(
         raise ValueError("need at least two slots (n >= 1)")
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    banned = frozenset(excluded or ())
-    if not banned <= set(range(n + 1)):
-        raise ValueError(f"excluded slots {sorted(banned)} out of range 0..{n}")
 
     out: list[MultiIndex] = []
     prefix = [0] * (n + 1)
 
     def fill(slot: int, remaining: int) -> None:
         if slot == n:
-            if remaining and n in banned:
-                return
             prefix[slot] = remaining
             out.append(tuple(prefix))
             prefix[slot] = 0
             return
-        top = 0 if slot in banned else remaining
-        for e in range(top, -1, -1):
+        for e in range(remaining, -1, -1):
             prefix[slot] = e
             fill(slot + 1, remaining - e)
         prefix[slot] = 0

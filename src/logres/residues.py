@@ -61,16 +61,11 @@ class DivisorArrangement:
     components: tuple[tuple[Polynomial, int], ...]
 
     @classmethod
-    def make(
-        cls, n: int, components: Sequence[Polynomial | tuple[Polynomial, int]]
-    ) -> "DivisorArrangement":
+    def make(cls, n: int, components: Sequence[Polynomial]) -> "DivisorArrangement":
         variables = projective_variables(n)
         entries = []
-        for item in components:
-            if isinstance(item, tuple):
-                poly, degree = item
-            else:
-                poly, degree = item, item.total_degree()
+        for poly in components:
+            degree = poly.total_degree()
             if poly.variables != variables:
                 raise ValueError(f"component must live over {variables}")
             if poly.is_zero or not poly.is_homogeneous(degree):

@@ -145,12 +145,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        idx = self.variables.index(name)
-        if not self.terms:
-            return -1
-        return max(e[idx] for e in self.terms)
-
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in descending graded-lex order (canonical listing)."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)

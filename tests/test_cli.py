@@ -120,9 +120,9 @@ def test_index_sets_are_listed_once_per_op(monkeypatch):
     listing = logconn.enumerate_multiindices
     calls = []
 
-    def counted(n, degree, excluded=None):
+    def counted(n, degree):
         calls.append((n, degree))
-        return listing(n, degree, excluded)
+        return listing(n, degree)
 
     monkeypatch.setattr(logconn, "enumerate_multiindices", counted)
     for argv in (

@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -249,22 +251,78 @@ def test_rank_never_builds_the_matrix(monkeypatch):
 
 
 def test_power_rule_table_matches_polynomial_route():
-    # points on every stratum, so some coordinates are zero (0^0 = 1)
+    # points on every stratum, so some coordinates are zero (0^0 = 1);
+    # delta = 3 > eps for most eps, so tau^I reaches powers the basis does not
     for n in (1, 2, 3):
         for eps in (1, 2, 3):
-            ctx = make_connection_context(n, eps, 2, 1)
+            ctx = make_connection_context(n, eps, 3, 2)
+            basis = monomial_basis(ctx)
             for stratum in all_strata(ctx):
                 vector = random_log_tangent_vector(ctx, random.Random(eps), stratum)
                 point = point_map(ctx, vector.basepoint)
+                assert sum(p == 0 for p in vector.basepoint) == len(stratum)
                 table = logconn._PointTable(ctx, vector)
-                basis = monomial_basis(ctx)
                 assert list(table.basis) == [mono.sorted_terms()[0][0] for _, mono in basis]
                 assert list(table.basis.values()) == [
                     logconn._value_and_slope(ctx, mono, point, vector) for _, mono in basis
                 ]
-                assert [table.entry(j) for j in range(n + 1)] == [
-                    logconn._value_and_slope(ctx, f, point, vector) for f in ctx.tau
-                ]
+                for index in enumerate_multiindices(n, ctx.delta):
+                    value, slope = logconn._value_and_slope(
+                        ctx, tau_power(ctx, index), point, vector
+                    )
+                    factor = (ctx.r + 1) * slope - vector.xi0 * value
+                    assert table.factors(index) == (value, factor)
+
+
+def test_polynomial_route_shares_no_code_with_the_table_route():
+    """component_value checks the table route by a second one: apart from
+    point_map and the context's accessors, the two enter no common function
+    of the package."""
+    package = os.path.dirname(logconn.__file__)
+
+    def entered(run):
+        seen = set()
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                seen.add(frame.f_code)
+
+        sys.setprofile(hook)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return seen
+
+    def accessor(name):
+        raw = vars(logconn.ConnectionContext)[name]
+        return getattr(raw, "fget", None) or getattr(raw, "func", None) or raw
+
+    rng = random.Random(11)
+    polynomial_route, table_route = set(), set()
+    for stratum in (set(), {1}, {1, 2}):
+        shape = make_connection_context(2, 2, 4, 1)
+        vector = random_log_tangent_vector(shape, rng, stratum)
+        draws = random_coefficients(shape, rng)
+        a = sections_from_draws(shape, draws).entries[0][1]
+        indices = enumerate_multiindices(2, 4)
+        # a fresh context per route, so its cached accessors run inside the hook
+        ctx = make_connection_context(2, 2, 4, 1)
+        polynomial_route |= entered(
+            lambda: [component_value(ctx, a, index, vector) for index in indices]
+        )
+        ctx = make_connection_context(2, 2, 4, 1)
+        table_route |= entered(lambda: is_indeterminate(ctx, draws, vector))
+        table_route |= entered(lambda: connection_rank(ctx, vector, stratum))
+    assert Polynomial.evaluate.__code__ in polynomial_route
+    assert logconn._power_rule.__code__ in table_route
+    allowed = {point_map.__code__} | {
+        accessor(name).__code__
+        for name in ("base_vars", "stratum_candidates", "delta_indices", "basis_exponents")
+    }
+    shared = polynomial_route & table_route
+    assert point_map.__code__ in shared
+    assert shared <= allowed, sorted(code.co_name for code in shared - allowed)
 
 
 def test_basepoint_stratum_mismatch():

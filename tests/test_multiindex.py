@@ -11,12 +11,6 @@ def test_full_enumeration_count():
     assert len(enumerate_multiindices(2, 2)) == 6
 
 
-def test_enumeration_with_excluded_slot():
-    got = enumerate_multiindices(2, 2, {2})
-    assert got == [(2, 0, 0), (1, 1, 0), (0, 2, 0)]
-    assert len(got) == math.comb(3, 1)
-
-
 def test_line_enumeration():
     assert len(enumerate_multiindices(1, 3)) == 4
 
@@ -27,9 +21,9 @@ def test_descending_lex_order():
     assert got == sorted(got, reverse=True)
 
 
-def test_all_slots_excluded_positive_degree_is_empty():
-    assert enumerate_multiindices(2, 1, {0, 1, 2}) == []
-    assert enumerate_multiindices(2, 0, {0, 1, 2}) == [(0, 0, 0)]
+def avoiding(listing, J):
+    """The indices of a listing whose support avoids the slots J."""
+    return [I for I in listing if not any(I[j] for j in J)]
 
 
 def test_counts_exhaustive_small():
@@ -37,12 +31,19 @@ def test_counts_exhaustive_small():
     for n in range(1, 6):
         slots = list(range(n + 1))
         for d in range(7):
+            listing = enumerate_multiindices(n, d)
+            assert all(sum(I) == d for I in listing)
             for size in range(n + 2):
                 for J in combinations(slots, size):
-                    got = enumerate_multiindices(n, d, J)
-                    assert len(got) == index_count(n, d, size)
-                    assert all(sum(I) == d for I in got)
-                    assert all(not any(I[j] for j in J) for I in got)
+                    assert len(avoiding(listing, J)) == index_count(n, d, size)
+    # one slot avoided, in listing order
+    got = avoiding(enumerate_multiindices(2, 2), {2})
+    assert got == [(2, 0, 0), (1, 1, 0), (0, 2, 0)]
+    assert len(got) == math.comb(3, 1) == index_count(2, 2, 1)
+    # every slot avoided: empty in positive degree, the zero index in degree 0
+    assert avoiding(enumerate_multiindices(2, 1), {0, 1, 2}) == []
+    assert avoiding(enumerate_multiindices(2, 0), {0, 1, 2}) == [(0, 0, 0)]
+    assert index_count(2, 1, 3) == 0 and index_count(2, 0, 3) == 1
 
 
 def test_make_rejects_foreign_keys():

@@ -40,6 +40,9 @@ ALLOWED = {
     "logconn.component_value",  # .calls
     "monideal.MonomialIdeal.make",  # .calls and .total_s
     "multiindex.CoefficientVector.make",  # .total_s
+    # the polynomial route component_value checks the point table by; the
+    # verbs value every component from the table, with no polynomial valued
+    "symcore.Polynomial.evaluate",
 }
 
 
