@@ -3,7 +3,8 @@ r, the resulting section degrees m_i = eps_i + (r+1)*delta_i, and the closed
 chain of inequalities reducing everything to a single power bound.
 
 All arithmetic is exact big-integer / rational; thresholds are reported,
-never clamped.
+never clamped.  The reports are plain frozen dataclasses; the command line
+encodes them, field by field, as JSON.
 """
 
 from __future__ import annotations
@@ -29,17 +30,6 @@ class BoundsReport:
     r_min: int
     m: tuple[int, ...]
     applicable: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": list(self.delta),
-            "eps": list(self.eps),
-            "b": list(self.b),
-            "r_min": self.r_min,
-            "m": list(self.m),
-            "applicable": self.applicable,
-        }
 
 
 def effective_bounds(n: int, delta: Sequence[int], eps: Sequence[int]) -> BoundsReport:
@@ -79,15 +69,6 @@ class ThresholdReport:
     chain_holds: bool
     alpha_min: int | None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "c": self.c,
-            "m_threshold": self.m_threshold,
-            "chain_holds": self.chain_holds,
-            "alpha_min": self.alpha_min,
-        }
-
 
 def degree_threshold(n: int, c: int, delta: Sequence[int] | None = None) -> ThresholdReport:
     """Uniform degree threshold (4n)^(n+2), the chain inequality check, and
@@ -116,15 +97,6 @@ class ReconstructionReport:
     eps: tuple[int, ...]
     m: tuple[int, ...]
     valid: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": str(self.alpha),
-            "r": self.r,
-            "eps": list(self.eps),
-            "m": list(self.m),
-            "valid": self.valid,
-        }
 
 
 def reconstruct_parameters(alpha: Fraction, delta: Sequence[int]) -> ReconstructionReport:

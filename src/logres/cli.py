@@ -4,12 +4,19 @@ reports, global form construction, degree bounds, and indeterminacy sampling.
 Exit codes: 0 success / all checks verified, 1 verification failure (the
 report names the offending certificate), 2 usage error.  All JSON output is
 key-sorted and seeded, so identical invocations are byte-identical.
+
+A verb returns either text or a plain payload dict; ``run_command`` stamps
+the payload with ``schema_version`` and ``command`` and ``_emit``, the one
+encoder, writes it.  Besides JSON's own types ``_emit`` accepts exactly two:
+a ``Fraction``, printed as the string "p/q", and a dataclass instance, written
+as its fields.  Anything else raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -127,14 +134,27 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _fields(instance) -> dict:
+    """A dataclass instance as the shallow dict of its fields."""
+    return {field.name: getattr(instance, field.name) for field in dataclasses.fields(instance)}
+
+
+def _encode(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _fields(value)
+    raise TypeError(f"cannot encode {type(value).__name__} as JSON")
+
+
 def _emit(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=_encode) + "\n"
 
 
 # -- verbs ----------------------------------------------------------------------
 
 
-def _cmd_resolve(args) -> tuple[int, str]:
+def _cmd_resolve(args) -> tuple[int, dict | str]:
     k = args.c if args.k is None else args.k
     if args.n < 2:
         raise UsageError("resolve needs n >= 2")
@@ -145,31 +165,38 @@ def _cmd_resolve(args) -> tuple[int, str]:
     resolution, leaves, certificates, failed = _resolve_certificates(
         args.n, args.c, k, args.t, args.mode
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "resolve",
-        "params": {
+    code = 1 if failed else 0
+    if args.format == "json":
+        params = {
             "n": args.n,
             "c": args.c,
             "k": k,
             "t": args.t,
             "mode": args.mode,
             "seed": args.seed,
-        },
-        "result": resolution,
-        "certificates": certificates,
-    }
-    if args.format == "text":
-        lines = [f"resolution mode={args.mode} n={args.n} c={args.c} k={k} t={args.t}"]
-        lines.append(f"stages: {len(resolution['per_stage_systems'])}")
-        lines.append(f"leaf charts: {leaves}")
-        for entry in certificates:
-            status = "principal" if entry.get("principal") else "FAILED"
-            lines.append(f"  {entry['ideal']} (I={entry['I']}): {status}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _emit(payload)
-    return (1 if failed else 0), text
+        }
+        return code, {"params": params, "result": resolution, "certificates": certificates}
+    lines = [f"resolution mode={args.mode} n={args.n} c={args.c} k={k} t={args.t}"]
+    lines.append(f"stages: {len(resolution['per_stage_systems'])}")
+    lines.append(f"leaf charts: {leaves}")
+    for entry in certificates:
+        status = "principal" if entry.get("principal") else "FAILED"
+        lines.append(f"  {entry['ideal']} (I={entry['I']}): {status}")
+    return code, "\n".join(lines) + "\n"
+
+
+def _certify_principal(entry: dict, result, jet, I) -> str | None:
+    """Mark a certificate entry principal, with its exceptional divisor per
+    leaf, or not principal; returns the reason when it is not.  A mismatch of
+    the two obstruction-ideal routes leaves no ideal to certify, so it counts
+    as not principal too."""
+    try:
+        divisor = logjet.verify_principalization(result, jet, I).per_chart
+    except LogresError as err:
+        entry["principal"] = False
+        return str(err)
+    entry.update(principal=True, divisor=divisor)
+    return None
 
 
 def _resolve_certificates(
@@ -198,13 +225,10 @@ def _resolve_certificates(
             "I": I,
             "base_generators": ideal.gens_as_strings(),
         }
-        try:
-            cert = logjet.verify_principalization(result, jet, I)
-        except logjet.NotResolved as err:
-            entry.update({"principal": False, "error": str(err)})
+        error = _certify_principal(entry, result, jet, I)
+        if error:
+            entry["error"] = error
             failed = failed or name
-        else:
-            entry.update({"principal": True, "divisor": cert.to_dict()["divisor"]})
         certificates.append(entry)
     return result.to_dict(), len(result.leaves()), certificates, failed
 
@@ -218,14 +242,9 @@ def _verify_jet_chart(n: int, k: int, t: int, subsets: list) -> tuple[list, list
     principality_failures = []
     for I in subsets:
         cert = logjet.obstruction_certificate(jet, I)
-        try:
-            principality = logjet.verify_principalization(result, jet, I)
-        except logjet.NotResolved as err:
-            cert["principal"] = False
-            principality_failures.append({"k": k, "t": t, "I": list(I), "error": str(err)})
-        else:
-            cert["principal"] = True
-            cert["divisor"] = principality.to_dict()["divisor"]
+        error = _certify_principal(cert, result, jet, I)
+        if error:
+            principality_failures.append({"k": k, "t": t, "I": list(I), "error": error})
         certificates.append(cert)
     # The relation is symmetric and holds for I = J: check each unordered
     # pair once, report failures in ordered (I, J) order.
@@ -244,7 +263,7 @@ def _verify_jet_chart(n: int, k: int, t: int, subsets: list) -> tuple[list, list
     return certificates, principality_failures, relation_failures
 
 
-def _cmd_verify_jet(args) -> tuple[int, str]:
+def _cmd_verify_jet(args) -> tuple[int, dict | str]:
     n = args.n
     if n < 2:
         raise UsageError("verify-jet needs n >= 2")
@@ -261,29 +280,23 @@ def _cmd_verify_jet(args) -> tuple[int, str]:
             relation_failures += relations
     lift_failures = [cert for cert in certificates if not cert["equal"]]
     checked = len(certificates)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify-jet",
+    verified = not lift_failures and not relation_failures and not principality_failures
+    code = 0 if verified else 1
+    if args.format == "text":
+        return code, (
+            f"verify-jet n={n}: {checked} ideals checked, "
+            f"{len(lift_failures)} lift failures, "
+            f"{len(relation_failures)} relation failures\n"
+        )
+    return code, {
         "params": {"n": n, "c": c},
         "ideals_checked": checked,
         "certificates": certificates,
         "lift_ideal_failures": lift_failures,
         "intersection_failures": relation_failures,
         "principality_failures": principality_failures,
-        "verified": not lift_failures
-        and not relation_failures
-        and not principality_failures,
+        "verified": verified,
     }
-    code = 0 if payload["verified"] else 1
-    if args.format == "text":
-        text = (
-            f"verify-jet n={n}: {checked} ideals checked, "
-            f"{len(lift_failures)} lift failures, "
-            f"{len(relation_failures)} relation failures\n"
-        )
-    else:
-        text = _emit(payload)
-    return code, text
 
 
 def _connection_context(args) -> logconn.ConnectionContext:
@@ -293,7 +306,7 @@ def _connection_context(args) -> logconn.ConnectionContext:
         raise UsageError(str(err)) from err
 
 
-def _cmd_rank(args) -> tuple[int, str]:
+def _cmd_rank(args) -> tuple[int, dict]:
     stratum = frozenset(_int_list(args.stratum))
     ctx = _connection_context(args)
     if not stratum <= set(ctx.stratum_candidates()):
@@ -306,11 +319,7 @@ def _cmd_rank(args) -> tuple[int, str]:
     all_ok = True
     for _ in range(args.samples):
         vector = logconn.random_log_tangent_vector(ctx, rng, stratum)
-        entry = {
-            "basepoint": [str(x) for x in vector.basepoint],
-            "xi0": str(vector.xi0),
-            "xi": [str(x) for x in vector.xi],
-        }
+        entry = _fields(vector)  # basepoint, xi0, xi
         if args.matrix:
             # one pass over the blocks: the report is read off the printed matrix
             _, matrix = logconn.connection_matrix(ctx, vector, stratum)
@@ -318,28 +327,22 @@ def _cmd_rank(args) -> tuple[int, str]:
             entry["matrix"] = to_text(matrix)
         else:
             report = logconn.connection_rank(ctx, vector, stratum)
-        entry.update(report.to_dict())
+        entry.update(_fields(report))
         reports.append(entry)
         all_ok = all_ok and report.satisfied
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "rank",
-        "params": {
-            "n": args.n,
-            "delta": args.delta,
-            "eps": args.eps,
-            "r": args.r,
-            "stratum": sorted(stratum),
-            "samples": args.samples,
-            "seed": args.seed,
-        },
-        "reports": reports,
-        "verified": all_ok,
+    params = {
+        "n": args.n,
+        "delta": args.delta,
+        "eps": args.eps,
+        "r": args.r,
+        "stratum": sorted(stratum),
+        "samples": args.samples,
+        "seed": args.seed,
     }
-    return (0 if all_ok else 1), _emit(payload)
+    return (0 if all_ok else 1), {"params": params, "reports": reports, "verified": all_ok}
 
 
-def _cmd_forms(args) -> tuple[int, str]:
+def _cmd_forms(args) -> tuple[int, dict]:
     variables = residues.projective_variables(args.n)
     texts = [part.strip() for part in args.components.split(";") if part.strip()]
     if not texts:
@@ -357,28 +360,17 @@ def _cmd_forms(args) -> tuple[int, str]:
         arrangement = residues.DivisorArrangement.make(args.n, polys)
         forms = residues.construct_global_log_forms(arrangement)
     except (ValueError, LogresError) as err:
-        return 1, _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "forms",
-                "error": str(err),
-            }
-        )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "forms",
+        return 1, {"error": str(err)}
+    return 0, {
         "params": {"n": args.n, "components": texts},
         "count": len(forms),
-        "degrees": list(arrangement.degrees),
+        "degrees": arrangement.degrees,
         "forms": [form.serialize() for form in forms],
-        "residue_matrix": [
-            [str(x) for x in row] for row in residues.residue_matrix(forms)
-        ],
+        "residue_matrix": residues.residue_matrix(forms),
     }
-    return 0, _emit(payload)
 
 
-def _cmd_bounds(args) -> tuple[int, str]:
+def _cmd_bounds(args) -> tuple[int, dict | str]:
     delta = _int_list(args.delta)
     eps = _int_list(args.eps)
     alpha = None
@@ -393,17 +385,13 @@ def _cmd_bounds(args) -> tuple[int, str]:
         split = None if alpha is None else bounds.reconstruct_parameters(alpha, delta)
     except (ValueError, LogresError) as err:
         raise UsageError(str(err)) from err
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bounds",
-        "effective": report.to_dict(),
-    }
-    if threshold is not None:
-        payload["threshold"] = threshold.to_dict()
-    if split is not None:
-        payload["reconstruction"] = split.to_dict()
     if args.format == "json":
-        return 0, _emit(payload)
+        payload = {"effective": report}
+        if threshold is not None:
+            payload["threshold"] = threshold
+        if split is not None:
+            payload["reconstruction"] = split
+        return 0, payload
     lines = [
         f"n={report.n}  applicable={'yes' if report.applicable else 'no'}",
         f"{'i':>3} {'delta':>6} {'eps':>5} {'b':>8} {'m':>10}",
@@ -413,40 +401,33 @@ def _cmd_bounds(args) -> tuple[int, str]:
     ):
         lines.append(f"{i:>3} {d:>6} {e:>5} {b:>8} {m:>10}")
     lines.append(f"r_min = {report.r_min}")
-    if "threshold" in payload:
-        thr = payload["threshold"]
+    if threshold is not None:
         lines.append(
-            f"m_threshold = {thr['m_threshold']}  chain_holds = {thr['chain_holds']}"
-            + (f"  alpha_min = {thr['alpha_min']}" if thr["alpha_min"] else "")
+            f"m_threshold = {threshold.m_threshold}  chain_holds = {threshold.chain_holds}"
+            + (f"  alpha_min = {threshold.alpha_min}" if threshold.alpha_min else "")
         )
-    if "reconstruction" in payload:
-        rec = payload["reconstruction"]
+    if split is not None:
         lines.append(
-            f"alpha = {rec['alpha']}: r = {rec['r']}, eps = {rec['eps']}, valid = {rec['valid']}"
+            f"alpha = {split.alpha}: r = {split.r}, eps = {list(split.eps)}, valid = {split.valid}"
         )
     return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_sample(args) -> tuple[int, str]:
+def _cmd_sample(args) -> tuple[int, dict]:
     ctx = _connection_context(args)
     try:
         report = logconn.sample_indeterminacy(ctx, args.trials, args.seed)
     except ValueError as err:
         raise UsageError(str(err)) from err
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sample",
-        "params": {
-            "n": args.n,
-            "delta": args.delta,
-            "eps": args.eps,
-            "r": args.r,
-            "trials": args.trials,
-            "seed": args.seed,
-        },
-        **report.to_dict(),
+    params = {
+        "n": args.n,
+        "delta": args.delta,
+        "eps": args.eps,
+        "r": args.r,
+        "trials": args.trials,
+        "seed": args.seed,
     }
-    return (0 if report.failures == 0 else 1), _emit(payload)
+    return (0 if report.failures == 0 else 1), {"params": params, **_fields(report)}
 
 
 _HANDLERS = {
@@ -465,7 +446,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
     try:
         with contextlib.redirect_stdout(printed):
             args = _parser().parse_args(argv)
-        code, text = _HANDLERS[args.verb](args)
+        code, output = _HANDLERS[args.verb](args)
     except SystemExit:
         # argparse exits only after printing --help or --version; its parse
         # errors raise UsageError (see _Parser.error)
@@ -474,15 +455,16 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         return 2, f"usage error: {err}\n"
     except LogresError as err:
         return 1, f"verification failure: {err}\n"
-    out = getattr(args, "out", None)
-    if out:
+    if isinstance(output, dict):
+        output = _emit({"schema_version": SCHEMA_VERSION, "command": args.verb, **output})
+    if args.out:
         try:
-            with open(out, "w") as fh:
-                fh.write(text)
+            with open(args.out, "w") as fh:
+                fh.write(output)
         except OSError as err:
-            return 2, f"usage error: cannot write --out {out!r}: {err.strerror}\n"
+            return 2, f"usage error: cannot write --out {args.out!r}: {err.strerror}\n"
         return code, ""
-    return code, text
+    return code, output
 
 
 def main(argv: list[str] | None = None) -> int:

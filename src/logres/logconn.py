@@ -44,13 +44,16 @@ draws of their coefficients; ``random_coefficients`` makes every ``randint``
 before it returns, so the RNG stream does not depend on what is read.
 ``is_indeterminate`` values each section from its draws and the point table,
 stops at the first nonzero component, and builds no polynomial.
+
+``RankReport`` and ``SamplingReport`` are plain frozen dataclasses; the
+command line encodes them, field by field, as JSON.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -255,9 +258,6 @@ class RankReport:
     rows: int
     cols: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _row_blocks(
     ctx: ConnectionContext, vector: LogTangentVector, stratum: frozenset[int]
@@ -424,14 +424,7 @@ def is_indeterminate(
 class SamplingReport:
     trials: int
     failures: int
-    histogram: tuple[tuple[str, int], ...]  # per-stratum draw counts
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "failures": self.failures,
-            "histogram": {key: count for key, count in self.histogram},
-        }
+    histogram: dict[str, int]  # draws per stratum, keyed "{j,...}"
 
 
 def sample_indeterminacy(
@@ -455,4 +448,4 @@ def sample_indeterminacy(
         vector = random_log_tangent_vector(ctx, rng, J)
         if is_indeterminate(ctx, random_coefficients(ctx, rng), vector):
             failures += 1
-    return SamplingReport(trials, failures, tuple(sorted(histogram.items())))
+    return SamplingReport(trials, failures, histogram)

@@ -257,17 +257,7 @@ def obstruction_ideal(jet: JetChart, I: Iterable[int]) -> MonomialIdeal:
 @dataclass(frozen=True)
 class PrincipalizationCertificate:
     I: tuple[int, ...]
-    per_chart: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "I": list(self.I),
-            "principal": True,
-            "divisor": {
-                chart_id: {label: mult for label, mult in mults}
-                for chart_id, mults in self.per_chart
-            },
-        }
+    per_chart: dict[str, dict[str, int]]  # leaf id -> {exceptional label: multiplicity}
 
 
 def verify_principalization(
@@ -284,7 +274,7 @@ def verify_principalization(
     """
     Is = _component_key(jet, I)
     ideal = obstruction_ideal(jet, Is)
-    rows = []
+    per_chart = {}
     for leaf in result.leaves():
         total = result.atlas.total_transform(leaf.id, ideal)
         if len(total.generators) != 1:
@@ -294,11 +284,11 @@ def verify_principalization(
                 f"has {len(total.generators)} minimal generators",
             )
         (gen,) = total.generators
-        mults = []
+        mults = {}
         residual = list(gen)
         for label, idx in leaf.exceptional_indices:
             if residual[idx]:
-                mults.append((label, residual[idx]))
+                mults[label] = residual[idx]
                 residual[idx] = 0
         if any(residual):
             offending = monomial_string(leaf.variables, tuple(residual))
@@ -306,5 +296,5 @@ def verify_principalization(
                 leaf.id,
                 f"non-exceptional factor {offending} in the total transform",
             )
-        rows.append((leaf.id, tuple(sorted(mults))))
-    return PrincipalizationCertificate(Is, tuple(sorted(rows)))
+        per_chart[leaf.id] = mults
+    return PrincipalizationCertificate(Is, per_chart)

@@ -141,7 +141,7 @@ class GlobalLogForm:
 
     def serialize(self) -> dict:
         return {
-            "residues": [str(r) for r in self.residues],
+            "residues": self.residues,
             "charts": {
                 str(j): {
                     "denominator": str(self.chart_denominator(j)),
@@ -167,8 +167,7 @@ def construct_global_log_forms(arrangement: DivisorArrangement) -> list[GlobalLo
         if form.degree_balance() != 0:
             raise LogresError(f"degree balance failed for pair ({i}, {i + 1})")
         forms.append(form)
-    matrix = [list(form.residues) for form in forms]
-    if forms and ratmat.rank(matrix) != c - 1:
+    if forms and ratmat.rank(residue_matrix(forms)) != c - 1:
         raise LogresError("residue matrix is rank-deficient")
     return forms
 

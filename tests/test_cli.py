@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from logres import __version__, logconn, logjet
+from logres import __version__, bounds, cli, logconn, logjet
 from logres.cli import main, run_command
+from logres.monideal import MonomialIdeal
 from logres.ratmat import rank
 from logres.symcore import Polynomial
+from test_surface import ARGV
 
 
 def run_json(argv):
@@ -339,3 +341,62 @@ def test_verify_jet_reports_a_failed_pair_in_both_orders(monkeypatch):
     code, text = run_command(["verify-jet", "--n", "3", "--format", "text"])
     assert code == 1
     assert text == "verify-jet n=3: 84 ideals checked, 0 lift failures, 24 relation failures\n"
+
+
+def test_verify_jet_reports_a_lift_failure(monkeypatch):
+    """Negative control for the two obstruction-ideal routes: a closed form
+    that disagrees is reported in the payload, not raised past it."""
+    closed = logjet.obstruction_ideal_closed_form
+
+    def spoiled(jet, I):
+        if (jet.k, jet.t, tuple(I)) == (2, 1, (1, 2)):
+            return MonomialIdeal.unit(jet.chart.variables)
+        return closed(jet, I)
+
+    monkeypatch.setattr(logjet, "obstruction_ideal_closed_form", spoiled)
+    code, payload = run_json(["verify-jet", "--n", "2"])
+    assert code == 1
+    assert not payload["verified"]
+    (failure,) = payload["lift_ideal_failures"]
+    assert (failure["k"], failure["t"], failure["I"]) == (2, 1, [1, 2])
+    assert failure["closed_form"] == ["1"] and not failure["equal"]
+    # with the routes apart there is no one ideal to certify principal
+    assert not failure["principal"]
+    (unprincipal,) = payload["principality_failures"]
+    assert unprincipal["error"].startswith("obstruction ideal mismatch for I=[1, 2]: ")
+    assert payload["intersection_failures"] == []
+    code, text = run_command(["verify-jet", "--n", "2", "--format", "text"])
+    assert code == 1
+    assert text == "verify-jet n=2: 18 ideals checked, 1 lift failures, 0 relation failures\n"
+
+
+def test_emit_encodes_fractions_and_dataclasses_only():
+    assert cli._emit({"x": Fraction(-3, 4), "y": [Fraction(2)]}) == (
+        '{\n  "x": "-3/4",\n  "y": [\n    "2"\n  ]\n}\n'
+    )
+    # a report prints as its fields, key-sorted, whatever their declared order
+    report = logconn.RankReport(rank=3, bound=3, satisfied=True, rows=4, cols=5)
+    expected = {"bound": 3, "cols": 5, "rank": 3, "rows": 4, "satisfied": True}
+    assert cli._emit({"report": report}) == json.dumps({"report": expected}, indent=2) + "\n"
+    split = bounds.ReconstructionReport(Fraction(7, 2), 2, (1,), (7,), True)
+    assert json.loads(cli._emit(split)) == {
+        "alpha": "7/2", "eps": [1], "m": [7], "r": 2, "valid": True
+    }
+    for value in (Polynomial.constant(("x",), 1), {1, 2}, logconn.RankReport, object()):
+        with pytest.raises(TypeError):
+            cli._emit({"value": value})
+
+
+def _prints_json(argv):
+    return getattr(cli.build_parser().parse_args(argv), "format", "json") == "json"
+
+
+def test_every_json_payload_carries_the_header():
+    runs = [(argv, 0) for argv in ARGV if _prints_json(argv)]
+    runs.append((["forms", "--n", "2", "--components", "x0; 2*x0"], 1))
+    assert len(runs) == 8
+    for argv, expected in runs:
+        code, payload = run_json(argv)
+        assert code == expected
+        assert payload["schema_version"] == cli.SCHEMA_VERSION
+        assert payload["command"] == argv[0]

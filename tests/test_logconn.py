@@ -398,7 +398,7 @@ def test_sampling_small_run_has_no_failures():
     report = sample_indeterminacy(ctx, trials=50, seed=7)
     assert report.failures == 0
     assert report.trials == 50
-    assert sum(count for _, count in report.histogram) == 50
+    assert sum(report.histogram.values()) == 50
 
 
 def test_zero_coefficients_are_always_indeterminate():
@@ -515,4 +515,4 @@ def test_sampling_requires_large_delta():
 def test_empty_sampling_report():
     ctx = ctx_n2(delta=4)
     report = sample_indeterminacy(ctx, trials=0, seed=0)
-    assert report.failures == 0 and report.histogram == ()
+    assert report.failures == 0 and report.histogram == {}

@@ -316,14 +316,16 @@ def test_minimal_resolution_principalizes_single_obstructions():
     for i in (1, 2):
         complement = set(range(1, 3)) - {i}
         cert = verify_principalization(result, jet, complement)
-        assert cert.to_dict()["principal"]
+        # returned, not raised: principal, with a divisor on every leaf
+        assert cert.I == tuple(sorted(complement))
+        assert set(cert.per_chart) == {leaf.id for leaf in result.leaves()}
 
 
 def test_canonical_resolution_principalizes_everything():
     jet, system = build_obstruction_system(2, 2, 2, 1)
     result = resolve_system(system, mode="canonical")
     cert = verify_principalization(result, jet, {1, 2})
-    divisors = cert.to_dict()["divisor"]
+    divisors = cert.per_chart
     assert divisors["root/E1.0:xi2/E2.0:z1~"] == {"E1.0": 1, "E2.0": 1}
     assert divisors["root/E1.0:xi2/E2.0:z2"] == {"E1.0": 1, "E2.0": 1}
     assert divisors["root/E1.0:z1"] == {"E1.0": 1}
@@ -359,7 +361,7 @@ def test_shared_chart_route_matches_fresh_builds():
                     fresh_cert = obstruction_certificate(make_jet_chart(n, n, k, t), I)
                     fresh = verify_principalization(result, make_jet_chart(n, n, k, t), I)
                     assert shared_cert == fresh_cert
-                    assert shared.to_dict() == fresh.to_dict()
+                    assert shared == fresh
                     fresh_primes = [stratum_prime(jet, J) for J in nonempty_subsets(I)]
                     fresh_primes = [p for p in fresh_primes if not p.is_unit]
                     expected = (
