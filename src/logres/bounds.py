@@ -21,6 +21,13 @@ class NonIntegerB(LogresError):
     """Defensive: the product weights must come out integral."""
 
 
+def _integers(values: Sequence[int], name: str) -> tuple[int, ...]:
+    """The entries as ints; a non-integral entry raises instead of being truncated."""
+    if any(int(v) != v for v in values):
+        raise ValueError(f"{name} entries must be integers, got {list(values)}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     n: int
@@ -35,8 +42,8 @@ class BoundsReport:
 def effective_bounds(n: int, delta: Sequence[int], eps: Sequence[int]) -> BoundsReport:
     """Weights b_i = prod(delta)/delta_i, the least admissible r, and the
     degrees m_i at that r.  `applicable` flags delta_i >= 4n-1 for all i."""
-    delta = tuple(int(d) for d in delta)
-    eps = tuple(int(e) for e in eps)
+    delta = _integers(delta, "delta")
+    eps = _integers(eps, "eps")
     if len(delta) != n or len(eps) != n:
         raise ValueError(f"need {n} entries in delta and eps")
     if any(d < 1 for d in delta) or any(e < 1 for e in eps):
@@ -77,7 +84,7 @@ def degree_threshold(n: int, c: int, delta: Sequence[int] | None = None) -> Thre
         raise ValueError("need n >= 1 and c >= n")
     alpha_min = None
     if delta is not None:
-        ds = [int(d) for d in delta]
+        ds = _integers(delta, "delta")
         if not ds:
             raise ValueError("empty delta vector")
         alpha_min = 3 + 2 * n * max(ds) ** n
@@ -107,7 +114,7 @@ def reconstruct_parameters(alpha: Fraction, delta: Sequence[int]) -> Reconstruct
     Requires alpha * delta_i integral for every i.
     """
     alpha = Fraction(alpha)
-    delta = tuple(int(d) for d in delta)
+    delta = _integers(delta, "delta")
     for d in delta:
         if (alpha * d).denominator != 1:
             raise ValueError(f"alpha * {d} is not an integer")

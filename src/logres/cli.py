@@ -219,12 +219,9 @@ def _resolve_certificates(
     certificates = []
     failed = None
     for name, I in targets:
-        ideal = logjet.obstruction_ideal(jet, I)
-        entry = {
-            "ideal": name,
-            "I": I,
-            "base_generators": ideal.gens_as_strings(),
-        }
+        # the intersected route; _certify_principal reports a route mismatch
+        generators = logjet.obstruction_certificate(jet, I)["generators"]
+        entry = {"ideal": name, "I": I, "base_generators": generators}
         error = _certify_principal(entry, result, jet, I)
         if error:
             entry["error"] = error
@@ -365,7 +362,7 @@ def _cmd_forms(args) -> tuple[int, dict]:
         "params": {"n": args.n, "components": texts},
         "count": len(forms),
         "degrees": arrangement.degrees,
-        "forms": [form.serialize() for form in forms],
+        "forms": residues.forms_on_charts(arrangement, forms),
         "residue_matrix": residues.residue_matrix(forms),
     }
 

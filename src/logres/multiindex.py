@@ -67,7 +67,7 @@ class CoefficientVector:
     ``entries`` is a tuple of (index, value) pairs in index order.  Only the
     tests and their oracles build this class; ``make`` stays in the package
     because a per-layer benchmark metric names it, until that metric is
-    replaced (ROADMAP item 1).
+    replaced (ROADMAP item 2).
     """
 
     n: int

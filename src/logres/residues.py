@@ -17,6 +17,12 @@ Smoothness/transversality of the arrangement is an input assumption; the
 constructor only enforces what is decidable exactly (homogeneity, declared
 degrees, pairwise non-proportionality).
 
+On the chart {x_j != 0} a form is written over the common denominator
+s_1 * ... * s_c of the dehomogenized components, with one numerator per
+chart coordinate.  ``forms_on_charts`` builds that representation for all
+forms of an arrangement at once: each chart's components, cofactors and
+denominator are built once and shared by every form.
+
 The ``forms`` verb reads the residues off each form's constant vector.
 Residues of forms written in a chart frame, and a global form rewritten as a
 chart form when every component is a coordinate hyperplane, are the second
@@ -25,6 +31,7 @@ routes the tests check this against, in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -48,11 +55,8 @@ def dehomogenize(f: Polynomial, n: int, chart_index: int) -> Polynomial:
     """Chart form of a homogeneous polynomial: x_j -> 1, x_i -> u_i."""
     variables = chart_variables(n, chart_index)
     keep = [i for i in range(n + 1) if i != chart_index]
-    terms = {}
-    for exp, coeff in f.terms.items():
-        e = tuple(exp[i] for i in keep)
-        terms[e] = terms.get(e, Fraction(0)) + coeff
-    return Polynomial(variables, terms)
+    terms = ((tuple(e[i] for i in keep), c) for e, c in f.terms.items())
+    return Polynomial(variables, terms)  # adds up the terms that meet on one exponent
 
 
 @dataclass(frozen=True)
@@ -109,48 +113,6 @@ class GlobalLogForm:
             Fraction(0),
         )
 
-    def chart_numerators(self, chart_index: int) -> tuple[Polynomial, ...]:
-        """Numerators over the common denominator (product of all chart
-        forms), one polynomial per chart coordinate."""
-        n = self.arrangement.n
-        charts = [
-            dehomogenize(poly, n, chart_index)
-            for poly, _ in self.arrangement.components
-        ]
-        variables = chart_variables(n, chart_index)
-        nums = []
-        for v in variables:
-            total = Polynomial.zero(variables)
-            for k, (res, s) in enumerate(zip(self.residues, charts)):
-                if not res:
-                    continue
-                partial = s.diff(v) * res
-                for other_index, other in enumerate(charts):
-                    if other_index != k:
-                        partial = partial * other
-                total = total + partial
-            nums.append(total)
-        return tuple(nums)
-
-    def chart_denominator(self, chart_index: int) -> Polynomial:
-        n = self.arrangement.n
-        out = Polynomial.constant(chart_variables(n, chart_index), 1)
-        for poly, _ in self.arrangement.components:
-            out = out * dehomogenize(poly, n, chart_index)
-        return out
-
-    def serialize(self) -> dict:
-        return {
-            "residues": self.residues,
-            "charts": {
-                str(j): {
-                    "denominator": str(self.chart_denominator(j)),
-                    "numerators": [str(p) for p in self.chart_numerators(j)],
-                }
-                for j in range(self.arrangement.n + 1)
-            },
-        }
-
 
 def construct_global_log_forms(arrangement: DivisorArrangement) -> list[GlobalLogForm]:
     """The c-1 adjacent-pair combinations, verified balanced and independent."""
@@ -174,3 +136,42 @@ def construct_global_log_forms(arrangement: DivisorArrangement) -> list[GlobalLo
 
 def residue_matrix(forms: Sequence[GlobalLogForm]) -> list[list[Fraction]]:
     return [list(form.residues) for form in forms]
+
+
+def forms_on_charts(
+    arrangement: DivisorArrangement, forms: Sequence[GlobalLogForm]
+) -> list[dict]:
+    """Each form's residues and its representation on every standard chart
+    {x_j != 0}: one numerator per chart coordinate v,
+
+      sum_k residue_k * ds_k/dv * prod_{l != k} s_l,
+
+    over the common denominator s_1 * ... * s_c of the chart forms s_k.
+
+    Per chart, each component is dehomogenized once, each product
+    ds_k/dv * prod_{l != k} s_l is built once and the denominator is built
+    and formatted once; every form scales and sums the products its nonzero
+    residues pick.
+    """
+    n = arrangement.n
+    out = [{"residues": form.residues, "charts": {}} for form in forms]
+    for j in range(n + 1):
+        variables = chart_variables(n, j)
+        charts = [dehomogenize(poly, n, j) for poly, _ in arrangement.components]
+        one = Polynomial.constant(variables, 1)
+        cofactors = [
+            math.prod(charts[:k] + charts[k + 1:], start=one) for k in range(len(charts))
+        ]
+        denominator = str(cofactors[0] * charts[0])
+        products = [[s.diff(v) * cof for v in variables] for s, cof in zip(charts, cofactors)]
+        zero = Polynomial.zero(variables)
+        for form, entry in zip(forms, out):
+            picked = [(k, res) for k, res in enumerate(form.residues) if res]
+            entry["charts"][str(j)] = {
+                "denominator": denominator,
+                "numerators": [
+                    str(sum((products[k][i] * res for k, res in picked), zero))
+                    for i in range(len(variables))
+                ],
+            }
+    return out

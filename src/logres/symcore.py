@@ -16,7 +16,16 @@ printing lists terms in descending order.  The text format
 
   3/2*x1^2*x2 - x3
 
-round-trips bit-exactly through ``parse_polynomial`` / ``str``.
+round-trips bit-exactly through ``parse_polynomial`` / ``str``.  Its grammar,
+with whitespace allowed between tokens:
+
+  polynomial := empty | sign* term (sign term)*     sign := "+" | "-"
+  term       := factor ("*" factor)*
+  factor     := int ["/" int] | name ["^" int]
+
+An int is a run of decimal digits, a denominator must be nonzero, and a name
+must be a variable of the declared frame.  Only the first term may carry
+more than one sign; empty text is the zero polynomial.
 
 A ``Frame`` names a chart's coordinates and marks some of them logarithmic.
 No verb divides, substitutes or builds a 1-form in a frame: exact division,
@@ -273,8 +282,10 @@ class Polynomial:
 
 # -- text format -------------------------------------------------------------
 
+# the last alternative catches a stray character and the rest of the text
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*~*)|(?P<op>[-+*/^]))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*~*)|(?P<op>[-+*/^])|(?P<bad>.+))",
+    re.DOTALL,
 )
 
 
@@ -308,100 +319,77 @@ def format_polynomial(f: Polynomial) -> str:
     return " ".join(pieces)
 
 
-class _Parser:
-    def __init__(self, text: str, variables: tuple[str, ...]):
-        self.tokens = self._tokenize(text)
-        self.pos = 0
-        self.variables = variables
+def _present(tok: tuple[str, str] | None) -> tuple[str, str]:
+    if tok is None:
+        raise ValueError("unexpected end of polynomial text")
+    return tok
 
-    @staticmethod
-    def _tokenize(text: str) -> list[tuple[str, str]]:
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise ValueError(f"cannot tokenize {text[pos:]!r}")
-                break
-            pos = m.end()
-            for kind in ("int", "name", "op"):
-                val = m.group(kind)
-                if val is not None:
-                    tokens.append((kind, val))
-                    break
-        return tokens
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of polynomial text")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Polynomial:
-        result = self.parse_term(allow_sign=True)
-        while True:
-            tok = self.peek()
-            if tok is None:
-                return result
-            if tok != ("op", "+") and tok != ("op", "-"):
-                raise ValueError(f"unexpected token {tok}")
-            self.take()
-            term = self.parse_term(allow_sign=False)
-            result = result + term if tok[1] == "+" else result - term
-
-    def parse_term(self, allow_sign: bool) -> Polynomial:
-        sign = 1
-        while allow_sign and self.peek() in (("op", "-"), ("op", "+")):
-            if self.take()[1] == "-":
-                sign = -sign
-        factors = [self.parse_factor()]
-        while self.peek() == ("op", "*"):
-            self.take()
-            factors.append(self.parse_factor())
-        result = Polynomial.constant(self.variables, sign)
-        for fac in factors:
-            result = result * fac
-        return result
-
-    def parse_factor(self) -> Polynomial:
-        kind, val = self.take()
-        if kind == "int":
-            num = int(val)
-            if self.peek() == ("op", "/"):
-                self.take()
-                dkind, dval = self.take()
-                if dkind != "int":
-                    raise ValueError("expected integer denominator")
-                if int(dval) == 0:
-                    raise ValueError(f"zero denominator in {val}/{dval}")
-                return Polynomial.constant(self.variables, Fraction(num, int(dval)))
-            return Polynomial.constant(self.variables, num)
-        if kind == "name":
-            if val not in self.variables:
-                raise ValueError(f"unknown variable {val!r}")
-            base = Polynomial.variable(self.variables, val)
-            if self.peek() == ("op", "^"):
-                self.take()
-                ekind, eval_ = self.take()
-                if ekind != "int":
-                    raise ValueError("expected integer exponent")
-                return base ** int(eval_)
-            return base
-        raise ValueError(f"unexpected token {val!r}")
+_SIGNS = (("op", "+"), ("op", "-"))
 
 
 def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
-    """Parse the ASCII polynomial format over a declared variable frame."""
+    """Parse the text format over a declared variable frame.
+
+    One pass over the tokens adds each term's coefficient into a term map;
+    the one ``Polynomial`` is built at the end.
+    """
     vs = tuple(variables)
-    text = text.strip()
-    if not text or text == "0":
-        return Polynomial.zero(vs)
-    return _Parser(text, vs).parse()
+    slots = {v: i for i, v in enumerate(vs)}
+    matches = list(_TOKEN.finditer(text.strip()))
+    if not matches:
+        return Polynomial(vs)
+    if matches[-1].lastgroup == "bad":
+        raise ValueError(f"cannot tokenize {matches[-1].group()!r}")
+    stream = ((m.lastgroup, m.group(m.lastgroup)) for m in matches)
+    tok = next(stream, None)
+    terms: dict[Exponent, Fraction] = {}
+    sign = 1
+    while tok in _SIGNS:  # only the first term may carry several signs
+        if tok[1] == "-":
+            sign = -sign
+        tok = next(stream, None)
+    while True:  # one term per pass
+        coeff = Fraction(sign)
+        exponent = [0] * len(vs)
+        while True:  # one factor per pass
+            kind, val = _present(tok)
+            tok = next(stream, None)
+            if kind == "int":
+                value = Fraction(int(val))
+                if tok == ("op", "/"):
+                    dkind, dval = _present(next(stream, None))
+                    if dkind != "int":
+                        raise ValueError("expected integer denominator")
+                    if int(dval) == 0:
+                        raise ValueError(f"zero denominator in {val}/{dval}")
+                    value /= int(dval)
+                    tok = next(stream, None)
+                coeff *= value
+            elif kind == "name":
+                if val not in slots:
+                    raise ValueError(f"unknown variable {val!r}")
+                power = 1
+                if tok == ("op", "^"):
+                    ekind, eval_ = _present(next(stream, None))
+                    if ekind != "int":
+                        raise ValueError("expected integer exponent")
+                    power = int(eval_)
+                    tok = next(stream, None)
+                exponent[slots[val]] += power
+            else:
+                raise ValueError(f"unexpected token {val!r}")
+            if tok != ("op", "*"):
+                break
+            tok = next(stream, None)
+        key = tuple(exponent)
+        terms[key] = terms.get(key, 0) + coeff
+        if tok is None:
+            return Polynomial(vs, terms)
+        if tok not in _SIGNS:
+            raise ValueError(f"unexpected token {tok}")
+        sign = -1 if tok[1] == "-" else 1
+        tok = next(stream, None)
 
 
 # -- chart frames ------------------------------------------------------

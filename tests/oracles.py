@@ -17,11 +17,15 @@ CLI verb needs it, so it is not shipped in ``src/logres``:
   (c07) and the graph-substitution identity of deformed Fermat sections (c09),
   on random sections summed as polynomials from ``sample``'s draws;
 * residues of chart forms, and global log forms written as chart forms when
-  every component is a coordinate hyperplane.
+  every component is a coordinate hyperplane;
+* the recursive-descent polynomial parser that builds a ``Polynomial`` per
+  factor (``reference_parse_polynomial``), which ``parse_polynomial``
+  replaced with one pass into a term map.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -598,3 +602,106 @@ def as_coordinate_logform(form: GlobalLogForm, chart_index: int) -> LogForm:
             current = logpart.get(name, Polynomial.zero(variables))
             logpart[name] = current + Polynomial.constant(variables, res)
     return LogForm.make(Frame(variables, frozenset(marked)), {}, logpart)
+
+
+# -- the polynomial text format, parsed factor by factor ---------------------------
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*~*)|(?P<op>[-+*/^]))"
+)
+
+
+class _Parser:
+    def __init__(self, text: str, variables: tuple[str, ...]):
+        self.tokens = self._tokenize(text)
+        self.pos = 0
+        self.variables = variables
+
+    @staticmethod
+    def _tokenize(text: str) -> list[tuple[str, str]]:
+        tokens = []
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN.match(text, pos)
+            if m is None:
+                if text[pos:].strip():
+                    raise ValueError(f"cannot tokenize {text[pos:]!r}")
+                break
+            pos = m.end()
+            for kind in ("int", "name", "op"):
+                val = m.group(kind)
+                if val is not None:
+                    tokens.append((kind, val))
+                    break
+        return tokens
+
+    def peek(self) -> tuple[str, str] | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self) -> tuple[str, str]:
+        tok = self.peek()
+        if tok is None:
+            raise ValueError("unexpected end of polynomial text")
+        self.pos += 1
+        return tok
+
+    def parse(self) -> Polynomial:
+        result = self.parse_term(allow_sign=True)
+        while True:
+            tok = self.peek()
+            if tok is None:
+                return result
+            if tok != ("op", "+") and tok != ("op", "-"):
+                raise ValueError(f"unexpected token {tok}")
+            self.take()
+            term = self.parse_term(allow_sign=False)
+            result = result + term if tok[1] == "+" else result - term
+
+    def parse_term(self, allow_sign: bool) -> Polynomial:
+        sign = 1
+        while allow_sign and self.peek() in (("op", "-"), ("op", "+")):
+            if self.take()[1] == "-":
+                sign = -sign
+        factors = [self.parse_factor()]
+        while self.peek() == ("op", "*"):
+            self.take()
+            factors.append(self.parse_factor())
+        result = Polynomial.constant(self.variables, sign)
+        for fac in factors:
+            result = result * fac
+        return result
+
+    def parse_factor(self) -> Polynomial:
+        kind, val = self.take()
+        if kind == "int":
+            num = int(val)
+            if self.peek() == ("op", "/"):
+                self.take()
+                dkind, dval = self.take()
+                if dkind != "int":
+                    raise ValueError("expected integer denominator")
+                if int(dval) == 0:
+                    raise ValueError(f"zero denominator in {val}/{dval}")
+                return Polynomial.constant(self.variables, Fraction(num, int(dval)))
+            return Polynomial.constant(self.variables, num)
+        if kind == "name":
+            if val not in self.variables:
+                raise ValueError(f"unknown variable {val!r}")
+            base = Polynomial.variable(self.variables, val)
+            if self.peek() == ("op", "^"):
+                self.take()
+                ekind, eval_ = self.take()
+                if ekind != "int":
+                    raise ValueError("expected integer exponent")
+                return base ** int(eval_)
+            return base
+        raise ValueError(f"unexpected token {val!r}")
+
+
+def reference_parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
+    """Parse the ASCII polynomial format over a declared variable frame."""
+    vs = tuple(variables)
+    text = text.strip()
+    if not text or text == "0":
+        return Polynomial.zero(vs)
+    return _Parser(text, vs).parse()

@@ -90,6 +90,20 @@ def test_reconstruction_rejects_non_integral_products():
         reconstruct_parameters(Fraction(7, 3), (7, 8))
 
 
+def test_non_integral_entries_are_refused_not_truncated():
+    with pytest.raises(ValueError, match="delta entries must be integers"):
+        effective_bounds(1, [4.5], [1])
+    with pytest.raises(ValueError, match="eps entries must be integers"):
+        effective_bounds(1, [4], [1.9])
+    with pytest.raises(ValueError, match="delta entries must be integers"):
+        degree_threshold(1, 1, [Fraction(5, 2)])
+    with pytest.raises(ValueError, match="delta entries must be integers"):
+        reconstruct_parameters(3, [2.5])
+    # integral values of any numeric type are the integers they equal
+    assert effective_bounds(1, [4.0], [Fraction(1)]) == effective_bounds(1, [4], [1])
+    assert reconstruct_parameters(3, [2.0]).eps == (2,)
+
+
 def test_big_integer_exactness():
     report = effective_bounds(4, delta=(15, 16, 17, 18), eps=(2, 3, 4, 5))
     prod = 15 * 16 * 17 * 18

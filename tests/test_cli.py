@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logres import __version__, bounds, cli, logconn, logjet
 from logres.cli import main, run_command
@@ -370,6 +371,31 @@ def test_verify_jet_reports_a_lift_failure(monkeypatch):
     assert text == "verify-jet n=2: 18 ideals checked, 1 lift failures, 0 relation failures\n"
 
 
+def test_resolve_reports_a_route_mismatch(monkeypatch):
+    """The same spoiled closed form as above: resolve reports the mismatch as
+    an unprincipal certificate with its JSON, not as a bare error."""
+    closed = logjet.obstruction_ideal_closed_form
+
+    def spoiled(jet, I):
+        if (jet.k, jet.t, tuple(I)) == (2, 1, (1, 2)):
+            return MonomialIdeal.unit(jet.chart.variables)
+        return closed(jet, I)
+
+    monkeypatch.setattr(logjet, "obstruction_ideal_closed_form", spoiled)
+    argv = ["resolve", "--n", "2", "--c", "2", "--k", "2", "--t", "1"]
+    code, payload = run_json(argv)
+    assert code == 1
+    by_name = {entry["ideal"]: entry for entry in payload["certificates"]}
+    spoilt = by_name.pop("all_components")
+    assert spoilt["I"] == [1, 2] and not spoilt["principal"]
+    assert spoilt["error"].startswith("obstruction ideal mismatch for I=[1, 2]: ")
+    assert spoilt["base_generators"]  # read from the intersected route
+    assert all(entry["principal"] for entry in by_name.values())
+    code, text = run_command(argv + ["--format", "text"])
+    assert code == 1
+    assert "  all_components (I=[1, 2]): FAILED\n" in text
+
+
 def test_emit_encodes_fractions_and_dataclasses_only():
     assert cli._emit({"x": Fraction(-3, 4), "y": [Fraction(2)]}) == (
         '{\n  "x": "-3/4",\n  "y": [\n    "2"\n  ]\n}\n'
@@ -400,3 +426,78 @@ def test_every_json_payload_carries_the_header():
         assert code == expected
         assert payload["schema_version"] == cli.SCHEMA_VERSION
         assert payload["command"] == argv[0]
+
+
+# -- no input ends in a traceback ------------------------------------------------
+
+_BAD = ["", "x", "-", "--", "0", "-1", "1/0", "2.5", "1e3", ",", ";", "nan", "\u0663"]
+_SMALL = ["1", "2", "3"]
+_FORMATS = ["json", "text", "xml"]
+_SEEDS = ["0", "7", "-1"]
+# verb -> flag -> values (None for a switch); sizes stay small: n <= 3, at
+# most 5 samples or trials.  --out is left out: it writes files.
+_FLAGS = {
+    "resolve": {
+        "--n": _SMALL, "--c": _SMALL, "--k": _SMALL, "--t": _SMALL,
+        "--mode": ["canonical", "minimal", "fast"], "--format": _FORMATS, "--seed": _SEEDS,
+    },
+    "verify-jet": {"--n": _SMALL, "--format": _FORMATS},
+    "rank": {
+        "--n": _SMALL, "--delta": ["1", "2", "3", "4"], "--eps": ["1", "2"], "--r": ["1", "2"],
+        "--stratum": ["", "1", "0,1", "1,2,3", "7", "1,1", "x"],
+        "--samples": ["1", "3", "5"], "--seed": _SEEDS, "--matrix": None,
+    },
+    "forms": {
+        "--n": _SMALL,
+        "--components": [
+            "x0; x1", "x0^2 + x1*x2; x1", "x0 - x1; x0 + x1; x2", "x0; 3*x0", "x0 + x1^2",
+            "2", ";", "1/0*x0", "x9", "x0; x1; x2; x3", "x0^2 + x1^2 + x2^2 + x3^2; x3",
+        ],
+    },
+    "bounds": {
+        "--n": _SMALL, "--delta": ["4", "7,8", "11,12,13", "4,x", "0,1", "4,,6"],
+        "--eps": ["1", "1,1", "1,2,3", "0"], "--c": _SMALL,
+        "--alpha": ["201", "7/2", "1/3", "2", "-5", "1/0"], "--format": _FORMATS,
+    },
+    "sample": {
+        "--n": _SMALL, "--delta": ["2", "4", "6"], "--eps": ["1", "2"], "--r": ["1", "2"],
+        "--seed": _SEEDS, "--trials": ["1", "3", "5"],
+    },
+}
+
+
+_REQUIRED = {
+    "resolve": {"--n", "--c"}, "verify-jet": {"--n"}, "rank": {"--n", "--delta"},
+    "forms": {"--n", "--components"}, "bounds": {"--n", "--delta", "--eps"},
+    "sample": {"--n", "--delta"},
+}
+
+
+@st.composite
+def argvs(draw):
+    """A verb's flags in any order; about half the argv are malformed: a flag
+    left out (required ones too), a malformed value, stray tokens."""
+    verb = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[verb]
+    malformed = draw(st.booleans())
+    argv = [verb]
+    for flag in draw(st.permutations(sorted(flags))):
+        if not draw(st.booleans()) and (malformed or flag not in _REQUIRED[verb]):
+            continue
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(draw(st.sampled_from(flags[flag] + _BAD if malformed else flags[flag])))
+    for _ in range(draw(st.integers(0, 2)) if malformed else 0):
+        stray = draw(st.sampled_from(_BAD + ["--bogus", "--help"]))
+        argv.insert(draw(st.integers(1, len(argv))), stray)
+    if verb == "sample":  # last, so that the default of 1,000 trials never runs
+        argv += ["--trials", draw(st.sampled_from(flags["--trials"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_no_argv_ends_in_a_traceback(argv):
+    code, text = run_command(argv)
+    assert code in (0, 1, 2)
+    assert isinstance(text, str)

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from logres import residues
+from logres.cli import run_command
 from logres.ratmat import rank
 from logres.residues import (
     DivisorArrangement,
     chart_variables,
     construct_global_log_forms,
     dehomogenize,
+    forms_on_charts,
     projective_variables,
     residue_matrix,
 )
@@ -132,15 +135,18 @@ def test_dehomogenize():
 # -- chart transition check at sampled points ---------------------------------------
 
 
-def eval_form(form, j, hom_point, tangent):
-    """Value of the chart-j representation on a tangent vector (dict slot->Fraction)."""
+def eval_form(entry, j, hom_point, tangent):
+    """Value of one form's chart-j representation, as ``forms_on_charts``
+    writes it, on a tangent vector (dict slot->Fraction)."""
+    variables = chart_variables(len(hom_point) - 1, j)
     point = {
         f"u{i}": hom_point[i] / hom_point[j] for i in range(len(hom_point)) if i != j
     }
-    nums = form.chart_numerators(j)
-    den = form.chart_denominator(j).evaluate(point)
+    chart = entry["charts"][str(j)]
+    nums = [parse_polynomial(text, variables) for text in chart["numerators"]]
+    den = parse_polynomial(chart["denominator"], variables).evaluate(point)
     total = Fraction(0)
-    for name, num in zip(chart_variables(form.arrangement.n, j), nums):
+    for name, num in zip(variables, nums):
         slot = int(name[1:])
         total += num.evaluate(point) * tangent[slot]
     return total / den
@@ -169,7 +175,7 @@ def test_chart_representations_agree_on_overlaps():
         DivisorArrangement.make(2, [hom("x0"), hom("x1"), hom("x0^2 + x1^2 + x2^2")]),
     ]
     for arr in arrangements:
-        for form in construct_global_log_forms(arr):
+        for entry in forms_on_charts(arr, construct_global_log_forms(arr)):
             for _ in range(4):
                 # a random point away from every component and every chart line
                 while True:
@@ -183,8 +189,22 @@ def test_chart_representations_agree_on_overlaps():
                 tangent = {i: Fraction(rng.randint(-5, 5)) for i in range(3)}
                 j_from, j_to = 0, rng.choice([1, 2])
                 tangent[j_from] = Fraction(0)
-                lhs = eval_form(form, j_from, p, tangent)
+                lhs = eval_form(entry, j_from, p, tangent)
                 rhs = eval_form(
-                    form, j_to, p, transported_tangent(p, tangent, j_from, j_to)
+                    entry, j_to, p, transported_tangent(p, tangent, j_from, j_to)
                 )
                 assert lhs == rhs
+
+
+def test_forms_dehomogenizes_each_component_once_per_chart(monkeypatch):
+    calls = []
+
+    def counted(f, n, chart_index):
+        calls.append((f, chart_index))
+        return dehomogenize(f, n, chart_index)
+
+    monkeypatch.setattr(residues, "dehomogenize", counted)
+    code, _ = run_command(["forms", "--n", "2", "--components", "x0; x1; x0^2 + x1^2 + x2^2"])
+    assert code == 0
+    # c = 3 components on n + 1 = 3 charts
+    assert len(calls) == len(set(calls)) == 3 * 3

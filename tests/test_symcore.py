@@ -16,6 +16,7 @@ from oracles import (
     NotDivisible,
     exact_divide,
     extend_variables,
+    reference_parse_polynomial,
     substitute,
 )
 
@@ -209,6 +210,48 @@ def test_arithmetic_results_are_clean(f, g, k):
 @given(polys)
 def test_text_round_trip(f):
     assert parse_polynomial(format_polynomial(f), XY) == f
+
+
+# -- the one-pass parser against the factor-by-factor reference ------------------
+
+XYZ = ("x", "y", "z")
+atoms = st.one_of(
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 12), st.integers(0, 4)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(XYZ),
+    st.tuples(st.sampled_from(XYZ), st.integers(0, 4)).map(lambda t: f"{t[0]}^{t[1]}"),
+)
+products = st.lists(atoms, min_size=1, max_size=3).map("*".join)
+well_formed = st.tuples(
+    st.sampled_from(["", "-", "+", "--", "+-", "- "]),
+    products,
+    st.lists(st.tuples(st.sampled_from([" + ", " - ", "+", "-"]), products), max_size=3),
+).map(lambda t: t[0] + t[1] + "".join(sign + term for sign, term in t[2]))
+# stray operators, a zero denominator, a non-integer exponent, an unknown
+# name, a stray character, a dangling power; inserted anywhere, the end too
+strays = st.sampled_from(["+", "-", "*", "/", "^", " ", "1/0", "x^y", "q", "$", "x^", "2^3", "~"])
+malformed = st.tuples(well_formed, st.integers(0, 40), strays).map(
+    lambda t: t[0][: t[1]] + t[2] + t[0][t[1]:]
+)
+texts = st.one_of(
+    well_formed, malformed, st.text(alphabet="xyzq0123/^*+- $~", max_size=12)
+)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text, XYZ)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts)
+def test_parser_agrees_with_the_reference_parser(text):
+    got = parse_outcome(parse_polynomial, text)
+    assert got == parse_outcome(reference_parse_polynomial, text)
+    if isinstance(got, Polynomial):
+        assert_clean(got)
 
 
 def test_format_examples():
