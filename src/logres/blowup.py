@@ -1,15 +1,17 @@
 """Blow-ups of coordinate subspaces in affine charts.
 
-Blowing up the subspace V(x_{i_1}, ..., x_{i_r}) of a chart produces one child
-chart per center variable x_j.  In the x_j-direction the map to the parent is
+A coordinate is its *slot*, an index into ``Chart.variables``; the names
+there only spell the slots on output.  Blowing up the subspace
+V(x_{i_1}, ..., x_{i_r}) of a chart produces one child chart per center
+slot j.  In the j-direction the map to the parent is
 
   x_j -> x_j,    x_k -> x_j * x_k~   (k in center, k != j),
 
 all other coordinates unchanged; the exceptional divisor is cut out by x_j in
-that chart.  Renamed coordinates carry a trailing ``~``.  Log markings are
-inherited (renamed coordinates keep their marking), and the exceptional
-coordinate is marked whenever the center met a log-marked coordinate, so the
-frame stays correct for residue and connection computations downstream.
+that chart.  No coordinate moves: x_k~ keeps slot k and only its name gains a
+``~``, so log marks and exceptional divisors carry over slot for slot.  Slot
+j is marked whenever the center met a log-marked slot, so the frame stays
+correct for residue and connection computations downstream.
 
 Every chart map is monomial, so composing chart maps is integer matrix
 arithmetic on exponents; ``push_exponent`` is the one routine that does it.
@@ -19,16 +21,15 @@ and an ``Atlas`` keeps each pushed root monomial per chart, so a generator
 shared by many root ideals is pushed into a chart once.
 
 ``strict_transform_variety`` is the geometric strict transform of a single
-coordinate subspace, which is either empty in the chart or again a
-coordinate subspace.  The strict transform of an ideal in one chart, with
-the common power of each exceptional coordinate divided out, is a route the
-tests check, in ``tests/oracles.py``.
+coordinate subspace, which is either empty in the chart or cut out by the
+same slots.  The strict transform of an ideal in one chart, with the common
+power of each exceptional coordinate divided out, is a route the tests
+check, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .monideal import MonomialIdeal, SimpleVariety
@@ -36,52 +37,37 @@ from .symcore import Exponent, LogresError, monomial_string
 
 
 class CenterNotInChart(LogresError):
-    """Blow-up center uses variables the chart does not have."""
+    """Blow-up center uses slots the chart does not have."""
 
 
 class CodimensionOne(LogresError):
     """Blow-up center must have codimension at least two."""
 
 
-def rename_tilde(name: str) -> str:
-    return name + "~"
-
-
 @dataclass(frozen=True)
 class Chart:
     """One affine chart of a blow-up tree.
 
-    `to_parent` sends each parent variable to its monomial image over this
-    chart's variables (exponent tuples).  `to_root` stores the composite map:
-    the image of each root variable, in root variable order, over this
-    chart's variables.  `exceptional` lists the exceptional divisors visible
-    in this chart as (label, defining variable).
+    Every field below `variables` holds slots, never names.  `to_parent`
+    holds the image of each parent slot, in parent slot order, as an exponent
+    over this chart's slots.  `to_root` stores the composite map: the image
+    of each root slot over this chart's slots.  `exceptional` lists the
+    exceptional divisors visible in this chart as (label, defining slot).
     """
 
     id: str
     variables: tuple[str, ...]
-    log_marked: frozenset[str] = frozenset()
+    log_marked: frozenset[int] = frozenset()
     parent: str | None = None
-    to_parent: tuple[tuple[str, Exponent], ...] = ()
+    to_parent: tuple[Exponent, ...] = ()
     to_root: tuple[Exponent, ...] = ()
-    exceptional: tuple[tuple[str, str], ...] = ()
-    center: frozenset[str] = frozenset()  # blown-up center, in parent variables
-    direction: str | None = None  # the kept center variable
+    exceptional: tuple[tuple[str, int], ...] = ()
+    center: frozenset[int] = frozenset()  # blown-up center, in parent slots
+    direction: int | None = None  # the kept center slot
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate chart variables")
-        unknown = self.log_marked - set(self.variables)
-        if unknown:
-            raise ValueError(f"log-marked {sorted(unknown)} not chart variables")
-
-    def variable_index(self, name: str) -> int:
-        return self.variables.index(name)
-
-    @cached_property
-    def exceptional_indices(self) -> tuple[tuple[str, int], ...]:
-        """`exceptional` with each defining variable replaced by its index."""
-        return tuple((label, self.variables.index(v)) for label, v in self.exceptional)
 
 
 def root_chart(
@@ -89,58 +75,50 @@ def root_chart(
     log_marked: Iterable[str] = (),
     chart_id: str = "root",
 ) -> Chart:
+    """The root of a blow-up tree: the one place log marks are read by name.
+    A name that is not a chart variable raises ValueError."""
     vs = tuple(variables)
     identity = tuple(tuple(int(i == j) for j in range(len(vs))) for i in range(len(vs)))
-    return Chart(chart_id, vs, frozenset(log_marked), to_root=identity)
+    return Chart(chart_id, vs, frozenset(map(vs.index, log_marked)), to_root=identity)
 
 
 def blow_up_center(
     chart: Chart, center: SimpleVariety, label: str = "E"
 ) -> list[Chart]:
-    """One child chart per center variable, in chart variable order."""
-    missing = center.vanishing - set(chart.variables)
+    """One child chart per center slot, in slot order."""
+    width = len(chart.variables)
+    missing = sorted(s for s in center.vanishing if not 0 <= s < width)
     if missing:
-        raise CenterNotInChart(f"{sorted(missing)} not in chart {chart.id}")
+        raise CenterNotInChart(f"slots {missing} not in chart {chart.id}")
     if center.codim < 2:
         raise CodimensionOne(f"center {center} has codimension {center.codim}")
+    met_mark = bool(center.vanishing & chart.log_marked)
     children = []
-    for direction in center.sorted_by(chart.variables):
-        rename = {
-            v: rename_tilde(v) for v in center.vanishing if v != direction
-        }
-        collision = set(rename.values()) & (set(chart.variables) - set(rename))
-        if collision:
-            raise ValueError(f"renaming collision on {sorted(collision)}")
-        new_vars = tuple(rename.get(v, v) for v in chart.variables)
-        width = len(new_vars)
-        kept = chart.variable_index(direction)
+    for kept in sorted(center.vanishing):
         images = []
-        for i, v in enumerate(chart.variables):
+        for i in range(width):
             e = [0] * width
-            e[i] = 1  # the variable itself, or its renamed copy
-            if v in rename:
+            e[i] = 1  # the coordinate itself, or its renamed copy
+            if i in center.vanishing:
                 e[kept] = 1
             images.append(tuple(e))
-        marked = {rename.get(v, v) for v in chart.log_marked}
-        if center.vanishing & chart.log_marked:
-            marked.add(direction)
-        exceptional = []
-        for exc_label, v in chart.exceptional:
-            if v == direction:
-                continue  # that divisor misses this chart
-            exceptional.append((exc_label, rename.get(v, v)))
-        exceptional.append((label, direction))
         children.append(
             Chart(
-                id=f"{chart.id}/{label}:{direction}",
-                variables=new_vars,
-                log_marked=frozenset(marked),
+                id=f"{chart.id}/{label}:{chart.variables[kept]}",
+                variables=tuple(
+                    v + "~" if i in center.vanishing and i != kept else v
+                    for i, v in enumerate(chart.variables)
+                ),
+                log_marked=chart.log_marked | {kept} if met_mark else chart.log_marked,
                 parent=chart.id,
-                to_parent=tuple(zip(chart.variables, images)),
+                to_parent=tuple(images),
                 to_root=tuple(push_exponent(images, row, width) for row in chart.to_root),
-                exceptional=tuple(exceptional),
+                # the divisor the kept slot cut out before misses this chart
+                exceptional=tuple(
+                    (exc, s) for exc, s in chart.exceptional if s != kept
+                ) + ((label, kept),),
                 center=center.vanishing,
-                direction=direction,
+                direction=kept,
             )
         )
     return children
@@ -149,9 +127,9 @@ def blow_up_center(
 def push_exponent(images: Sequence[Exponent], exponent: Exponent, width: int) -> Exponent:
     """Image of a monomial under a monomial map.
 
-    `images[i]` is the image of source variable i, an exponent over the
-    `width` target variables; the width comes from the target chart, so a
-    map out of a frame with no variables works too.
+    `images[i]` is the image of source slot i, an exponent over the `width`
+    target slots; the width comes from the target chart, so a map out of a
+    frame with no variables works too.
     """
     out = [0] * width
     for img, e in zip(images, exponent):
@@ -164,17 +142,14 @@ def push_exponent(images: Sequence[Exponent], exponent: Exponent, width: int) ->
 def strict_transform_variety(chart: Chart, variety: SimpleVariety) -> SimpleVariety | None:
     """Geometric strict transform of a coordinate subspace; None when empty.
 
-    Empty exactly when the chart direction is one of the variety's equations;
-    otherwise the equations survive, with center variables renamed.
+    Empty exactly when the chart direction is one of the variety's slots;
+    otherwise the same slots cut it out, since a blow-up moves no slot.
     """
     if chart.direction is None:
         raise ValueError(f"chart {chart.id} is not a blow-up chart")
     if chart.direction in variety.vanishing:
         return None
-    rename = {
-        v: rename_tilde(v) for v in chart.center if v != chart.direction
-    }
-    return SimpleVariety(frozenset(rename.get(v, v) for v in variety.vanishing))
+    return variety
 
 
 # -- atlas ---------------------------------------------------------------------
@@ -184,7 +159,7 @@ def strict_transform_variety(chart: Chart, variety: SimpleVariety) -> SimpleVari
 class CenterRecord:
     chart_id: str
     label: str
-    vanishing: tuple[str, ...]
+    vanishing: tuple[int, ...]  # slots of the chart blown up, in slot order
     children: tuple[str, ...]
 
 
@@ -258,20 +233,23 @@ class Atlas:
         return MonomialIdeal._trusted(chart.variables, pushed)
 
     def to_dict(self) -> dict:
+        """The atlas with every slot spelled by its chart's name for it."""
         charts = []
         for cid in sorted(self.charts):
             chart = self.charts[cid]
+            names = chart.variables
+            parent_names = self.charts[chart.parent].variables if chart.parent else ()
             charts.append(
                 {
                     "id": chart.id,
                     "parent": chart.parent,
-                    "variables": list(chart.variables),
-                    "log_marked": sorted(chart.log_marked),
+                    "variables": list(names),
+                    "log_marked": sorted(names[s] for s in chart.log_marked),
                     "to_parent": {
-                        v: monomial_string(chart.variables, e)
-                        for v, e in chart.to_parent
+                        v: monomial_string(names, e)
+                        for v, e in zip(parent_names, chart.to_parent)
                     },
-                    "exceptional": [list(pair) for pair in chart.exceptional],
+                    "exceptional": [[label, names[s]] for label, s in chart.exceptional],
                     "children": sorted(self.children[cid]),
                 }
             )
@@ -286,7 +264,9 @@ class Atlas:
                         {
                             "chart": c.chart_id,
                             "label": c.label,
-                            "vanishing": list(c.vanishing),
+                            "vanishing": [
+                                self.charts[c.chart_id].variables[s] for s in c.vanishing
+                            ],
                             "children": list(c.children),
                         }
                         for c in record.centers

@@ -280,10 +280,12 @@ def _cmd_verify_jet(args) -> tuple[int, dict | str]:
     verified = not lift_failures and not relation_failures and not principality_failures
     code = 0 if verified else 1
     if args.format == "text":
+        unprincipal = len(principality_failures)  # named only when nonzero
         return code, (
             f"verify-jet n={n}: {checked} ideals checked, "
             f"{len(lift_failures)} lift failures, "
-            f"{len(relation_failures)} relation failures\n"
+            f"{len(relation_failures)} relation failures"
+            f"{f', {unprincipal} principality failures' if unprincipal else ''}\n"
         )
     return code, {
         "params": {"n": n, "c": c},

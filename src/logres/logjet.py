@@ -134,7 +134,7 @@ def stratum_variety(jet: JetChart, J: Iterable[int]) -> SimpleVariety | None:
     prime = jet.stratum_primes[_component_key(jet, J)]
     if prime.is_unit:
         return None
-    return SimpleVariety(frozenset().union(*prime.gens_as_varsets()))
+    return SimpleVariety(frozenset(g.index(1) for g in prime.generators))
 
 
 def build_obstruction_system(n: int, c: int, k: int, t: int) -> tuple[JetChart, CompatibleSystem]:
@@ -286,7 +286,7 @@ def verify_principalization(
         (gen,) = total.generators
         mults = {}
         residual = list(gen)
-        for label, idx in leaf.exceptional_indices:
+        for label, idx in leaf.exceptional:
             if residual[idx]:
                 mults[label] = residual[idx]
                 residual[idx] = 0

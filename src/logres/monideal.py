@@ -4,7 +4,8 @@ A ``MonomialIdeal`` stores its minimal monomial generators as exponent tuples
 over a fixed variable frame.  Square-free generators are the main case (each
 is just a subset of the variables), but blow-up transforms introduce powers of
 exceptional coordinates, so general exponents are supported.  A
-``SimpleVariety`` is a coordinate subspace, given by its vanishing variables.
+``SimpleVariety`` is a coordinate subspace, given by the slots of its vanishing
+coordinates: indices into the chart's variable tuple, which only names them.
 
 The verbs need sums, intersections and containment of monomial ideals.  The
 *simple* shape <x_1, ..., x_p, x_{p+1}*x_{r+1}, ..., x_r*x_{2r-p}>, its
@@ -107,10 +108,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.generators) == 1 and not any(self.generators[0])
 
-    @property
-    def is_squarefree(self) -> bool:
-        return all(all(e <= 1 for e in g) for g in self.generators)
-
     def contains_monomial(self, exponent: Exponent) -> bool:
         return any(_divides(g, exponent) for g in self.generators)
 
@@ -121,14 +118,6 @@ class MonomialIdeal:
 
     def gens_as_strings(self) -> list[str]:
         return [monomial_string(self.variables, g) for g in self.generators]
-
-    def gens_as_varsets(self) -> list[frozenset[str]]:
-        if not self.is_squarefree:
-            raise ValueError("ideal is not square-free")
-        return [
-            frozenset(v for v, e in zip(self.variables, g) if e)
-            for g in self.generators
-        ]
 
     def __str__(self) -> str:
         return "<" + ", ".join(self.gens_as_strings()) + ">"
@@ -166,9 +155,10 @@ def intersect_monomial_ideals(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
 
 @dataclass(frozen=True)
 class SimpleVariety:
-    """A coordinate subspace V(x_s : s in vanishing), inside some chart."""
+    """A coordinate subspace V(x_s : s in vanishing) of a chart, cut out by
+    the chart slots in `vanishing`."""
 
-    vanishing: frozenset[str]
+    vanishing: frozenset[int]
 
     def __post_init__(self):
         if not self.vanishing:
@@ -178,10 +168,6 @@ class SimpleVariety:
     def codim(self) -> int:
         return len(self.vanishing)
 
-    def sorted_by(self, variables: Sequence[str]) -> tuple[str, ...]:
-        order = {v: i for i, v in enumerate(variables)}
-        return tuple(sorted(self.vanishing, key=lambda v: order[v]))
-
     def __str__(self) -> str:
-        return "V(" + ",".join(sorted(self.vanishing)) + ")"
+        return "V(" + ",".join(map(str, sorted(self.vanishing))) + ")"
 

@@ -15,7 +15,8 @@ their strict transforms (members whose strict transform leaves a chart are
 dropped).  A system whose indices span `length` consecutive values is
 resolved canonically in `length` stages; the minimal variant stops one stage
 early.  The whole process is deterministic: charts are processed in id order
-and exceptional divisors are labeled ``E<stage>.<counter>``.
+and exceptional divisors are labeled ``E<stage>.<counter>``.  Members hold
+their coordinates by chart slot, which no blow-up moves; only output names them.
 
 Slice restriction and subsystem principalization are not verbs: they are
 the functoriality routes the tests check the resolution against, in
@@ -127,7 +128,9 @@ class ResolutionResult:
                             {
                                 "index": m.index,
                                 "label": m.label,
-                                "vanishing": sorted(m.variety.vanishing),
+                                "vanishing": sorted(
+                                    system.chart.variables[s] for s in m.variety.vanishing
+                                ),
                             }
                             for m in system.members
                         ],
@@ -182,7 +185,7 @@ def resolve_system(system: CompatibleSystem, mode: str = "canonical") -> Resolut
                 CenterRecord(
                     chart.id,
                     label,
-                    center.variety.sorted_by(chart.variables),
+                    tuple(sorted(center.variety.vanishing)),
                     tuple(c.id for c in children),
                 )
             )

@@ -47,10 +47,18 @@ def all_simple_ideals(variables, max_r):
                         )
 
 
-def jet_style_members(n, k):
+def variety(frame, *names):
+    """The coordinate subspace cut out by the named coordinates of a chart
+    (or of a bare variable tuple), held by slot as the package holds it."""
+    variables = getattr(frame, "variables", frame)
+    return SimpleVariety(frozenset(map(variables.index, names)))
+
+
+def jet_style_members(chart, n, k):
     """The fiber-chart configuration for k components in ambient dimension n,
     dehomogenized at slot 1: for every subset J of {1..k} containing 1, the
-    subspace cut out by {z_i : i in J} and {xi_j : j in {1..n}\\J, j != 1}."""
+    subspace of `chart` cut out by {z_i : i in J} and
+    {xi_j : j in {1..n}\\J, j != 1}."""
     members = []
     subsets = []
     for mask in range(1, 1 << k):
@@ -59,11 +67,9 @@ def jet_style_members(n, k):
             subsets.append(tuple(J))
     subsets.sort(key=lambda J: (len(J), J))
     for J in subsets:
-        vanishing = {f"z{i}" for i in J}
-        vanishing |= {f"xi{j}" for j in range(2, n + 1) if j not in J}
-        members.append(
-            Member(len(J), "D(" + ",".join(map(str, J)) + ")", SimpleVariety(frozenset(vanishing)))
-        )
+        names = [f"z{i}" for i in J]
+        names += [f"xi{j}" for j in range(2, n + 1) if j not in J]
+        members.append(Member(len(J), "D(" + ",".join(map(str, J)) + ")", variety(chart, *names)))
     return members
 
 
@@ -71,12 +77,12 @@ def random_jet_subfamily(rng: random.Random, max_k=3, extra_vars=2):
     """A random valid sub-family of a jet-style system, with inert variables."""
     k = rng.randint(1, max_k)
     n = rng.randint(max(k, 2), max_k)
-    members = jet_style_members(n, k)
     variables = tuple(f"z{i}" for i in range(1, n + 1)) + tuple(
         f"xi{j}" for j in range(2, n + 1)
     )
     pad = tuple(f"w{i}" for i in range(rng.randint(0, extra_vars)))
     chart = root_chart(variables + pad, log_marked=[f"z{i}" for i in range(1, k + 1)])
+    members = jet_style_members(chart, n, k)
     # drop random members as long as the family stays compatible
     for _ in range(rng.randint(0, len(members))):
         candidate = rng.choice(members)
@@ -95,20 +101,16 @@ def random_rejection_system(rng: random.Random, max_vars=6, max_members=4, tries
     chart = root_chart(variables)
     for _ in range(tries):
         members = []
-        base = SimpleVariety(
-            frozenset(rng.sample(variables, rng.randint(2, min(3, nvars))))
-        )
+        base = variety(chart, *rng.sample(variables, rng.randint(2, min(3, nvars))))
         members.append(Member(1, "m1", base))
         seen = {base.vanishing}
         for j in range(rng.randint(0, max_members - 1)):
             size = rng.randint(2, min(4, nvars))
-            vanishing = frozenset(rng.sample(variables, size))
-            if vanishing in seen:
+            drawn = variety(chart, *rng.sample(variables, size))
+            if drawn.vanishing in seen:
                 continue
-            seen.add(vanishing)
-            members.append(
-                Member(rng.randint(2, 3), f"m{j + 2}", SimpleVariety(vanishing))
-            )
+            seen.add(drawn.vanishing)
+            members.append(Member(rng.randint(2, 3), f"m{j + 2}", drawn))
         indices = sorted({m.index for m in members})
         if indices != list(range(indices[0], indices[-1] + 1)):
             continue
@@ -126,22 +128,25 @@ def random_compatible_system(rng: random.Random):
 
 
 def transverse_slice(rng: random.Random, system: CompatibleSystem):
-    """Random slice variables disjoint from every member's support."""
+    """Random slice slots disjoint from every member's support."""
     used = set()
     for m in system.members:
         used |= m.variety.vanishing
-    free = [v for v in system.chart.variables if v not in used]
+    free = [s for s in range(len(system.chart.variables)) if s not in used]
     if not free:
         return frozenset()
     return frozenset(rng.sample(free, rng.randint(0, len(free))))
 
 
 def strip_slice_from_result(result_dict: dict, zeroed: frozenset) -> dict:
-    """Remove slice variables from a resolution result for comparison.
+    """Remove the slice's root slots from a resolution result for comparison.
 
     Valid when the slice is disjoint from all member supports: the slice
-    variables then ride through every chart unrenamed and untouched.
+    variables then ride through every chart unrenamed and untouched, so
+    their root names spell them everywhere.
     """
+    (root,) = (c for c in result_dict["atlas"]["charts"] if c["parent"] is None)
+    zeroed = {root["variables"][s] for s in zeroed}
     out = {
         "schema_version": result_dict["schema_version"],
         "mode": result_dict["mode"],

@@ -247,10 +247,23 @@ class NotSimpleShape(LogresError):
 def prime(variety: SimpleVariety, variables: Iterable[str]) -> MonomialIdeal:
     """The prime of a coordinate subspace over a chart's variables."""
     vs = tuple(variables)
-    missing = variety.vanishing - set(vs)
+    missing = sorted(s for s in variety.vanishing if not 0 <= s < len(vs))
     if missing:
-        raise MixedVariableSets(f"variety variables {sorted(missing)} not in chart")
-    return MonomialIdeal.from_varsets(vs, [{v} for v in sorted(variety.vanishing)])
+        raise MixedVariableSets(f"variety slots {missing} not in chart")
+    return MonomialIdeal.from_varsets(vs, [{vs[s]} for s in sorted(variety.vanishing)])
+
+
+def is_squarefree(ideal: MonomialIdeal) -> bool:
+    return all(all(e <= 1 for e in g) for g in ideal.generators)
+
+
+def gens_as_varsets(ideal: MonomialIdeal) -> list[frozenset[str]]:
+    if not is_squarefree(ideal):
+        raise ValueError("ideal is not square-free")
+    return [
+        frozenset(v for v, e in zip(ideal.variables, g) if e)
+        for g in ideal.generators
+    ]
 
 
 def simple_shape(ideal: MonomialIdeal) -> tuple[list[str], list[tuple[str, str]]]:
@@ -261,12 +274,12 @@ def simple_shape(ideal: MonomialIdeal) -> tuple[list[str], list[tuple[str, str]]
     """
     if not ideal.generators or ideal.is_unit:
         raise NotSimpleShape(f"{ideal} is trivial")
-    if not ideal.is_squarefree:
+    if not is_squarefree(ideal):
         raise NotSimpleShape(f"{ideal} has a non-square-free generator")
     singles: list[str] = []
     pairs: list[tuple[str, str]] = []
     seen: set[str] = set()
-    for sets in ideal.gens_as_varsets():
+    for sets in gens_as_varsets(ideal):
         names = sorted(sets, key=ideal.variables.index)
         if seen & set(names):
             raise NotSimpleShape(f"variable reused across generators of {ideal}")
@@ -295,11 +308,11 @@ def decompose_simple_ideal(ideal: MonomialIdeal) -> list[SimpleVariety]:
     from each pair generator.
     """
     singles, pairs = simple_shape(ideal)
+    slot = {v: i for i, v in enumerate(ideal.variables)}
     varieties = []
     for choice in product(*pairs) if pairs else [()]:
-        varieties.append(SimpleVariety(frozenset(singles) | frozenset(choice)))
-    order = {v: i for i, v in enumerate(ideal.variables)}
-    varieties.sort(key=lambda V: tuple(sorted(order[v] for v in V.vanishing)))
+        varieties.append(SimpleVariety(frozenset(slot[v] for v in (*singles, *choice))))
+    varieties.sort(key=lambda V: tuple(sorted(V.vanishing)))
     return varieties
 
 
@@ -323,19 +336,17 @@ def transform_ideal(chart: Chart, ideal: MonomialIdeal) -> TransformRecord:
     divides the *common* power out of the ideal, unlike the generator-wise
     saturation of ``blowup.strict_transform_variety``.
     """
-    parent_vars = tuple(v for v, _ in chart.to_parent)
-    if tuple(ideal.variables) != parent_vars:
+    if len(ideal.variables) != len(chart.to_parent):
         raise MixedVariableSets(
-            f"ideal over {ideal.variables}, chart parent has {parent_vars}"
+            f"ideal over {ideal.variables}, chart parent has {len(chart.to_parent)} slots"
         )
-    images = [e for _, e in chart.to_parent]
     width = len(chart.variables)
     total = MonomialIdeal._trusted(
-        chart.variables, [push_exponent(images, g, width) for g in ideal.generators]
+        chart.variables, [push_exponent(chart.to_parent, g, width) for g in ideal.generators]
     )
     mults = []
     strict_gens = [list(g) for g in total.generators]
-    for label, idx in chart.exceptional_indices:
+    for label, idx in chart.exceptional:
         m = min((g[idx] for g in total.generators), default=0)
         mults.append((label, m))
         if m:
@@ -350,34 +361,37 @@ def transform_ideal(chart: Chart, ideal: MonomialIdeal) -> TransformRecord:
 
 
 class NonTransverseSlice(LogresError):
-    """A member's vanishing set is contained in the slice's zeroed variables."""
+    """A member's vanishing set is contained in the slice's zeroed slots."""
 
 
 class NotSubsystem(LogresError):
     """The selected members do not form a subsystem."""
 
 
-def restrict_system(system: CompatibleSystem, zeroed: Iterable[str]) -> CompatibleSystem:
-    """Intersect every member with the coordinate slice {v = 0 : v in zeroed}.
+def restrict_system(system: CompatibleSystem, zeroed: Iterable[int]) -> CompatibleSystem:
+    """Intersect every member with the coordinate slice {x_s = 0 : s in zeroed}.
 
     The slice must be combinatorially transverse: no member's vanishing set
-    may be contained in the zeroed variables.
+    may be contained in the zeroed slots.  The slice chart drops the zeroed
+    slots, so every other slot moves down past the dropped ones before it.
     """
     zs = frozenset(zeroed)
-    unknown = zs - set(system.chart.variables)
+    chart = system.chart
+    unknown = sorted(s for s in zs if not 0 <= s < len(chart.variables))
     if unknown:
-        raise ValueError(f"slice variables {sorted(unknown)} not in chart")
+        raise ValueError(f"slice slots {unknown} not in chart")
     for m in system.members:
         if m.variety.vanishing <= zs:
             raise NonTransverseSlice(f"{m.label} is contained in the slice")
-    chart = system.chart
+    kept = [s for s in range(len(chart.variables)) if s not in zs]
+    moved = {s: i for i, s in enumerate(kept)}
     slice_chart = root_chart(
-        (v for v in chart.variables if v not in zs),
-        (v for v in chart.log_marked if v not in zs),
+        (chart.variables[s] for s in kept),
+        (chart.variables[s] for s in chart.log_marked if s not in zs),
         chart_id=chart.id,
     )
     members = tuple(
-        Member(m.index, m.label, SimpleVariety(m.variety.vanishing - zs))
+        Member(m.index, m.label, SimpleVariety(frozenset(moved[s] for s in m.variety.vanishing - zs)))
         for m in system.members
     )
     return CompatibleSystem(slice_chart, members)

@@ -15,6 +15,7 @@ from conftest import (
     random_compatible_system,
     strip_slice_from_result,
     transverse_slice,
+    variety,
 )
 from logres.blowup import blow_up_center, root_chart
 from logres.bounds import chain_inequality_holds, degree_threshold, reconstruct_parameters
@@ -36,7 +37,7 @@ from logres.logjet import (
     stratum_prime,
     verify_principalization,
 )
-from logres.monideal import MonomialIdeal, SimpleVariety, ideal_sum
+from logres.monideal import MonomialIdeal, ideal_sum
 from logres.multiindex import enumerate_multiindices
 from logres.residues import (
     DivisorArrangement,
@@ -190,7 +191,7 @@ def test_c05_disjointness_preservation():
         for _ in range(500):
             variables, s0, s1, s2, s3 = draw_quadruple(case)
             base = root_chart(variables)
-            v0, v1, v2, v3 = (SimpleVariety(s) for s in (s0, s1, s2, s3))
+            v0, v1, v2, v3 = (variety(base, *s) for s in (s0, s1, s2, s3))
             for chart in blow_up_center(base, v0):
                 t1 = strict_transform_variety(chart, v1)
                 t2 = strict_transform_variety(chart, v2)

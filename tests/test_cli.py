@@ -368,7 +368,34 @@ def test_verify_jet_reports_a_lift_failure(monkeypatch):
     assert payload["intersection_failures"] == []
     code, text = run_command(["verify-jet", "--n", "2", "--format", "text"])
     assert code == 1
-    assert text == "verify-jet n=2: 18 ideals checked, 1 lift failures, 0 relation failures\n"
+    assert text == (
+        "verify-jet n=2: 18 ideals checked, 1 lift failures, 0 relation failures,"
+        " 1 principality failures\n"
+    )
+
+
+def test_verify_jet_text_counts_a_principality_failure(monkeypatch):
+    """Negative control for the text summary: a run whose only failure is a
+    non-principal leaf names that failure, where the JSON already did."""
+    verify = logjet.verify_principalization
+
+    def spoiled(result, jet, I):
+        if (jet.k, jet.t, tuple(I)) == (2, 1, (1, 2)):
+            raise logjet.NotResolved("root", "spoiled")
+        return verify(result, jet, I)
+
+    monkeypatch.setattr(logjet, "verify_principalization", spoiled)
+    code, payload = run_json(["verify-jet", "--n", "2"])
+    assert code == 1
+    (unprincipal,) = payload["principality_failures"]
+    assert (unprincipal["k"], unprincipal["t"], unprincipal["I"]) == (2, 1, [1, 2])
+    assert payload["lift_ideal_failures"] == payload["intersection_failures"] == []
+    code, text = run_command(["verify-jet", "--n", "2", "--format", "text"])
+    assert code == 1
+    assert text == (
+        "verify-jet n=2: 18 ideals checked, 0 lift failures, 0 relation failures,"
+        " 1 principality failures\n"
+    )
 
 
 def test_resolve_reports_a_route_mismatch(monkeypatch):

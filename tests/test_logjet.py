@@ -20,14 +20,11 @@ from logres.logjet import (
     stratum_relation_holds,
     stratum_variety,
 )
-from logres.monideal import MonomialIdeal, SimpleVariety, ideal_sum, intersect_monomial_ideals
+from logres.monideal import MonomialIdeal, ideal_sum, intersect_monomial_ideals
 from logres.resolution import ResolutionResult, resolve_system, validate_compatible_system
 from logres.symcore import Polynomial
+from conftest import variety
 from oracles import extend_variables, monomial
-
-
-def V(*names):
-    return SimpleVariety(frozenset(names))
 
 
 def nonempty_subsets(items):
@@ -70,8 +67,8 @@ def test_visibility_matches_oracle_exhaustively():
 def test_build_system_n2_chart1():
     jet, system = build_obstruction_system(2, 2, 2, 1)
     assert {m.label: m.variety for m in system.members} == {
-        "D(1)": V("z1", "xi2"),
-        "D(1,2)": V("z1", "z2"),
+        "D(1)": variety(jet.chart, "z1", "xi2"),
+        "D(1,2)": variety(jet.chart, "z1", "z2"),
     }
     assert [m.index for m in system.members] == [1, 2]
     assert validate_compatible_system(system).valid
@@ -329,6 +326,38 @@ def test_canonical_resolution_principalizes_everything():
     assert divisors["root/E1.0:xi2/E2.0:z1~"] == {"E1.0": 1, "E2.0": 1}
     assert divisors["root/E1.0:xi2/E2.0:z2"] == {"E1.0": 1, "E2.0": 1}
     assert divisors["root/E1.0:z1"] == {"E1.0": 1}
+
+
+def test_every_verify_jet_chart_obeys_the_star_subdivision_column_rule():
+    """Column j of `to_root` is the exponent of chart slot j in each root
+    coordinate: the ray of slot j.  Blowing up a center in direction j is a
+    star subdivision, so the child's ray at `direction` is the sum of the
+    parent's rays over `center`, and every other ray is the parent's.
+    Checked with integer sums alone on every chart of every atlas that
+    `verify-jet --n 2..4` builds."""
+
+    def ray(chart, slot):
+        return [row[slot] for row in chart.to_root]
+
+    checked = 0
+    for n in (2, 3, 4):
+        for k in range(n + 1):
+            for t in range(1, n + 1):
+                jet, system = build_obstruction_system(n, n, k, t)
+                atlas = resolve_obstruction_system(jet, system, "canonical").atlas
+                for chart in atlas.charts.values():
+                    if chart.parent is None:
+                        continue
+                    parent = atlas.charts[chart.parent]
+                    for slot in range(len(chart.variables)):
+                        if slot == chart.direction:
+                            rays = [ray(parent, s) for s in chart.center]
+                            expected = [sum(column) for column in zip(*rays)]
+                        else:
+                            expected = ray(parent, slot)
+                        assert ray(chart, slot) == expected, (n, k, t, chart.id, slot)
+                    checked += 1
+    assert checked == 406
 
 
 def test_unresolved_base_raises_not_resolved():

@@ -4,13 +4,12 @@ from operator import add
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import all_simple_ideals
+from conftest import all_simple_ideals, variety
 
 from logres.blowup import Atlas, blow_up_center, root_chart
 from logres.monideal import (
     MixedVariableSets,
     MonomialIdeal,
-    SimpleVariety,
     ideal_sum,
     intersect_monomial_ideals,
     minimalize,
@@ -91,19 +90,15 @@ def test_minimalization_and_unit():
 # -- simple shapes -------------------------------------------------------------
 
 
-def V(*names):
-    return SimpleVariety(frozenset(names))
-
-
 def test_decompose_spec_shape():
     vs = ("x1", "x2", "x3", "x4", "x5")
     j = sq(vs, {"x1"}, {"x2", "x4"}, {"x3", "x5"})
     got = decompose_simple_ideal(j)
     assert set(got) == {
-        V("x1", "x4", "x5"),
-        V("x1", "x2", "x5"),
-        V("x1", "x3", "x4"),
-        V("x1", "x2", "x3"),
+        variety(vs, "x1", "x4", "x5"),
+        variety(vs, "x1", "x2", "x5"),
+        variety(vs, "x1", "x3", "x4"),
+        variety(vs, "x1", "x2", "x3"),
     }
     assert all(v.codim == 3 for v in got)
 
@@ -111,12 +106,15 @@ def test_decompose_spec_shape():
 def test_decompose_prime_is_itself():
     vs = ("x1", "x2", "x3")
     j = sq(vs, {"x1"}, {"x2"}, {"x3"})
-    assert decompose_simple_ideal(j) == [V("x1", "x2", "x3")]
+    assert decompose_simple_ideal(j) == [variety(vs, "x1", "x2", "x3")]
 
 
 def test_decompose_principal_pair():
     vs = ("x1", "x2")
-    assert set(decompose_simple_ideal(sq(vs, {"x1", "x2"}))) == {V("x1"), V("x2")}
+    assert set(decompose_simple_ideal(sq(vs, {"x1", "x2"}))) == {
+        variety(vs, "x1"),
+        variety(vs, "x2"),
+    }
 
 
 def test_not_simple_shapes():
@@ -145,7 +143,7 @@ def test_decomposition_matches_point_membership_oracle():
             point = tuple((mask >> i) & 1 for i in range(len(vs)))
             on_variety = all(vanishes_at(g, point) for g in ideal.generators)
             on_union = any(
-                all(not point[vs.index(v)] for v in piece.vanishing)
+                all(not point[s] for s in piece.vanishing)
                 for piece in pieces
             )
             assert on_variety == on_union, (ideal, point)
@@ -224,11 +222,11 @@ def test_trusted_results_equal_their_validated_rebuild(ideals, center, data):
     assert_clean(intersect_monomial_ideals(ideals))
     base = root_chart(FRAME3)
     atlas = Atlas.for_root(base)
-    children = blow_up_center(base, SimpleVariety(frozenset(center)))
+    children = blow_up_center(base, variety(base, *center))
     atlas.add_blowup(base.id, children)
     child = data.draw(st.sampled_from(children))
     again = data.draw(st.lists(st.sampled_from(child.variables), min_size=2, max_size=3, unique=True))
-    grandchildren = blow_up_center(child, SimpleVariety(frozenset(again)))
+    grandchildren = blow_up_center(child, variety(child, *again))
     atlas.add_blowup(child.id, grandchildren)
     leaf = data.draw(st.sampled_from(grandchildren))
     for ideal in ideals:

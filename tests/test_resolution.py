@@ -6,9 +6,9 @@ from conftest import (
     random_compatible_system,
     strip_slice_from_result,
     transverse_slice,
+    variety,
 )
 from logres.blowup import root_chart
-from logres.monideal import SimpleVariety
 from logres.resolution import (
     CompatibleSystem,
     InvalidSystem,
@@ -26,17 +26,13 @@ from oracles import (
 JET_VARS = ("z1", "z2", "xi2")
 
 
-def V(*names):
-    return SimpleVariety(frozenset(names))
-
-
 def jet_system_c2():
     chart = root_chart(JET_VARS, log_marked=("z1", "z2"))
     return CompatibleSystem(
         chart,
         (
-            Member(1, "D(1)", V("z1", "xi2")),
-            Member(2, "D(1,2)", V("z1", "z2")),
+            Member(1, "D(1)", variety(chart, "z1", "xi2")),
+            Member(2, "D(1,2)", variety(chart, "z1", "z2")),
         ),
     )
 
@@ -51,7 +47,7 @@ def test_jet_system_is_valid():
 def test_two_lowest_index_members_in_one_chart_are_invalid():
     chart = root_chart(("x1", "x2"))
     system = CompatibleSystem(
-        chart, (Member(1, "a", V("x1")), Member(1, "b", V("x2")))
+        chart, (Member(1, "a", variety(chart, "x1")), Member(1, "b", variety(chart, "x2")))
     )
     report = validate_compatible_system(system)
     assert not report.valid
@@ -69,9 +65,9 @@ def test_same_index_pair_with_lower_container_is_valid():
     system = CompatibleSystem(
         chart,
         (
-            Member(1, "low", V("x1", "x2")),
-            Member(2, "a", V("x1", "x3")),
-            Member(2, "b", V("x2", "x3")),
+            Member(1, "low", variety(chart, "x1", "x2")),
+            Member(2, "a", variety(chart, "x1", "x3")),
+            Member(2, "b", variety(chart, "x2", "x3")),
         ),
     )
     assert validate_compatible_system(system).valid
@@ -92,7 +88,8 @@ def test_canonical_resolution_of_jet_system():
     # the only surviving member lives in the xi2-direction chart
     assert list(surviving) == ["root/E1.0:xi2"]
     (member,) = surviving["root/E1.0:xi2"]
-    assert member.variety == V("z1~", "z2")
+    (chart,) = (s.chart for s in stage1 if s.chart.id == "root/E1.0:xi2")
+    assert member.variety == variety(chart, "z1~", "z2")
     assert member.index == 2
     # final system is empty everywhere
     assert all(not s.members for s in result.per_stage_systems[-1])
@@ -106,7 +103,7 @@ def test_minimal_mode_runs_one_stage_less():
 
 def test_single_member_canonical_is_one_stage():
     chart = root_chart(("x1", "x2", "x3"))
-    system = CompatibleSystem(chart, (Member(1, "only", V("x1", "x2")),))
+    system = CompatibleSystem(chart, (Member(1, "only", variety(chart, "x1", "x2")),))
     result = resolve_system(system)
     assert len(result.per_stage_systems) == 1
     assert all(not s.members for s in result.per_stage_systems[0])
@@ -118,7 +115,9 @@ def test_single_member_canonical_is_one_stage():
 
 def test_resolving_invalid_system_raises():
     chart = root_chart(("x1", "x2"))
-    bad = CompatibleSystem(chart, (Member(1, "a", V("x1")), Member(1, "b", V("x2"))))
+    bad = CompatibleSystem(
+        chart, (Member(1, "a", variety(chart, "x1")), Member(1, "b", variety(chart, "x2")))
+    )
     with pytest.raises(InvalidSystem):
         resolve_system(bad)
 
@@ -145,10 +144,10 @@ def test_determinism_byte_for_byte():
 
 def test_restrict_drops_slice_variable():
     chart = root_chart(JET_VARS, log_marked=("z1", "z2"))
-    system = CompatibleSystem(chart, (Member(1, "D(1)", V("z1", "xi2")),))
-    restricted = restrict_system(system, {"z2"})
+    system = CompatibleSystem(chart, (Member(1, "D(1)", variety(chart, "z1", "xi2")),))
+    restricted = restrict_system(system, {JET_VARS.index("z2")})
     assert restricted.chart.variables == ("z1", "xi2")
-    assert restricted.members[0].variety == V("z1", "xi2")
+    assert restricted.members[0].variety == variety(restricted.chart, "z1", "xi2")
 
 
 def test_restrict_to_whole_chart_is_identity():
@@ -160,9 +159,9 @@ def test_restrict_to_whole_chart_is_identity():
 
 def test_restrict_rejects_contained_member():
     chart = root_chart(("z1", "z2"))
-    system = CompatibleSystem(chart, (Member(1, "m", V("z1")),))
+    system = CompatibleSystem(chart, (Member(1, "m", variety(chart, "z1")),))
     with pytest.raises(NonTransverseSlice):
-        restrict_system(system, {"z1"})
+        restrict_system(system, {0})  # z1
 
 
 def test_functoriality_on_random_pairs():
