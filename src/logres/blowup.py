@@ -201,13 +201,6 @@ class Atlas:
             self.children[chart.id] = []
             self.children[parent_id].append(chart.id)
 
-    def leaves(self) -> list[Chart]:
-        return [
-            self.charts[cid]
-            for cid in sorted(self.charts)
-            if not self.children[cid]
-        ]
-
     def substitution_to_root(self, chart_id: str) -> dict[str, Exponent]:
         """Each root variable's monomial image over the chart's variables."""
         root = self.charts[self.root_id]

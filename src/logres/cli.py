@@ -47,8 +47,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> list[int]:
+    """Comma-separated integers; the empty string is the empty list, and an
+    empty entry is refused."""
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in text.split(",")] if text else []
     except ValueError as err:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from err
 
@@ -162,10 +164,8 @@ def _cmd_resolve(args) -> tuple[int, dict | str]:
         raise UsageError(f"c = {args.c} exceeds n = {args.n}")
     if not (0 <= k <= args.c) or not (1 <= args.t <= args.n):
         raise UsageError(f"need 0 <= k <= c and 1 <= t <= n, got k={k}, t={args.t}")
-    resolution, leaves, certificates, failed = _resolve_certificates(
-        args.n, args.c, k, args.t, args.mode
-    )
-    code = 1 if failed else 0
+    resolution, leaves, certificates = _resolve_certificates(args.n, args.c, k, args.t, args.mode)
+    code = 0 if all(entry["principal"] for entry in certificates) else 1
     if args.format == "json":
         params = {
             "n": args.n,
@@ -185,64 +185,57 @@ def _cmd_resolve(args) -> tuple[int, dict | str]:
     return code, "\n".join(lines) + "\n"
 
 
-def _certify_principal(entry: dict, result, jet, I) -> str | None:
-    """Mark a certificate entry principal, with its exceptional divisor per
-    leaf, or not principal; returns the reason when it is not.  A mismatch of
+def _chart_certificates(n: int, c: int, k: int, t: int, mode: str, subsets: list) -> tuple:
+    """Build and resolve the obstruction system of one fiber chart, then
+    certify each subset I: its `obstruction_certificate`, marked principal
+    with the exceptional divisor per leaf, or not principal.  A mismatch of
     the two obstruction-ideal routes leaves no ideal to certify, so it counts
-    as not principal too."""
-    try:
-        divisor = logjet.verify_principalization(result, jet, I).per_chart
-    except LogresError as err:
-        entry["principal"] = False
-        return str(err)
-    entry.update(principal=True, divisor=divisor)
-    return None
-
-
-def _resolve_certificates(
-    n: int, c: int, k: int, t: int, mode: str
-) -> tuple[dict, int, list, str | None]:
-    """The resolution's dict form, its leaf count, the principalization
-    certificates and the first target that failed, if any.  The atlas is
-    freed when this returns, before the JSON is built."""
+    as not principal too.  Returns the jet chart, the resolution and, per
+    subset, (certificate, reason it is not principal or None)."""
     jet, system = logjet.build_obstruction_system(n, c, k, t)
     result = logjet.resolve_obstruction_system(jet, system, mode)
+    certified = []
+    for I in subsets:
+        cert = logjet.obstruction_certificate(jet, I)
+        try:
+            divisor = logjet.verify_principalization(result, jet, I).per_chart
+        except LogresError as err:
+            cert["principal"] = False
+            certified.append((cert, str(err)))
+            continue
+        cert.update(principal=True, divisor=divisor)
+        certified.append((cert, None))
+    return jet, result, certified
 
-    targets = []
-    for i in range(1, c + 1):
-        complement = sorted(set(range(1, c + 1)) - {i})
-        if complement:
-            targets.append((f"complement_of_{i}", complement))
+
+def _resolve_certificates(n: int, c: int, k: int, t: int, mode: str) -> tuple[dict, int, list]:
+    """The resolution's dict form, its leaf count and the principalization
+    certificates under the names `resolve` prints.  The atlas is freed when
+    this returns, before the JSON is built."""
+    components = range(1, c + 1)
+    targets = {  # at c = 1 the one complement is empty, so it is not a target
+        f"complement_of_{i}": [j for j in components if j != i] for i in components if c > 1
+    }
     if mode == "canonical":
-        targets.append(("all_components", list(range(1, c + 1))))
-
+        targets["all_components"] = list(components)
+    _, result, certified = _chart_certificates(n, c, k, t, mode, list(targets.values()))
     certificates = []
-    failed = None
-    for name, I in targets:
-        # the intersected route; _certify_principal reports a route mismatch
-        generators = logjet.obstruction_certificate(jet, I)["generators"]
-        entry = {"ideal": name, "I": I, "base_generators": generators}
-        error = _certify_principal(entry, result, jet, I)
+    for name, (cert, error) in zip(targets, certified):
+        entry = {"ideal": name, "base_generators": cert["generators"]}
+        entry.update((key, cert[key]) for key in ("I", "principal", "divisor") if key in cert)
         if error:
             entry["error"] = error
-            failed = failed or name
         certificates.append(entry)
-    return result.to_dict(), len(result.leaves()), certificates, failed
+    return result.to_dict(), len(result.leaves), certificates
 
 
 def _verify_jet_chart(n: int, k: int, t: int, subsets: list) -> tuple[list, list, list]:
     """Certificates, principality failures and relation failures of one fiber
     chart (c = n).  The chart's atlas is freed when this returns."""
-    jet, system = logjet.build_obstruction_system(n, n, k, t)
-    result = logjet.resolve_obstruction_system(jet, system, "canonical")
-    certificates = []
-    principality_failures = []
-    for I in subsets:
-        cert = logjet.obstruction_certificate(jet, I)
-        error = _certify_principal(cert, result, jet, I)
-        if error:
-            principality_failures.append({"k": k, "t": t, "I": list(I), "error": error})
-        certificates.append(cert)
+    jet, _, certified = _chart_certificates(n, n, k, t, "canonical", subsets)
+    principality_failures = [
+        {"k": k, "t": t, "I": cert["I"], "error": error} for cert, error in certified if error
+    ]
     # The relation is symmetric and holds for I = J: check each unordered
     # pair once, report failures in ordered (I, J) order.
     failed = {
@@ -257,7 +250,7 @@ def _verify_jet_chart(n: int, k: int, t: int, subsets: list) -> tuple[list, list
         for J in subsets
         if failed and frozenset((I, J)) in failed
     ]
-    return certificates, principality_failures, relation_failures
+    return [cert for cert, _ in certified], principality_failures, relation_failures
 
 
 def _cmd_verify_jet(args) -> tuple[int, dict | str]:
@@ -298,16 +291,9 @@ def _cmd_verify_jet(args) -> tuple[int, dict | str]:
     }
 
 
-def _connection_context(args) -> logconn.ConnectionContext:
-    try:
-        return logconn.make_connection_context(args.n, args.eps, args.delta, args.r)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-
-
 def _cmd_rank(args) -> tuple[int, dict]:
     stratum = frozenset(_int_list(args.stratum))
-    ctx = _connection_context(args)
+    ctx = logconn.make_connection_context(args.n, args.eps, args.delta, args.r)
     if not stratum <= set(ctx.stratum_candidates()):
         raise UsageError(
             f"stratum {sorted(stratum)} not attainable; "
@@ -413,7 +399,7 @@ def _cmd_bounds(args) -> tuple[int, dict | str]:
 
 
 def _cmd_sample(args) -> tuple[int, dict]:
-    ctx = _connection_context(args)
+    ctx = logconn.make_connection_context(args.n, args.eps, args.delta, args.r)
     try:
         report = logconn.sample_indeterminacy(ctx, args.trials, args.seed)
     except ValueError as err:

@@ -275,7 +275,7 @@ def verify_principalization(
     Is = _component_key(jet, I)
     ideal = obstruction_ideal(jet, Is)
     per_chart = {}
-    for leaf in result.leaves():
+    for leaf in result.leaves:
         total = result.atlas.total_transform(leaf.id, ideal)
         if len(total.generators) != 1:
             raise NotResolved(

@@ -18,6 +18,10 @@ early.  The whole process is deterministic: charts are processed in id order
 and exceptional divisors are labeled ``E<stage>.<counter>``.  Members hold
 their coordinates by chart slot, which no blow-up moves; only output names them.
 
+Validation returns the violations it finds, so an empty tuple means
+compatible.  A resolution records its leaves once: the charts of its final
+live state, sorted by id.
+
 Slice restriction and subsystem principalization are not verbs: they are
 the functoriality routes the tests check the resolution against, in
 ``tests/oracles.py``.
@@ -49,23 +53,11 @@ class Member:
     label: str
     variety: SimpleVariety
 
-    def __str__(self) -> str:
-        return f"[{self.index}] {self.label}: {self.variety}"
-
 
 @dataclass(frozen=True)
 class CompatibleSystem:
     chart: Chart
     members: tuple[Member, ...]
-
-    @property
-    def indices(self) -> list[int]:
-        return sorted({m.index for m in self.members})
-
-    @property
-    def length(self) -> int:
-        idx = self.indices
-        return idx[-1] - idx[0] + 1 if idx else 0
 
 
 @dataclass(frozen=True)
@@ -78,14 +70,9 @@ class Violation:
         return f"index {self.index}: {self.label_a} meets {self.label_b} with no lower-index container"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    violations: tuple[Violation, ...]
-
-
-def validate_compatible_system(system: CompatibleSystem) -> ValidationReport:
-    """Check the same-index intersection condition, reporting every violation.
+def validate_compatible_system(system: CompatibleSystem) -> tuple[Violation, ...]:
+    """Every violation of the same-index intersection condition; none means
+    the system is compatible.
 
     Inside a single chart all members pass through the origin, so the
     "disjoint" alternative never applies: each same-index pair needs a
@@ -103,7 +90,7 @@ def validate_compatible_system(system: CompatibleSystem) -> ValidationReport:
                 for m in members
             ):
                 violations.append(Violation(a.index, a.label, b.label))
-    return ValidationReport(not violations, tuple(violations))
+    return tuple(violations)
 
 
 @dataclass(frozen=True)
@@ -111,9 +98,7 @@ class ResolutionResult:
     atlas: Atlas
     per_stage_systems: tuple[tuple[CompatibleSystem, ...], ...]
     mode: str
-
-    def leaves(self) -> list[Chart]:
-        return self.atlas.leaves()
+    leaves: tuple[Chart, ...]  # the charts of the final live state, sorted by id
 
     def to_dict(self) -> dict:
         return {
@@ -145,20 +130,22 @@ class ResolutionResult:
 def resolve_system(system: CompatibleSystem, mode: str = "canonical") -> ResolutionResult:
     """Run the staged blow-up of lowest-index members.
 
-    Canonical mode runs `length` stages and ends with an empty system;
-    minimal mode stops after `length - 1` stages.
+    With `length` the span of the member indices, canonical mode runs
+    `length` stages and ends with an empty system; minimal mode stops after
+    `length - 1` stages.
     """
     if mode not in ("canonical", "minimal"):
         raise ValueError(f"unknown mode {mode!r}")
-    report = validate_compatible_system(system)
-    if not report.valid:
-        raise InvalidSystem("; ".join(str(v) for v in report.violations))
+    violations = validate_compatible_system(system)
+    if violations:
+        raise InvalidSystem("; ".join(map(str, violations)))
 
     atlas = Atlas.for_root(system.chart)
     state: list[tuple[Chart, tuple[Member, ...]]] = [(system.chart, system.members)]
-    length = system.length
+    indices = {m.index for m in system.members}
+    lowest = min(indices, default=0)
+    length = max(indices) - lowest + 1 if indices else 0
     stages = length if mode == "canonical" else max(length - 1, 0)
-    lowest = system.indices[0] if system.members else 0
     per_stage: list[tuple[CompatibleSystem, ...]] = []
 
     for stage in range(1, stages + 1):
@@ -206,5 +193,6 @@ def resolve_system(system: CompatibleSystem, mode: str = "canonical") -> Resolut
 
     if mode == "canonical" and any(members for _, members in state):
         raise InvalidSystem("canonical resolution left unresolved members")
-    return ResolutionResult(atlas, tuple(per_stage), mode)
+    leaves = tuple(sorted((chart for chart, _ in state), key=lambda chart: chart.id))
+    return ResolutionResult(atlas, tuple(per_stage), mode, leaves)
 

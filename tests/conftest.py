@@ -87,9 +87,7 @@ def random_jet_subfamily(rng: random.Random, max_k=3, extra_vars=2):
     for _ in range(rng.randint(0, len(members))):
         candidate = rng.choice(members)
         trimmed = [m for m in members if m is not candidate]
-        if trimmed and validate_compatible_system(
-            CompatibleSystem(chart, tuple(trimmed))
-        ).valid:
+        if trimmed and not validate_compatible_system(CompatibleSystem(chart, tuple(trimmed))):
             members = trimmed
     return CompatibleSystem(chart, tuple(members))
 
@@ -115,7 +113,7 @@ def random_rejection_system(rng: random.Random, max_vars=6, max_members=4, tries
         if indices != list(range(indices[0], indices[-1] + 1)):
             continue
         system = CompatibleSystem(chart, tuple(members))
-        if validate_compatible_system(system).valid:
+        if not validate_compatible_system(system):
             return system
     # dense draws can keep failing; the one-member system is always valid
     return CompatibleSystem(chart, (Member(1, "m1", base),))

@@ -12,7 +12,7 @@ CLI verb needs it, so it is not shipped in ``src/logres``:
 * the strict transform of an ideal in one blow-up chart (``transform_ideal``),
   closure of simple ideals under it (c04);
 * slice restriction of compatible systems and subsystem principalization
-  (c06);
+  (c06), and the leaves of a resolution read off its blow-up tree;
 * the symbolic twisted connection component with certified exact division
   (c07) and the graph-substitution identity of deformed Fermat sections (c09),
   on random sections summed as polynomials from ``sample``'s draws;
@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping
 
-from logres.blowup import Chart, push_exponent, root_chart
+from logres.blowup import Atlas, Chart, push_exponent, root_chart
 from logres.logconn import (
     ConnectionContext,
     DegreeMismatch,
@@ -445,17 +445,23 @@ def verify_subsystem_resolution(
         raise NotSubsystem(f"unknown member labels {sorted(unknown)}")
     sub_members = tuple(m for m in system.members if m.label in labels)
     sub_system = CompatibleSystem(system.chart, sub_members)
-    if not validate_compatible_system(sub_system).valid:
+    if validate_compatible_system(sub_system):
         raise NotSubsystem("selection is not itself a compatible system")
     if not _is_subsystem(system, labels):
         raise NotSubsystem("selection violates the subsystem condition")
     ideal = subsystem_ideal(system, labels)
     result = resolve_system(system, mode="canonical")
-    for leaf in result.leaves():
+    for leaf in result.leaves:
         total = result.atlas.total_transform(leaf.id, ideal)
         if len(total.generators) != 1:
             return False
     return True
+
+
+def atlas_leaves(atlas: Atlas) -> list[Chart]:
+    """The charts of the blow-up tree with no children, sorted by id: the
+    leaves a resolution records, read off the tree instead of its final state."""
+    return [atlas.charts[cid] for cid in sorted(atlas.charts) if not atlas.children[cid]]
 
 
 # -- symbolic connection components ---------------------------------------------------

@@ -290,6 +290,50 @@ def test_malformed_connection_argv_is_usage_error(argv):
     assert text.startswith("usage error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        ("bounds --n 2 --delta 4,,6 --eps 1,1", "4,,6"),
+        ("bounds --n 2 --delta 4,6, --eps 1,1", "4,6,"),
+        ("bounds --n 2 --delta 4,6 --eps ,1,1", ",1,1"),
+        ("rank --n 2 --delta 2 --stratum 1,,2", "1,,2"),
+        ("rank --n 2 --delta 2 --stratum ,", ","),
+    ],
+)
+def test_empty_list_entry_is_usage_error(argv, bad):
+    code, text = run_command(shlex.split(argv))
+    assert code == 2
+    assert text == f"usage error: expected comma-separated integers, got {bad!r}\n"
+
+
+def test_empty_stratum_is_the_empty_list():
+    argv = ["rank", "--n", "2", "--delta", "2"]
+    code, text = run_command(argv + ["--stratum", ""])
+    assert code == 0
+    assert json.loads(text)["params"]["stratum"] == []
+    assert run_command(argv) == (code, text)
+
+
+def test_resolve_all_components_matches_the_verify_jet_certificate():
+    """Both jet verbs certify a chart through one routine: at n = 3, the
+    all_components entry of resolve --c 3 at each (k, t) is verify-jet's
+    certificate for I = [1, 2, 3] at the same (k, t)."""
+    _, verified = run_json(["verify-jet", "--n", "3"])
+    by_chart = {
+        (cert["k"], cert["t"]): cert for cert in verified["certificates"] if cert["I"] == [1, 2, 3]
+    }
+    assert len(by_chart) == 12
+    for (k, t), cert in by_chart.items():
+        argv = ["resolve", "--n", "3", "--c", "3", "--k", str(k), "--t", str(t)]
+        code, payload = run_json(argv)
+        assert code == 0
+        (entry,) = (e for e in payload["certificates"] if e["ideal"] == "all_components")
+        assert entry["I"] == cert["I"]
+        assert entry["principal"] is cert["principal"] is True
+        assert entry["divisor"] == cert["divisor"]
+        assert entry["base_generators"] == cert["generators"]
+
+
 def test_out_write_failure_is_usage_error(tmp_path):
     for target in (tmp_path / "missing" / "x", tmp_path):
         code, text = run_command(

@@ -71,7 +71,7 @@ def test_build_system_n2_chart1():
         "D(1,2)": variety(jet.chart, "z1", "z2"),
     }
     assert [m.index for m in system.members] == [1, 2]
-    assert validate_compatible_system(system).valid
+    assert not validate_compatible_system(system)
     # D(2) is invisible: its ideal contains xi1 = 1
     assert stratum_prime(jet, {2}).is_unit
 
@@ -87,7 +87,7 @@ def test_build_system_n3_full():
     # 7 nonempty subsets, visible exactly when they contain 1
     assert len(system.members) == 4
     assert all(stratum_variety(jet, J) is None for J in [(2,), (3,), (2, 3)])
-    assert validate_compatible_system(system).valid
+    assert not validate_compatible_system(system)
 
 
 def test_stratum_dimension_is_codim_n():
@@ -315,7 +315,7 @@ def test_minimal_resolution_principalizes_single_obstructions():
         cert = verify_principalization(result, jet, complement)
         # returned, not raised: principal, with a divisor on every leaf
         assert cert.I == tuple(sorted(complement))
-        assert set(cert.per_chart) == {leaf.id for leaf in result.leaves()}
+        assert set(cert.per_chart) == {leaf.id for leaf in result.leaves}
 
 
 def test_canonical_resolution_principalizes_everything():
@@ -362,7 +362,7 @@ def test_every_verify_jet_chart_obeys_the_star_subdivision_column_rule():
 
 def test_unresolved_base_raises_not_resolved():
     jet, system = build_obstruction_system(2, 2, 2, 1)
-    bare = ResolutionResult(Atlas.for_root(jet.chart), (), "none")
+    bare = ResolutionResult(Atlas.for_root(jet.chart), (), "none", (jet.chart,))
     with pytest.raises(NotResolved) as exc:
         verify_principalization(bare, jet, {1, 2})
     assert exc.value.chart_id == "root"

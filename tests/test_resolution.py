@@ -9,6 +9,7 @@ from conftest import (
     variety,
 )
 from logres.blowup import root_chart
+from logres.logjet import build_obstruction_system, resolve_obstruction_system
 from logres.resolution import (
     CompatibleSystem,
     InvalidSystem,
@@ -19,6 +20,7 @@ from logres.resolution import (
 from oracles import (
     NonTransverseSlice,
     NotSubsystem,
+    atlas_leaves,
     restrict_system,
     verify_subsystem_resolution,
 )
@@ -41,7 +43,7 @@ def jet_system_c2():
 
 
 def test_jet_system_is_valid():
-    assert validate_compatible_system(jet_system_c2()).valid
+    assert not validate_compatible_system(jet_system_c2())
 
 
 def test_two_lowest_index_members_in_one_chart_are_invalid():
@@ -49,15 +51,15 @@ def test_two_lowest_index_members_in_one_chart_are_invalid():
     system = CompatibleSystem(
         chart, (Member(1, "a", variety(chart, "x1")), Member(1, "b", variety(chart, "x2")))
     )
-    report = validate_compatible_system(system)
-    assert not report.valid
-    assert len(report.violations) == 1
-    assert {report.violations[0].label_a, report.violations[0].label_b} == {"a", "b"}
+    violations = validate_compatible_system(system)
+    assert violations
+    assert len(violations) == 1
+    assert {violations[0].label_a, violations[0].label_b} == {"a", "b"}
 
 
 def test_empty_system_is_valid():
     chart = root_chart(("x1", "x2"))
-    assert validate_compatible_system(CompatibleSystem(chart, ())).valid
+    assert not validate_compatible_system(CompatibleSystem(chart, ()))
 
 
 def test_same_index_pair_with_lower_container_is_valid():
@@ -70,7 +72,7 @@ def test_same_index_pair_with_lower_container_is_valid():
             Member(2, "b", variety(chart, "x2", "x3")),
         ),
     )
-    assert validate_compatible_system(system).valid
+    assert not validate_compatible_system(system)
 
 
 # -- resolution ----------------------------------------------------------------
@@ -107,10 +109,27 @@ def test_single_member_canonical_is_one_stage():
     result = resolve_system(system)
     assert len(result.per_stage_systems) == 1
     assert all(not s.members for s in result.per_stage_systems[0])
-    assert sorted(c.id for c in result.leaves()) == [
+    assert sorted(c.id for c in result.leaves) == [
         "root/E1.0:x1",
         "root/E1.0:x2",
     ]
+
+
+def test_recorded_leaves_are_the_childless_charts_of_the_atlas():
+    """The leaves a resolution records from its final state are the charts
+    with no children in its atlas, sorted by id, on every jet system with
+    n <= 4 in both modes."""
+    checked = 0
+    for n in (2, 3, 4):
+        for c in range(1, n + 1):
+            for k in range(c + 1):
+                for t in range(1, n + 1):
+                    for mode in ("canonical", "minimal"):
+                        jet, system = build_obstruction_system(n, c, k, t)
+                        result = resolve_obstruction_system(jet, system, mode)
+                        assert result.leaves == tuple(atlas_leaves(result.atlas)), (n, c, k, t, mode)
+                        checked += 1
+    assert checked == 186
 
 
 def test_resolving_invalid_system_raises():
@@ -129,7 +148,7 @@ def test_stage_invariance_on_random_systems():
         result = resolve_system(system, mode="canonical")
         for stage in result.per_stage_systems:
             for chart_system in stage:
-                assert validate_compatible_system(chart_system).valid
+                assert not validate_compatible_system(chart_system)
 
 
 def test_determinism_byte_for_byte():
