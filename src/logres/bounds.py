@@ -14,12 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .symcore import LogresError
-
-
-class NonIntegerB(LogresError):
-    """Defensive: the product weights must come out integral."""
-
 
 def _integers(values: Sequence[int], name: str) -> tuple[int, ...]:
     """The entries as ints; a non-integral entry raises instead of being truncated."""
@@ -49,12 +43,7 @@ def effective_bounds(n: int, delta: Sequence[int], eps: Sequence[int]) -> Bounds
     if any(d < 1 for d in delta) or any(e < 1 for e in eps):
         raise ValueError("delta and eps entries must be positive")
     product = math.prod(delta)
-    b = []
-    for d in delta:
-        quotient, remainder = divmod(product, d)
-        if remainder:
-            raise NonIntegerB(f"{product} not divisible by {d}")
-        b.append(quotient)
+    b = [product // d for d in delta]  # exact: d is a factor of the product
     r_min = 1 + sum(bi * (ei + di) for bi, di, ei in zip(b, delta, eps))
     m = tuple(ei + (r_min + 1) * di for di, ei in zip(delta, eps))
     applicable = all(d >= 4 * n - 1 for d in delta)

@@ -7,9 +7,11 @@ key-sorted and seeded, so identical invocations are byte-identical.
 
 A verb returns either text or a plain payload dict; ``run_command`` stamps
 the payload with ``schema_version`` and ``command`` and ``_emit``, the one
-encoder, writes it.  Besides JSON's own types ``_emit`` accepts exactly two:
-a ``Fraction``, printed as the string "p/q", and a dataclass instance, written
-as its fields.  Anything else raises ``TypeError``.
+encoder, writes it: a writer of its own that prints the bytes
+``json.dumps(sort_keys=True, indent=2)`` would.  Besides JSON's own types it
+accepts exactly two: a ``Fraction``, printed as the string "p/q", and a
+dataclass instance, written as its fields.  Anything else, a float or a key
+that is not a string too, raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import contextlib
 import dataclasses
 import functools
 import io
-import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__, bounds, logconn, logjet, residues
 from .ratmat import to_text
@@ -141,16 +143,39 @@ def _fields(instance) -> dict:
     return {field.name: getattr(instance, field.name) for field in dataclasses.fields(instance)}
 
 
-def _encode(value):
+def _to_json(value, newline: str) -> str:
+    """The JSON text of value, laid out as json.dumps(sort_keys=True, indent=2)
+    would; newline holds the indentation of value's own line."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # _quote raises TypeError for a key that is not a string
+        members = [_quote(key) + ": " + _to_json(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(members) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        members = [_to_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(members) + newline + "]"
     if isinstance(value, Fraction):
-        return str(value)
+        return _quote(str(value))
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _fields(value)
+        return _to_json(_fields(value), newline)
     raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 
 
 def _emit(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_encode) + "\n"
+    return _to_json(payload, "\n") + "\n"
 
 
 # -- verbs ----------------------------------------------------------------------
@@ -191,18 +216,26 @@ def _chart_certificates(n: int, c: int, k: int, t: int, mode: str, subsets: list
     with the exceptional divisor per leaf, or not principal.  A mismatch of
     the two obstruction-ideal routes leaves no ideal to certify, so it counts
     as not principal too.  Returns the jet chart, the resolution and, per
-    subset, (certificate, reason it is not principal or None)."""
+    subset, (certificate, reason it is not principal or None).  Each distinct
+    ideal is principalized once; a failure is not kept, so the next subset of
+    that ideal tries again and each reason names its own subset."""
     jet, system = logjet.build_obstruction_system(n, c, k, t)
     result = logjet.resolve_obstruction_system(jet, system, mode)
+    divisors = {}  # intersected generators -> divisor, for ideals whose routes agree
     certified = []
     for I in subsets:
         cert = logjet.obstruction_certificate(jet, I)
-        try:
-            divisor = logjet.verify_principalization(result, jet, I).per_chart
-        except LogresError as err:
-            cert["principal"] = False
-            certified.append((cert, str(err)))
-            continue
+        key = tuple(cert["generators"]) if cert["equal"] else None
+        divisor = divisors.get(key)
+        if divisor is None:
+            try:
+                divisor = logjet.verify_principalization(result, jet, I).per_chart
+            except LogresError as err:
+                cert["principal"] = False
+                certified.append((cert, str(err)))
+                continue
+            if key is not None:
+                divisors[key] = divisor
         cert.update(principal=True, divisor=divisor)
         certified.append((cert, None))
     return jet, result, certified
@@ -236,18 +269,20 @@ def _verify_jet_chart(n: int, k: int, t: int, subsets: list) -> tuple[list, list
     principality_failures = [
         {"k": k, "t": t, "I": cert["I"], "error": error} for cert, error in certified if error
     ]
-    # The relation is symmetric and holds for I = J: check each unordered
-    # pair once, report failures in ordered (I, J) order.
+    # The relation is symmetric, holds for I = J and holds when either prime
+    # is the unit ideal: check each unordered pair of proper primes once,
+    # report failures in ordered (I, J) order.
+    proper = [I for I in subsets if not jet.stratum_primes[I].is_unit]
     failed = {
         frozenset((I, J))
-        for pos, I in enumerate(subsets)
-        for J in subsets[pos + 1:]
+        for pos, I in enumerate(proper)
+        for J in proper[pos + 1:]
         if not logjet.stratum_relation_holds(jet, I, J)
     }
     relation_failures = [
         {"k": k, "t": t, "I": list(I), "J": list(J)}
-        for I in subsets
-        for J in subsets
+        for I in proper
+        for J in proper
         if failed and frozenset((I, J)) in failed
     ]
     return [cert for cert, _ in certified], principality_failures, relation_failures
@@ -260,16 +295,19 @@ def _cmd_verify_jet(args) -> tuple[int, dict | str]:
     c = n
     relation_failures = []
     principality_failures = []
-    certificates = []
+    lift_failures = []
+    certificates = []  # text mode prints counts and keeps no certificate
+    checked = 0
     subsets = logjet.component_subsets(range(1, c + 1))
     for k in range(0, c + 1):
         for t in range(1, n + 1):
             certs, principality, relations = _verify_jet_chart(n, k, t, subsets)
-            certificates += certs
+            checked += len(certs)
+            lift_failures += [cert for cert in certs if not cert["equal"]]
+            if args.format == "json":
+                certificates += certs
             principality_failures += principality
             relation_failures += relations
-    lift_failures = [cert for cert in certificates if not cert["equal"]]
-    checked = len(certificates)
     verified = not lift_failures and not relation_failures and not principality_failures
     code = 0 if verified else 1
     if args.format == "text":
@@ -368,7 +406,7 @@ def _cmd_bounds(args) -> tuple[int, dict | str]:
         report = bounds.effective_bounds(args.n, delta, eps)
         threshold = None if args.c is None else bounds.degree_threshold(args.n, args.c, delta)
         split = None if alpha is None else bounds.reconstruct_parameters(alpha, delta)
-    except (ValueError, LogresError) as err:
+    except ValueError as err:
         raise UsageError(str(err)) from err
     if args.format == "json":
         payload = {"effective": report}

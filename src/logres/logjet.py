@@ -68,9 +68,8 @@ class NotResolved(LogresError):
 class JetChart:
     """A dehomogenized fiber chart: 2n-1 coordinates, base log marks z1..zk.
 
-    A chart builds each stratum prime and each obstruction ideal once: the
-    primes on first use of `stratum_primes`, an obstruction ideal (both
-    routes) on the first certificate or check that asks for it.
+    A chart builds each stratum prime once, on first use of `stratum_primes`,
+    and each intersected route once per tuple of primes it intersects.
     """
 
     n: int
@@ -78,8 +77,8 @@ class JetChart:
     k: int
     t: int
     chart: Chart
-    # (intersected, closed form) per sorted component subset I
-    _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # intersected route per tuple of the subsets J whose non-unit primes it intersects
+    _intersected: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def stratum_primes(self) -> dict[tuple[int, ...], MonomialIdeal]:
@@ -186,12 +185,17 @@ def stratum_relation_holds(jet: JetChart, I: Iterable[int], J: Iterable[int]) ->
 
 
 def obstruction_ideal_intersected(jet: JetChart, I: Iterable[int]) -> MonomialIdeal:
-    """Intersection of the stratum primes over nonempty subsets of I."""
-    primes = [jet.stratum_primes[J] for J in component_subsets(_component_key(jet, I))]
-    primes = [prime for prime in primes if not prime.is_unit]
-    if not primes:
-        return MonomialIdeal.unit(jet.chart.variables)
-    return intersect_monomial_ideals(primes)
+    """Intersection of the stratum primes over nonempty subsets of I.  A unit
+    prime changes nothing, so the route is keyed by the subsets J of I whose
+    prime is not the unit ideal, and the chart intersects each such tuple once."""
+    primes = jet.stratum_primes
+    key = tuple(J for J in component_subsets(_component_key(jet, I)) if not primes[J].is_unit)
+    if key not in jet._intersected:
+        proper = [primes[J] for J in key]
+        jet._intersected[key] = (
+            intersect_monomial_ideals(proper) if proper else MonomialIdeal.unit(jet.chart.variables)
+        )
+    return jet._intersected[key]
 
 
 def obstruction_ideal_closed_form(jet: JetChart, I: Iterable[int]) -> MonomialIdeal:
@@ -213,19 +217,11 @@ def obstruction_ideal_closed_form(jet: JetChart, I: Iterable[int]) -> MonomialId
     return MonomialIdeal.from_varsets(variables, sets)
 
 
-def _obstruction_routes(jet: JetChart, Is: tuple[int, ...]) -> tuple[MonomialIdeal, MonomialIdeal]:
-    """(intersected, closed form) for sorted I, built on the chart's first request."""
-    routes = jet._routes.get(Is)
-    if routes is None:
-        routes = (obstruction_ideal_intersected(jet, Is), obstruction_ideal_closed_form(jet, Is))
-        jet._routes[Is] = routes
-    return routes
-
-
 def obstruction_certificate(jet: JetChart, I: Iterable[int]) -> dict:
     """Both routes to the obstruction ideal plus their equality flag."""
     Is = _component_key(jet, I)
-    intersected, closed = _obstruction_routes(jet, Is)
+    intersected = obstruction_ideal_intersected(jet, Is)
+    closed = obstruction_ideal_closed_form(jet, Is)
     return {
         "n": jet.n,
         "c": jet.c,
@@ -242,7 +238,8 @@ def obstruction_certificate(jet: JetChart, I: Iterable[int]) -> dict:
 def obstruction_ideal(jet: JetChart, I: Iterable[int]) -> MonomialIdeal:
     """The obstruction ideal; raises if the two defining routes disagree."""
     Is = _component_key(jet, I)
-    intersected, closed = _obstruction_routes(jet, Is)
+    intersected = obstruction_ideal_intersected(jet, Is)
+    closed = obstruction_ideal_closed_form(jet, Is)
     if intersected != closed:
         raise LogresError(
             f"obstruction ideal mismatch for I={list(Is)}: "
@@ -270,7 +267,8 @@ def verify_principalization(
     into a leaf once however many ideals share it, and is principal exactly
     when `minimalize` leaves one generator.  Returns the exceptional
     multiplicities per chart; raises NotResolved with the offending chart id
-    otherwise.
+    otherwise.  They depend on the ideal and the atlas alone, so the caller
+    certifies each distinct ideal of a chart once, for every I that shares it.
     """
     Is = _component_key(jet, I)
     ideal = obstruction_ideal(jet, Is)

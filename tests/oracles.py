@@ -20,11 +20,16 @@ CLI verb needs it, so it is not shipped in ``src/logres``:
   every component is a coordinate hyperplane;
 * the recursive-descent polynomial parser that builds a ``Polynomial`` per
   factor (``reference_parse_polynomial``), which ``parse_polynomial``
-  replaced with one pass into a term map.
+  replaced with one pass into a term map;
+* the JSON text of a payload from ``json.dumps`` with a ``default=`` hook for
+  ``Fraction`` and dataclass leaves (``reference_emit``), which the writer
+  in ``cli._emit`` replaced.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -725,3 +730,21 @@ def reference_parse_polynomial(text: str, variables: Iterable[str]) -> Polynomia
     if not text or text == "0":
         return Polynomial.zero(vs)
     return _Parser(text, vs).parse()
+
+
+# -- JSON output -----------------------------------------------------------------
+
+
+def _encode(value):
+    """The `default=` hook: a Fraction as "p/q", a dataclass instance as the
+    shallow dict of its fields; any other type is refused."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {field.name: getattr(value, field.name) for field in dataclasses.fields(value)}
+    raise TypeError(f"cannot encode {type(value).__name__} as JSON")
+
+
+def reference_emit(payload) -> str:
+    """A payload as key-sorted JSON, indented by two, through `json.dumps`."""
+    return json.dumps(payload, sort_keys=True, indent=2, default=_encode) + "\n"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shlex
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from logres.cli import main, run_command
 from logres.monideal import MonomialIdeal
 from logres.ratmat import rank
 from logres.symcore import Polynomial
+from oracles import reference_emit
 from test_surface import ARGV
 
 
@@ -365,9 +367,11 @@ def test_verify_jet_stdout_matches_recorded_digest(n, fmt):
 
 def test_verify_jet_reports_a_failed_pair_in_both_orders(monkeypatch):
     """Negative control for the unordered relation loop: a pair that fails is
-    listed as (I, J) and (J, I), where the ordered loop would list them."""
+    listed as (I, J) and (J, I), where the ordered loop would list them.  The
+    loop visits only pairs of proper primes, and both primes of {(1, 2),
+    (1, 3)} are proper in chart k = 3, t = 1 alone."""
     holds = logjet.stratum_relation_holds
-    bad = {(2,), (1, 3)}
+    bad = {(1, 2), (1, 3)}
 
     def spoiled(jet, I, J):
         return {tuple(I), tuple(J)} != bad and holds(jet, I, J)
@@ -376,16 +380,96 @@ def test_verify_jet_reports_a_failed_pair_in_both_orders(monkeypatch):
     code, payload = run_json(["verify-jet", "--n", "3"])
     assert code == 1
     assert not payload["verified"]
-    # subsets run (1), (2), (3), (1,2), (1,3), (2,3), (1,2,3): (2) comes first
+    # subsets run (1), (2), (3), (1,2), (1,3), (2,3), (1,2,3): (1,2) comes first
     assert payload["intersection_failures"] == [
-        {"k": k, "t": t, "I": I, "J": J}
-        for k in range(4)
-        for t in range(1, 4)
-        for I, J in (([2], [1, 3]), ([1, 3], [2]))
+        {"k": 3, "t": 1, "I": I, "J": J} for I, J in (([1, 2], [1, 3]), ([1, 3], [1, 2]))
     ]
     code, text = run_command(["verify-jet", "--n", "3", "--format", "text"])
     assert code == 1
-    assert text == "verify-jet n=3: 84 ideals checked, 0 lift failures, 24 relation failures\n"
+    assert text == "verify-jet n=3: 84 ideals checked, 0 lift failures, 2 relation failures\n"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_jet_skips_only_pairs_with_a_unit_prime(monkeypatch, n):
+    """The relation loop leaves out a pair only when one of its primes is the
+    unit ideal, where the relation holds without a check."""
+    holds = logjet.stratum_relation_holds
+    visited = set()
+
+    def recording(jet, I, J):
+        visited.add((jet.k, jet.t, frozenset((I, J))))
+        return holds(jet, I, J)
+
+    monkeypatch.setattr(logjet, "stratum_relation_holds", recording)
+    code, _ = run_command(["verify-jet", "--n", str(n), "--format", "text"])
+    assert code == 0
+    subsets = logjet.component_subsets(range(1, n + 1))
+    skipped = 0
+    for k in range(n + 1):
+        for t in range(1, n + 1):
+            jet = logjet.make_jet_chart(n, n, k, t)
+            primes = jet.stratum_primes
+            for pos, I in enumerate(subsets):
+                for J in subsets[pos + 1:]:
+                    if (k, t, frozenset((I, J))) in visited:
+                        continue
+                    skipped += 1
+                    assert primes[I].is_unit or primes[J].is_unit, (k, t, I, J)
+                    assert holds(jet, I, J)
+    assert skipped + len(visited) == n * (n + 1) * len(subsets) * (len(subsets) - 1) // 2
+
+
+@pytest.mark.parametrize("n, expected", [(3, 29), (4, 69)])
+def test_verify_jet_principalizes_each_distinct_ideal_once(monkeypatch, n, expected):
+    verify = logjet.verify_principalization
+    calls = []  # (k, t, ideal) of every call
+
+    def counting(result, jet, I):
+        calls.append((jet.k, jet.t, logjet.obstruction_ideal(jet, I)))
+        return verify(result, jet, I)
+
+    monkeypatch.setattr(logjet, "verify_principalization", counting)
+    code, payload = run_json(["verify-jet", "--n", str(n)])
+    assert code == 0
+    assert payload["ideals_checked"] == n * (n + 1) * (2**n - 1)
+    assert len(calls) == len(set(calls)) == expected
+    subsets = logjet.component_subsets(range(1, n + 1))
+    distinct = set()
+    for k in range(n + 1):
+        for t in range(1, n + 1):
+            jet = logjet.make_jet_chart(n, n, k, t)
+            distinct |= {(k, t, logjet.obstruction_ideal(jet, I)) for I in subsets}
+    assert set(calls) == distinct
+
+
+def test_a_principality_failure_is_not_shared_by_its_ideal(monkeypatch):
+    """At n = 3, k = 2, t = 1 the subsets (1, 2) and (1, 2, 3) share one
+    obstruction ideal, and (1, 2) is certified first.  A failure for (1, 2)
+    is reported for it alone; (1, 2, 3) is principalized on its own."""
+    verify = logjet.verify_principalization
+
+    def spoiled(result, jet, I):
+        if (jet.k, jet.t, tuple(I)) == (2, 1, (1, 2)):
+            raise logjet.NotResolved("root", "spoiled")
+        return verify(result, jet, I)
+
+    monkeypatch.setattr(logjet, "verify_principalization", spoiled)
+    code, payload = run_json(["verify-jet", "--n", "3"])
+    assert code == 1
+    (unprincipal,) = payload["principality_failures"]
+    assert (unprincipal["k"], unprincipal["t"], unprincipal["I"]) == (2, 1, [1, 2])
+    assert unprincipal["error"] == "spoiled (chart root)"
+    chart = {
+        tuple(cert["I"]): cert
+        for cert in payload["certificates"]
+        if (cert["k"], cert["t"]) == (2, 1)
+    }
+    assert chart[(1, 2)]["generators"] == chart[(1, 2, 3)]["generators"]
+    assert not chart[(1, 2)]["principal"] and "divisor" not in chart[(1, 2)]
+    assert chart[(1, 2, 3)]["principal"]
+    jet, system = logjet.build_obstruction_system(3, 3, 2, 1)
+    result = logjet.resolve_obstruction_system(jet, system, "canonical")
+    assert chart[(1, 2, 3)]["divisor"] == verify(result, jet, (1, 2, 3)).per_chart
 
 
 def test_verify_jet_reports_a_lift_failure(monkeypatch):
@@ -442,6 +526,29 @@ def test_verify_jet_text_counts_a_principality_failure(monkeypatch):
     )
 
 
+def test_a_route_mismatch_does_not_reuse_a_shared_divisor(monkeypatch):
+    """(1, 2, 3) shares its intersected route with (1, 2) at n = 3, k = 2,
+    t = 1, and (1, 2) is certified first.  With the closed form of (1, 2, 3)
+    spoilt there is no one ideal to certify, so the divisor of (1, 2) must
+    not be reused for it."""
+    closed = logjet.obstruction_ideal_closed_form
+
+    def spoiled(jet, I):
+        if (jet.k, jet.t, tuple(I)) == (2, 1, (1, 2, 3)):
+            return MonomialIdeal.unit(jet.chart.variables)
+        return closed(jet, I)
+
+    monkeypatch.setattr(logjet, "obstruction_ideal_closed_form", spoiled)
+    code, payload = run_json(["verify-jet", "--n", "3"])
+    assert code == 1
+    (failure,) = payload["lift_ideal_failures"]
+    assert (failure["k"], failure["t"], failure["I"]) == (2, 1, [1, 2, 3])
+    assert not failure["principal"] and "divisor" not in failure
+    (unprincipal,) = payload["principality_failures"]
+    assert (unprincipal["k"], unprincipal["t"], unprincipal["I"]) == (2, 1, [1, 2, 3])
+    assert unprincipal["error"].startswith("obstruction ideal mismatch for I=[1, 2, 3]: ")
+
+
 def test_resolve_reports_a_route_mismatch(monkeypatch):
     """The same spoiled closed form as above: resolve reports the mismatch as
     an unprincipal certificate with its JSON, not as a bare error."""
@@ -479,9 +586,39 @@ def test_emit_encodes_fractions_and_dataclasses_only():
     assert json.loads(cli._emit(split)) == {
         "alpha": "7/2", "eps": [1], "m": [7], "r": 2, "valid": True
     }
-    for value in (Polynomial.constant(("x",), 1), {1, 2}, logconn.RankReport, object()):
+    for value in (Polynomial.constant(("x",), 1), {1, 2}, logconn.RankReport, object(), 0.5):
         with pytest.raises(TypeError):
             cli._emit({"value": value})
+    for payload in ({1: "one"}, {"a": {2: 0}}, {"a": [{"b": 1, None: 2}]}):
+        with pytest.raises(TypeError):
+            cli._emit(payload)
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    value: object
+    other: object
+
+
+_PAYLOADS = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.text()
+    | st.fractions()
+    | st.builds(_Leaf, st.integers() | st.text(), st.fractions() | st.booleans()),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    | st.builds(_Leaf, children, children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), _PAYLOADS, max_size=5))
+def test_emit_writes_what_json_dumps_writes(payload):
+    assert cli._emit(payload) == reference_emit(payload)
 
 
 def _prints_json(argv):
