@@ -33,11 +33,12 @@ a = sum_K c_K*m_K is then
   factor_I = (r+1)*xi(tau^I)(y) - xi0*tau^I(y),
 
 so no section polynomial is differentiated or evaluated.
-``component_value`` builds tau^I as a polynomial and differentiates and
-evaluates it and the section; no verb calls it.  It is the polynomial route
-the tests compare the table against; beyond ``point_map`` and the context's
-accessors it shares no code with the table, and the benchmark's per-layer
-metrics name it.
+The context holds only the sizes n, eps, delta and r, so neither verb
+builds a polynomial.  ``component_value`` builds tau^I as a polynomial over
+``_chart_variables`` and differentiates and evaluates it and the section; no
+verb calls it.  It is the polynomial route the tests compare the table
+against; beyond the context's cached listings it shares no code with the
+table, and the benchmark's per-layer metrics name it.
 
 ``sample`` keeps each trial's random sections as the (numerator, denominator)
 draws of their coefficients; ``random_coefficients`` makes every ``randint``
@@ -59,7 +60,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .multiindex import MultiIndex, enumerate_multiindices, index_count
-from .symcore import Frame, LogresError, Polynomial
+from .symcore import LogresError, Polynomial
 
 
 class BasepointNotInStratum(LogresError):
@@ -75,20 +76,13 @@ COEFF_BOUND = 1000  # numerator/denominator bound for reproducible random draws
 
 @dataclass(frozen=True)
 class ConnectionContext:
-    """Fixed data: dimension, twist degrees, and the section arrangement
-    in its local normal form, tau = (1, z1, ..., zn) as chart polynomials.
-    """
+    """Fixed data: dimension and twist degrees.  The section arrangement is
+    its local normal form, tau = (1, z1, ..., zn), so it needs no data."""
 
     n: int
     eps: int
     delta: int
     r: int
-    chart: Frame
-    tau: tuple[Polynomial, ...]
-
-    @property
-    def base_vars(self) -> tuple[str, ...]:
-        return self.chart.variables[1:]
 
     def stratum_candidates(self) -> list[int]:
         """Indices j whose tau_j can vanish: 1..n, since tau_0 = 1."""
@@ -101,9 +95,10 @@ class ConnectionContext:
 
     @cached_property
     def basis_exponents(self) -> tuple[tuple[int, ...], ...]:
-        """Chart exponents of the degree-eps basis monomials, in weight-eps
-        index order, listed once per context."""
-        return tuple(_chart_exponent(K) for K in enumerate_multiindices(self.n, self.eps))
+        """Exponents in z1..zn of the degree-eps basis monomials (slot 0
+        dehomogenized away), in weight-eps index order, listed once per
+        context.  Distinct indices of one weight give distinct exponents."""
+        return tuple(K[1:] for K in enumerate_multiindices(self.n, self.eps))
 
 
 def make_connection_context(
@@ -114,12 +109,7 @@ def make_connection_context(
 ) -> ConnectionContext:
     if n < 1 or eps < 1 or delta < 1 or r < 1:
         raise ValueError("n, eps, delta, r must all be positive")
-    variables = ("t",) + tuple(f"z{i}" for i in range(1, n + 1))
-    chart = Frame(variables, frozenset({"t"}))
-    tau = (Polynomial.constant(variables, 1),) + tuple(
-        Polynomial.variable(variables, z) for z in variables[1:]
-    )
-    return ConnectionContext(n, eps, delta, r, chart, tau)
+    return ConnectionContext(n, eps, delta, r)
 
 
 @dataclass(frozen=True)
@@ -135,8 +125,14 @@ class LogTangentVector:
             raise ValueError("log tangent vector must be nonzero")
 
 
+def _chart_variables(ctx: ConnectionContext) -> tuple[str, ...]:
+    """The chart coordinates a polynomial section lives over: the fiber
+    coordinate t in slot 0, then z1..zn."""
+    return ("t",) + tuple(f"z{j}" for j in range(1, ctx.n + 1))
+
+
 def _check_base_section(ctx: ConnectionContext, a: Polynomial) -> None:
-    if a.variables != ctx.chart.variables:
+    if a.variables != _chart_variables(ctx):
         raise ValueError("section must live over the chart frame")
     if any(exp[0] for exp in a.terms):  # slot 0 of the chart is t
         raise ValueError("section must not involve the fiber coordinate")
@@ -155,32 +151,32 @@ def component_value(
     component of ``tests/oracles.py`` (tested).  With xi(f) = sum_j xi_j * df/dz_j
     this is a * ((r+1)*xi(tau^I) - xi0*tau^I) + tau^I * xi(a).
 
-    This is the polynomial route: it multiplies out tau^I from ``ctx.tau``,
-    then differentiates and evaluates it and ``a``.  No verb calls it;
+    This is the polynomial route: it builds tau^I = z1^I_1*...*zn^I_n
+    (tau_0 = 1 contributes nothing) as a polynomial, then differentiates and
+    evaluates it and ``a``.  No verb calls it;
     ``is_indeterminate`` and the rank blocks read a ``_PointTable`` instead.
     It stays as the route the tests compare the table against, and the
     benchmark's per-layer metrics name it."""
     _check_base_section(ctx, a)
     if len(index) != ctx.n + 1:
         raise ValueError(f"index {index} has wrong length")
-    point = point_map(ctx, vector.basepoint)
-    tau_i = Polynomial.constant(ctx.chart.variables, 1)
-    for f, e in zip(ctx.tau, index):
-        tau_i = tau_i * f**e
-    tau_val, tau_slope = _value_and_slope(ctx, tau_i, point, vector)
-    a_val, a_slope = _value_and_slope(ctx, a, point, vector)
+    if len(vector.basepoint) != ctx.n:
+        raise ValueError(f"basepoint needs {ctx.n} coordinates")
+    variables = a.variables
+    point = dict(zip(variables, (Fraction(0),) + tuple(map(Fraction, vector.basepoint))))
+    tau_i = Polynomial(variables, {(0,) + tuple(index[1:]): 1})
+    tau_val, tau_slope = _value_and_slope(tau_i, point, vector)
+    a_val, a_slope = _value_and_slope(a, point, vector)
     return a_val * ((ctx.r + 1) * tau_slope - vector.xi0 * tau_val) + tau_val * a_slope
 
 
 def _value_and_slope(
-    ctx: ConnectionContext,
-    f: Polynomial,
-    point: dict[str, Fraction],
-    vector: LogTangentVector,
+    f: Polynomial, point: dict[str, Fraction], vector: LogTangentVector
 ) -> tuple[Fraction, Fraction]:
-    """f at the point, and its derivative xi(f) along the base part of the vector."""
+    """f at the point, and its derivative xi(f) along the base part of the
+    vector; the base coordinates follow the fiber coordinate in slot 0."""
     slope = sum(
-        f.diff(z).evaluate(point) * vector.xi[j] for j, z in enumerate(ctx.base_vars)
+        f.diff(z).evaluate(point) * x for z, x in zip(f.variables[1:], vector.xi)
     )
     return f.evaluate(point), slope
 
@@ -188,10 +184,10 @@ def _value_and_slope(
 def _power_rule(
     exponent: tuple[int, ...], powers: Sequence[Sequence[Fraction]], xi: Sequence[Fraction]
 ) -> tuple[Fraction, Fraction]:
-    """m(p) and xi(m)(p) for the chart monomial m with this exponent (no fiber
-    part), from powers[j][e] = p_j^e, by the Leibniz rule over its factors."""
+    """m(p) and xi(m)(p) for the monomial m = z1^e_1*...*zn^e_n, from
+    powers[j][e] = p_(j+1)^e, by the Leibniz rule over its factors."""
     value, slope = 1, 0
-    for e, power, x in zip(exponent[1:], powers, xi):
+    for e, power, x in zip(exponent, powers, xi):
         if e:
             value, slope = value * power[e], slope * power[e] + value * e * power[e - 1] * x
     return value, slope
@@ -200,10 +196,10 @@ def _power_rule(
 class _PointTable:
     """Everything one (basepoint, vector) pair contributes to component values.
 
-    ``powers[j][e]`` is p_(j+1)^e for e <= max(eps, delta).  ``basis`` maps
-    the chart exponent of each degree-<=eps basis monomial m to
-    (m(p), xi(m)(p)), and ``factors`` values tau^I, the chart monomial of I,
-    by the same power rule.  Component I of a section a is
+    ``powers[j][e]`` is p_(j+1)^e for e <= max(eps, delta).  ``basis`` lists
+    (m(p), xi(m)(p)) for each degree-<=eps basis monomial m in basis order,
+    and ``factors`` values tau^I, the chart monomial of I, by the same power
+    rule.  Component I of a section a is
     a(p) * factor_I + tau^I(p) * xi(a)(p), with no polynomial built.
     """
 
@@ -218,36 +214,20 @@ class _PointTable:
             for _ in range(max(ctx.eps, ctx.delta)):
                 row.append(row[-1] * p)
             self.powers.append(row)
-        self.basis = {
-            exp: _power_rule(exp, self.powers, vector.xi) for exp in ctx.basis_exponents
-        }
+        self.basis = [_power_rule(exp, self.powers, vector.xi) for exp in ctx.basis_exponents]
 
     def factors(self, index: MultiIndex) -> tuple[Fraction, Fraction]:
         """The two factors index I contributes to every component value:
         tau^I(p) and (r+1)*xi(tau^I)(p) - xi0*tau^I(p)."""
-        value, slope = _power_rule(_chart_exponent(index), self.powers, self.vector.xi)
+        value, slope = _power_rule(index[1:], self.powers, self.vector.xi)
         return value, (self.ctx.r + 1) * slope - self.vector.xi0 * value
-
-
-def point_map(ctx: ConnectionContext, basepoint: Sequence[Fraction]) -> dict[str, Fraction]:
-    if len(basepoint) != ctx.n:
-        raise ValueError(f"basepoint needs {ctx.n} coordinates")
-    point = {"t": Fraction(0)}
-    for name, value in zip(ctx.base_vars, basepoint):
-        point[name] = Fraction(value)
-    return point
-
-
-def _chart_exponent(K: MultiIndex) -> tuple[int, ...]:
-    """The chart exponent of an index: slot 0 dehomogenized away, no fiber
-    coordinate.  Distinct indices of one weight give distinct exponents."""
-    return (0,) + K[1:]
 
 
 def stratum_of_point(ctx: ConnectionContext, basepoint: Sequence[Fraction]) -> frozenset[int]:
     """The slots j >= 1 whose coordinate z_j vanishes at the basepoint."""
-    point = point_map(ctx, basepoint)
-    return frozenset(j for j, z in enumerate(ctx.base_vars, 1) if point[z] == 0)
+    if len(basepoint) != ctx.n:
+        raise ValueError(f"basepoint needs {ctx.n} coordinates")
+    return frozenset(j for j, p in enumerate(basepoint, 1) if p == 0)
 
 
 @dataclass(frozen=True)
@@ -272,7 +252,7 @@ def _row_blocks(
             f"basepoint vanishes on {sorted(point_stratum)}, declared {sorted(stratum)}"
         )
     table = _PointTable(ctx, vector)
-    basis = list(table.basis.values())
+    basis = table.basis
 
     # a function, not a generator expression: each block binds its own
     # row's factors even when it is read after the next row is yielded
@@ -406,7 +386,7 @@ def is_indeterminate(
     if len(draws) != len(ctx.delta_indices) * width:
         raise DegreeMismatch(f"need {len(ctx.delta_indices) * width} draws, got {len(draws)}")
     table = _PointTable(ctx, vector)
-    basis = list(table.basis.values())
+    basis = table.basis
     for row, index in enumerate(ctx.delta_indices):
         value = slope = 0
         for (p, q), (v, s) in zip(draws[row * width:(row + 1) * width], basis):

@@ -218,19 +218,22 @@ def obstruction_ideal_closed_form(jet: JetChart, I: Iterable[int]) -> MonomialId
 
 
 def obstruction_certificate(jet: JetChart, I: Iterable[int]) -> dict:
-    """Both routes to the obstruction ideal plus their equality flag."""
+    """Both routes to the obstruction ideal plus their equality flag.  Equal
+    ideals have equal generator tuples, so their spelling is made once."""
     Is = _component_key(jet, I)
     intersected = obstruction_ideal_intersected(jet, Is)
     closed = obstruction_ideal_closed_form(jet, Is)
+    equal = intersected == closed
+    generators = intersected.gens_as_strings()
     return {
         "n": jet.n,
         "c": jet.c,
         "k": jet.k,
         "t": jet.t,
         "I": list(Is),
-        "generators": intersected.gens_as_strings(),
-        "closed_form": closed.gens_as_strings(),
-        "equal": intersected == closed,
+        "generators": generators,
+        "closed_form": list(generators) if equal else closed.gens_as_strings(),
+        "equal": equal,
         "subset_convention": "nonempty subsets of I only",
     }
 

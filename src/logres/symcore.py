@@ -1,5 +1,5 @@
-"""Exact sparse multivariate polynomial arithmetic over the rationals, its
-text format, and chart frames.
+"""Exact sparse multivariate polynomial arithmetic over the rationals and
+its text format.
 
 A polynomial is a pair (variables, terms): an ordered tuple of variable names
 and a dictionary mapping exponent tuples to nonzero rational coefficients.
@@ -27,16 +27,15 @@ An int is a run of decimal digits, a denominator must be nonzero, and a name
 must be a variable of the declared frame.  Only the first term may carry
 more than one sign; empty text is the zero polynomial.
 
-A ``Frame`` names a chart's coordinates and marks some of them logarithmic.
-No verb divides, substitutes or builds a 1-form in a frame: exact division,
-substitution, frame extension and the ``LogForm`` class live in
-``tests/oracles.py``, as the second routes the tests check the verbs against.
+No verb divides, substitutes or builds a 1-form: exact division,
+substitution, frame extension, the ``Frame`` of a chart and the ``LogForm``
+class live in ``tests/oracles.py``, as the second routes the tests check the
+verbs against.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
@@ -76,7 +75,7 @@ class Polynomial:
     Arithmetic requires both operands to share the same variable tuple.
     """
 
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "terms")
 
     def __init__(self, variables: Iterable[str], terms: object = ()) -> None:
         vs = tuple(variables)
@@ -101,7 +100,6 @@ class Polynomial:
             else:
                 clean.pop(e, None)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _trusted(
@@ -117,7 +115,6 @@ class Polynomial:
         poly = object.__new__(cls)
         object.__setattr__(poly, "variables", variables)
         object.__setattr__(poly, "terms", terms)
-        object.__setattr__(poly, "_hash", None)
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -130,14 +127,6 @@ class Polynomial:
     def constant(cls, variables: Iterable[str], value) -> "Polynomial":
         vs = tuple(variables)
         return cls(vs, {(0,) * len(vs): Fraction(value)})
-
-    @classmethod
-    def variable(cls, variables: Iterable[str], name: str) -> "Polynomial":
-        vs = tuple(variables)
-        if name not in vs:
-            raise ValueError(f"unknown variable {name!r} for frame {vs}")
-        exp = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {exp: Fraction(1)})
 
     # -- structure ---------------------------------------------------------
 
@@ -158,13 +147,9 @@ class Polynomial:
         """Terms in descending graded-lex order (canonical listing)."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        if not degrees:
-            return True
-        if degree is None:
-            return len(degrees) == 1
-        return degrees == {degree}
+    def is_homogeneous(self, degree: int) -> bool:
+        """Every term has this total degree (true of the zero polynomial)."""
+        return all(sum(e) == degree for e in self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -265,13 +250,7 @@ class Polynomial:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(
-                self,
-                "_hash",
-                hash((self.variables, frozenset(self.terms.items()))),
-            )
-        return self._hash
+        return hash((self.variables, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -390,22 +369,3 @@ def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
             raise ValueError(f"unexpected token {tok}")
         sign = -1 if tok[1] == "-" else 1
         tok = next(stream, None)
-
-
-# -- chart frames ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A coordinate frame: ordered variables, some marked as logarithmic."""
-
-    variables: tuple[str, ...]
-    log_marked: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError(f"duplicate frame variables in {self.variables}")
-        unknown = self.log_marked - set(self.variables)
-        if unknown:
-            raise ValueError(f"log-marked names {sorted(unknown)} not in frame")
-

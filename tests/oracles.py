@@ -4,8 +4,9 @@ package against.
 Each lemma here is checked by the acceptance suite and the unit tests, but no
 CLI verb needs it, so it is not shipped in ``src/logres``:
 
-* exact division, substitution and frame extension of polynomials, and
-  logarithmic 1-forms written in chart frames (``LogForm``);
+* exact division, substitution and frame extension of polynomials, chart
+  frames with logarithmic coordinates (``Frame``), and logarithmic 1-forms
+  written in them (``LogForm``);
 * the simple shape ``<x_1, ..., x_p, x_{p+1}*x_{r+1}, ..., x_r*x_{2r-p}>``
   of monomial ideals and its decomposition into 2^(r-p) coordinate
   subspaces of codimension r;
@@ -15,7 +16,8 @@ CLI verb needs it, so it is not shipped in ``src/logres``:
   (c06), and the leaves of a resolution read off its blow-up tree;
 * the symbolic twisted connection component with certified exact division
   (c07) and the graph-substitution identity of deformed Fermat sections (c09),
-  on random sections summed as polynomials from ``sample``'s draws;
+  on random sections summed as polynomials from ``sample``'s draws, in the
+  chart frame of a connection context (``connection_frame``);
 * residues of chart forms, and global log forms written as chart forms when
   every component is a coordinate hyperplane;
 * the recursive-descent polynomial parser that builds a ``Polynomial`` per
@@ -40,6 +42,7 @@ from logres.blowup import Atlas, Chart, push_exponent, root_chart
 from logres.logconn import (
     ConnectionContext,
     DegreeMismatch,
+    _chart_variables,
     _check_base_section,
     random_fraction,
 )
@@ -59,7 +62,6 @@ from logres.resolution import (
 )
 from logres.symcore import (
     Exponent,
-    Frame,
     LogresError,
     MissingAssignment,
     Polynomial,
@@ -79,6 +81,14 @@ class NotDivisible(LogresError):
 
 def monomial(variables: Iterable[str], exponent: Exponent, coeff=1) -> Polynomial:
     return Polynomial(variables, {tuple(exponent): Fraction(coeff)})
+
+
+def variable(variables: Iterable[str], name: str) -> Polynomial:
+    """The coordinate polynomial of one variable of the frame."""
+    vs = tuple(variables)
+    if name not in vs:
+        raise ValueError(f"unknown variable {name!r} for frame {vs}")
+    return monomial(vs, tuple(int(v == name) for v in vs))
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -169,6 +179,21 @@ def extend_variables(f: Polynomial, variables: Iterable[str]) -> Polynomial:
             e[pos] = x
         terms[tuple(e)] = coeff
     return Polynomial._trusted(vs, terms)
+
+
+@dataclass(frozen=True)
+class Frame:
+    """A coordinate frame: ordered variables, some marked as logarithmic."""
+
+    variables: tuple[str, ...]
+    log_marked: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError(f"duplicate frame variables in {self.variables}")
+        unknown = self.log_marked - set(self.variables)
+        if unknown:
+            raise ValueError(f"log-marked names {sorted(unknown)} not in frame")
 
 
 @dataclass(frozen=True)
@@ -476,14 +501,22 @@ class DivisibilityFailure(LogresError):
     """The connection image was not divisible by tau^(rI); a bug signal."""
 
 
+def connection_frame(ctx: ConnectionContext) -> Frame:
+    """The chart a section lives in: the fiber coordinate t, log-marked since
+    its zero set is the zero section, then the base coordinates z1..zn."""
+    return Frame(_chart_variables(ctx), frozenset({"t"}))
+
+
 def tau_power(ctx: ConnectionContext, index: MultiIndex, scale: int = 1) -> Polynomial:
-    """The product of tau_j raised to scale * index_j."""
+    """The product of tau_j raised to scale * index_j, in the local normal
+    form tau_0 = 1, tau_j = z_j."""
     if len(index) != ctx.n + 1:
         raise ValueError(f"index {index} has wrong length")
-    out = Polynomial.constant(ctx.chart.variables, 1)
-    for f, e in zip(ctx.tau, index):
+    variables = _chart_variables(ctx)
+    out = Polynomial.constant(variables, 1)
+    for z, e in zip(variables[1:], index[1:]):
         if e:
-            out = out * f ** (scale * e)
+            out = out * variable(variables, z) ** (scale * e)
     return out
 
 
@@ -496,11 +529,12 @@ def connection_component(
     _check_base_section(ctx, a)
     if sum(index) != ctx.delta:
         raise ValueError(f"index weight {sum(index)} != delta = {ctx.delta}")
+    frame = connection_frame(ctx)
     product = a * tau_power(ctx, index, ctx.r + 1)
     divisor = tau_power(ctx, index, ctx.r)
     holo = {}
     try:
-        for z in ctx.base_vars:
+        for z in frame.variables[1:]:
             d = product.diff(z)
             holo[z] = exact_divide(d, divisor) if d else d
         logpart = {"t": exact_divide(-product, divisor) if product else product}
@@ -508,20 +542,20 @@ def connection_component(
         raise DivisibilityFailure(
             f"component for index {index} not divisible by tau^(r*I)"
         ) from err
-    return LogForm.make(ctx.chart, holo, logpart)
+    return LogForm.make(frame, holo, logpart)
 
 
 def _as_polynomial(ctx: ConnectionContext, value) -> Polynomial:
     """A coefficient as a polynomial over the chart; scalars become constants."""
     if isinstance(value, Polynomial):
         return value
-    return Polynomial.constant(ctx.chart.variables, value)
+    return Polynomial.constant(_chart_variables(ctx), value)
 
 
 def monomial_basis(ctx: ConnectionContext) -> list[tuple[MultiIndex, Polynomial]]:
     """Chart forms of the degree-eps monomials (slot 0 dehomogenized away)."""
     return [
-        (K, monomial(ctx.chart.variables, (0,) + K[1:]))
+        (K, monomial(_chart_variables(ctx), (0,) + K[1:]))
         for K in enumerate_multiindices(ctx.n, ctx.eps)
     ]
 
@@ -533,7 +567,7 @@ def summed_random_coefficients(ctx: ConnectionContext, rng) -> CoefficientVector
     basis = monomial_basis(ctx)
     entries = {}
     for index in enumerate_multiindices(ctx.n, ctx.delta):
-        a = Polynomial.zero(ctx.chart.variables)
+        a = Polynomial.zero(_chart_variables(ctx))
         for _, mono in basis:
             a = a + mono * random_fraction(rng)
         entries[index] = a
@@ -546,7 +580,7 @@ def fermat_section(ctx: ConnectionContext, coeffs: CoefficientVector) -> Polynom
         raise DegreeMismatch(
             f"coefficient vector must be keyed by the full weight-{ctx.delta} index set"
         )
-    total = Polynomial.zero(ctx.chart.variables)
+    total = Polynomial.zero(_chart_variables(ctx))
     for index, value in coeffs.entries:
         a = _as_polynomial(ctx, value)
         _check_base_section(ctx, a)
@@ -570,18 +604,20 @@ def restriction_identity_residuals(
     sigma * h_j + g * d_j(sigma) per coordinate, which must vanish
     identically.
     """
+    variables = _chart_variables(ctx)
+    zero = Polynomial.zero(variables)
     sigma = fermat_section(ctx, coeffs)
-    residuals = [Polynomial.zero(ctx.chart.variables) for _ in ctx.base_vars]
+    residuals = [zero] * ctx.n
     for index, value in coeffs.entries:
         a = _as_polynomial(ctx, value)
         if a.is_zero:
             continue
         form = connection_component(ctx, a, index)
         holo = form.holomorphic_map
-        g = form.log_map.get("t", Polynomial.zero(ctx.chart.variables))
+        g = form.log_map.get("t", zero)
         weight = tau_power(ctx, index, ctx.r)
-        for j, z in enumerate(ctx.base_vars):
-            h = holo.get(z, Polynomial.zero(ctx.chart.variables))
+        for j, z in enumerate(variables[1:]):
+            h = holo.get(z, zero)
             residuals[j] = residuals[j] + weight * (sigma * h + g * sigma.diff(z))
     return residuals
 
@@ -712,7 +748,7 @@ class _Parser:
         if kind == "name":
             if val not in self.variables:
                 raise ValueError(f"unknown variable {val!r}")
-            base = Polynomial.variable(self.variables, val)
+            base = variable(self.variables, val)
             if self.peek() == ("op", "^"):
                 self.take()
                 ekind, eval_ = self.take()

@@ -11,8 +11,8 @@ from logres.blowup import (
 )
 from conftest import variety
 from logres.monideal import MonomialIdeal, SimpleVariety
-from logres.symcore import Polynomial, monomial_string
-from oracles import monomial, prime, substitute, transform_ideal
+from logres.symcore import monomial_string
+from oracles import monomial, prime, substitute, transform_ideal, variable
 
 
 def sq(variables, *sets):
@@ -94,7 +94,7 @@ def test_composed_substitution_matches_oracle():
 
     # oracle: compose the chart maps with polynomial arithmetic, level by level,
     # starting from the identity on the root chart
-    expected = {v: Polynomial.variable(base.variables, v) for v in base.variables}
+    expected = {v: variable(base.variables, v) for v in base.variables}
     ideal = sq(base.variables, {"x1", "x3"}, {"x2"})
     for parent, chart in zip((None, base, child, grand), (base, child, grand, great)):
         if parent is not None:

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from logres import logconn, ratmat
+from logres.cli import run_command
 from logres.logconn import (
     BasepointNotInStratum,
     DegreeMismatch,
@@ -16,7 +17,6 @@ from logres.logconn import (
     connection_rank,
     is_indeterminate,
     make_connection_context,
-    point_map,
     random_coefficients,
     random_fraction,
     random_log_tangent_vector,
@@ -29,13 +29,24 @@ from logres.symcore import Polynomial, parse_polynomial
 from oracles import (
     LogForm,
     connection_component,
+    connection_frame,
     fermat_section,
     monomial,
     monomial_basis,
     restriction_identity_residuals,
     summed_random_coefficients,
     tau_power,
+    variable,
 )
+
+
+def variables(ctx):
+    return connection_frame(ctx).variables
+
+
+def point_map(ctx, basepoint):
+    """The basepoint as a point of the chart, on the zero section t = 0."""
+    return dict(zip(variables(ctx), (Fraction(0),) + tuple(basepoint)))
 
 
 def sections_from_draws(ctx, draws):
@@ -46,7 +57,7 @@ def sections_from_draws(ctx, draws):
     pairs = iter(draws)
     entries = {}
     for index in enumerate_multiindices(ctx.n, ctx.delta):
-        a = Polynomial.zero(ctx.chart.variables)
+        a = Polynomial.zero(variables(ctx))
         for _, mono in basis:
             p, q = next(pairs)
             a = a + mono * Fraction(p, q)
@@ -72,11 +83,12 @@ def oracle_component(ctx, a, index):
     """Symbolic oracle: expand (r+1)a*d(tau^I) + tau^I*da - a*tau^I*dt/t
     directly, without going through the product-then-divide path."""
     tau_i = tau_power(ctx, index)
+    frame = connection_frame(ctx)
     holo = {
         z: (ctx.r + 1) * a * tau_i.diff(z) + tau_i * a.diff(z)
-        for z in ctx.base_vars
+        for z in frame.variables[1:]
     }
-    return LogForm.make(ctx.chart, holo, {"t": -(a * tau_i)})
+    return LogForm.make(frame, holo, {"t": -(a * tau_i)})
 
 
 # -- twisted components ----------------------------------------------------------
@@ -84,7 +96,7 @@ def oracle_component(ctx, a, index):
 
 def test_component_constant_coefficient_trivial_arrangement_power():
     ctx = ctx_n1()
-    one = Polynomial.constant(ctx.chart.variables, 1)
+    one = Polynomial.constant(variables(ctx), 1)
     form = connection_component(ctx, one, (2, 0))  # tau^I = tau_0^2 = 1
     assert form.holomorphic_map == {}
     assert form.log_map == {"t": -one}
@@ -92,16 +104,16 @@ def test_component_constant_coefficient_trivial_arrangement_power():
 
 def test_component_linear_coefficient():
     ctx = ctx_n1()
-    z = Polynomial.variable(ctx.chart.variables, "z1")
+    z = variable(variables(ctx), "z1")
     form = connection_component(ctx, z, (2, 0))
     # dz - z dt/t
-    assert form.holomorphic_map == {"z1": Polynomial.constant(ctx.chart.variables, 1)}
+    assert form.holomorphic_map == {"z1": Polynomial.constant(variables(ctx), 1)}
     assert form.log_map == {"t": -z}
 
 
 def test_component_zero_section():
     ctx = ctx_n1()
-    zero = Polynomial.zero(ctx.chart.variables)
+    zero = Polynomial.zero(variables(ctx))
     assert connection_component(ctx, zero, (0, 2)).is_zero
 
 
@@ -113,7 +125,7 @@ def test_component_matches_symbolic_oracle():
                 ctx = make_connection_context(n, 2, delta, r)
                 basis = monomial_basis(ctx)
                 for index in enumerate_multiindices(n, delta):
-                    a = Polynomial.zero(ctx.chart.variables)
+                    a = Polynomial.zero(variables(ctx))
                     for _, mono in basis:
                         a = a + mono * random_fraction(rng)
                     assert connection_component(ctx, a, index) == oracle_component(
@@ -133,12 +145,12 @@ def test_component_value_agrees_with_symbolic_form():
         )
         point = point_map(ctx, basepoint)
         for index in enumerate_multiindices(2, 2):
-            a = parse_polynomial("z1 + 2*z2 - 3", ctx.chart.variables)
+            a = parse_polynomial("z1 + 2*z2 - 3", variables(ctx))
             form = connection_component(ctx, a, index)
             symbolic = form.log_map.get(
-                "t", Polynomial.zero(ctx.chart.variables)
+                "t", Polynomial.zero(variables(ctx))
             ).evaluate(point) * vector.xi0
-            for j, z in enumerate(ctx.base_vars):
+            for j, z in enumerate(variables(ctx)[1:]):
                 h = form.holomorphic_map.get(z)
                 if h is not None:
                     symbolic += h.evaluate(point) * vector.xi[j]
@@ -262,13 +274,16 @@ def test_power_rule_table_matches_polynomial_route():
                 point = point_map(ctx, vector.basepoint)
                 assert sum(p == 0 for p in vector.basepoint) == len(stratum)
                 table = logconn._PointTable(ctx, vector)
-                assert list(table.basis) == [mono.sorted_terms()[0][0] for _, mono in basis]
-                assert list(table.basis.values()) == [
-                    logconn._value_and_slope(ctx, mono, point, vector) for _, mono in basis
+                # the basis order: exponents in z1..zn, the t slot dropped
+                assert list(ctx.basis_exponents) == [
+                    mono.sorted_terms()[0][0][1:] for _, mono in basis
+                ]
+                assert table.basis == [
+                    logconn._value_and_slope(mono, point, vector) for _, mono in basis
                 ]
                 for index in enumerate_multiindices(n, ctx.delta):
                     value, slope = logconn._value_and_slope(
-                        ctx, tau_power(ctx, index), point, vector
+                        tau_power(ctx, index), point, vector
                     )
                     factor = (ctx.r + 1) * slope - vector.xi0 * value
                     assert table.factors(index) == (value, factor)
@@ -276,8 +291,8 @@ def test_power_rule_table_matches_polynomial_route():
 
 def test_polynomial_route_shares_no_code_with_the_table_route():
     """component_value checks the table route by a second one: apart from
-    point_map and the context's accessors, the two enter no common function
-    of the package."""
+    the context's cached listings, the two enter no common function of the
+    package."""
     package = os.path.dirname(logconn.__file__)
 
     def entered(run):
@@ -316,13 +331,38 @@ def test_polynomial_route_shares_no_code_with_the_table_route():
         table_route |= entered(lambda: connection_rank(ctx, vector, stratum))
     assert Polynomial.evaluate.__code__ in polynomial_route
     assert logconn._power_rule.__code__ in table_route
-    allowed = {point_map.__code__} | {
+    allowed = {
         accessor(name).__code__
-        for name in ("base_vars", "stratum_candidates", "delta_indices", "basis_exponents")
+        for name in ("stratum_candidates", "delta_indices", "basis_exponents")
     }
     shared = polynomial_route & table_route
-    assert point_map.__code__ in shared
     assert shared <= allowed, sorted(code.co_name for code in shared - allowed)
+
+
+def test_connection_verbs_build_no_polynomial(monkeypatch):
+    """rank and sample value every component from the point table, and the
+    context holds only its sizes: no Polynomial is constructed."""
+    built = []
+    init, trusted = Polynomial.__init__, Polynomial._trusted.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built.append("__init__")
+        init(self, *args, **kwargs)
+
+    def counted_trusted(cls, *args, **kwargs):
+        built.append("_trusted")
+        return trusted(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted_init)
+    monkeypatch.setattr(Polynomial, "_trusted", classmethod(counted_trusted))
+    assert Polynomial.constant(("x",), 1) and built == ["__init__"]  # the counters work
+    built.clear()
+    for argv in (
+        ["rank", "--n", "2", "--delta", "4", "--matrix"],
+        ["sample", "--n", "2", "--delta", "4", "--trials", "5"],
+    ):
+        assert run_command(argv)[0] == 0
+    assert built == []
 
 
 def test_basepoint_stratum_mismatch():
@@ -340,12 +380,12 @@ def test_basepoint_stratum_mismatch():
 def test_fermat_section_chart_expansion():
     ctx = ctx_n1(r=1, delta=2, eps=1)
     ones = {
-        index: Polynomial.constant(ctx.chart.variables, 1)
+        index: Polynomial.constant(variables(ctx), 1)
         for index in enumerate_multiindices(1, 2)
     }
     coeffs = CoefficientVector.make(1, 2, ones)
     section = fermat_section(ctx, coeffs)
-    assert section == parse_polynomial("z1^4 + z1^2 + 1", ctx.chart.variables)
+    assert section == parse_polynomial("z1^4 + z1^2 + 1", variables(ctx))
 
 
 def test_fermat_section_zero_and_single_term():
@@ -353,15 +393,15 @@ def test_fermat_section_zero_and_single_term():
     zero = CoefficientVector.make(1, 2)
     assert fermat_section(ctx, zero).is_zero
     single = CoefficientVector.make(
-        1, 2, {(2, 0): Polynomial.constant(ctx.chart.variables, 1)}
+        1, 2, {(2, 0): Polynomial.constant(variables(ctx), 1)}
     )
-    assert fermat_section(ctx, single) == Polynomial.constant(ctx.chart.variables, 1)
+    assert fermat_section(ctx, single) == Polynomial.constant(variables(ctx), 1)
 
 
 def test_fermat_section_degree_mismatch():
     ctx = ctx_n1(eps=1)
     bad = CoefficientVector.make(
-        1, 2, {(2, 0): parse_polynomial("z1^3", ctx.chart.variables)}
+        1, 2, {(2, 0): parse_polynomial("z1^3", variables(ctx))}
     )
     with pytest.raises(DegreeMismatch):
         fermat_section(ctx, bad)
@@ -370,7 +410,7 @@ def test_fermat_section_degree_mismatch():
         fermat_section(ctx, wrong_degree)
     ctx = ctx_n2(delta=4, eps=1)
     for text, error in (("z1^2", DegreeMismatch), ("t*z1", ValueError), ("t", ValueError)):
-        section = parse_polynomial(text, ctx.chart.variables)
+        section = parse_polynomial(text, variables(ctx))
         with pytest.raises(error):
             fermat_section(ctx, CoefficientVector.make(2, 4, {(4, 0, 0): section}))
 

@@ -24,7 +24,7 @@ from logres.monideal import MonomialIdeal, ideal_sum, intersect_monomial_ideals
 from logres.resolution import ResolutionResult, resolve_system, validate_compatible_system
 from logres.symcore import Polynomial
 from conftest import variety
-from oracles import extend_variables, monomial
+from oracles import extend_variables, monomial, variable
 
 
 def nonempty_subsets(items):
@@ -224,9 +224,9 @@ def check_section_pullback(jet, sections, I):
         coeff = extend_variables(s, variables)
         factor = Polynomial.constant(variables, 1)
         if i in through:
-            factor = factor * Polynomial.variable(variables, f"z{i}")
+            factor = factor * variable(variables, f"z{i}")
         if i != jet.t:
-            factor = factor * Polynomial.variable(variables, f"xi{i}")
+            factor = factor * variable(variables, f"xi{i}")
         total = total + coeff * factor
     ideal = obstruction_ideal(jet, I)
     return PullbackCheck(total, contains_polynomial(ideal, total))
@@ -250,14 +250,14 @@ def coordinate_section_pullbacks(jet, I):
 def test_pullback_single_component():
     jet = make_jet_chart(2, 2, 1, 1)
     z = base_vars(jet)
-    s1 = Polynomial.variable(z, "z2") + 3
-    s2 = Polynomial.variable(z, "z1") * Polynomial.variable(z, "z2")
+    s1 = variable(z, "z2") + 3
+    s2 = variable(z, "z1") * variable(z, "z2")
     result = check_section_pullback(jet, [s1, s2], {1})
     # sigma = s1*xi1 + s2*xi2 pulls back to s1*z1*xi1 + s2*xi2, xi1 -> 1
     vs = jet.chart.variables
-    z1 = Polynomial.variable(vs, "z1")
-    z2 = Polynomial.variable(vs, "z2")
-    xi2 = Polynomial.variable(vs, "xi2")
+    z1 = variable(vs, "z1")
+    z2 = variable(vs, "z2")
+    xi2 = variable(vs, "xi2")
     assert result.pullback == (z2 + 3) * z1 + z1 * z2 * xi2
     assert result.member_of_obstruction_ideal
 

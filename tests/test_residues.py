@@ -15,8 +15,15 @@ from logres.residues import (
     projective_variables,
     residue_matrix,
 )
-from logres.symcore import Frame, Polynomial, parse_polynomial
-from oracles import ComponentNotLogMarked, LogForm, as_coordinate_logform, residue_of_form
+from logres.symcore import Polynomial, parse_polynomial
+from oracles import (
+    ComponentNotLogMarked,
+    Frame,
+    LogForm,
+    as_coordinate_logform,
+    residue_of_form,
+    variable,
+)
 
 P2 = projective_variables(2)
 
@@ -32,16 +39,23 @@ def arrangement(*texts):
 # -- residues of chart forms ----------------------------------------------------
 
 
+def test_frame_refuses_duplicate_and_unlisted_names():
+    with pytest.raises(ValueError, match="duplicate frame variables"):
+        Frame(("z1", "z1"))
+    with pytest.raises(ValueError, match="not in frame"):
+        Frame(("z1", "z2"), frozenset({"z3"}))
+
+
 def test_residue_reads_off_log_coefficient_and_restricts():
     frame = Frame(("z1", "z2"), frozenset({"z1"}))
     vs = frame.variables
-    z2 = Polynomial.variable(vs, "z2")
+    z2 = variable(vs, "z2")
     one = Polynomial.constant(vs, 1)
     eta = LogForm.make(frame, {"z2": one}, {"z1": z2})
     assert residue_of_form(eta, "z1") == z2
 
     # restriction to the divisor: z1-dependent parts of the coefficient die
-    z1 = Polynomial.variable(vs, "z1")
+    z1 = variable(vs, "z1")
     eta2 = LogForm.make(frame, {}, {"z1": z2 + z1 * z2})
     assert residue_of_form(eta2, "z1") == z2
 
@@ -70,7 +84,7 @@ def test_unmarked_component_rejected():
 def test_residue_is_linear_and_local():
     frame = Frame(("z1", "z2", "z3"), frozenset({"z1", "z2"}))
     vs = frame.variables
-    z3 = Polynomial.variable(vs, "z3")
+    z3 = variable(vs, "z3")
     one = Polynomial.constant(vs, 1)
     a = LogForm.make(frame, {}, {"z1": z3, "z2": one})
     b = LogForm.make(frame, {"z3": one}, {"z1": one})
