@@ -24,15 +24,21 @@ an exact rational matrix whose rank at a point where exactly the tau_j with
 j in J vanish is at least C(k + delta, k), k = n - #J.
 
 Both ``rank`` and ``sample`` evaluate from one table per (basepoint, vector)
-of the powers of each coordinate.  The value and xi-slope of every
-degree-eps basis monomial m_K, and of every tau^I, which is the chart
-monomial of I, follow from it by the power rule.  Component I of the section
-a = sum_K c_K*m_K is then
+of the powers of each coordinate, in integers.  Write p_j = a_j/b_j, let
+E = max(eps, delta), P = prod_j b_j^E and D the lcm of the vector's
+denominators.  The table holds a_j^e*b_j^(E-e) and a_j^(e-1)*b_j^(E-e+1),
+so the power rule gives the value of every degree-eps basis monomial m_K,
+and of every tau^I, which is the chart monomial of I, times P, and its
+xi-slope times P*D.  Component I of the section a = sum_K c_K*m_K is then
 
   sum_K c_K * (m_K(y)*factor_I + tau^I(y)*xi(m_K)(y)),
   factor_I = (r+1)*xi(tau^I)(y) - xi0*tau^I(y),
 
-so no section polynomial is differentiated or evaluated.
+and each cell m_K(y)*factor_I + tau^I(y)*xi(m_K)(y) is an integer, its
+rational value times P^2*D.  A positive scale does not change whether a
+value is zero, so the rank blocks and the indeterminacy test read the
+integers; only ``rank --matrix`` divides the scale back out, and no section
+polynomial is differentiated or evaluated.
 The context holds only the sizes n, eps, delta and r, so neither verb
 builds a polynomial.  ``component_value`` builds tau^I as a polynomial over
 ``_chart_variables`` and differentiates and evaluates it and the section; no
@@ -41,10 +47,13 @@ against; beyond the context's cached listings it shares no code with the
 table, and the benchmark's per-layer metrics name it.
 
 ``sample`` keeps each trial's random sections as the (numerator, denominator)
-draws of their coefficients; ``random_coefficients`` makes every ``randint``
-before it returns, so the RNG stream does not depend on what is read.
-``is_indeterminate`` values each section from its draws and the point table,
-stops at the first nonzero component, and builds no polynomial.
+draws of their coefficients.  ``random_coefficients`` returns exactly what
+the ``randint`` calls of ``random_fraction`` would, and leaves the RNG in
+the same state, but reads them from whole 32-bit Mersenne Twister words:
+``randint`` draws ``getrandbits(k)``, one word shifted right by 32 - k,
+until the value is in range.  ``is_indeterminate`` clears each row's
+denominators, values its section from the draws and the point table, stops
+at the first nonzero component, and builds no polynomial.
 
 ``RankReport`` and ``SamplingReport`` are plain frozen dataclasses; the
 command line encodes them, field by field, as JSON.
@@ -53,10 +62,12 @@ command line encodes them, field by field, as JSON.
 from __future__ import annotations
 
 import random
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator
 
 from .multiindex import MultiIndex, enumerate_multiindices, index_count
@@ -72,6 +83,9 @@ class DegreeMismatch(LogresError):
 
 
 COEFF_BOUND = 1000  # numerator/denominator bound for reproducible random draws
+# randint(lo, hi) keeps the top bits of a 32-bit word, as many as hi - lo + 1 has
+_NUMERATOR_SHIFT = 32 - (2 * COEFF_BOUND + 1).bit_length()
+_DENOMINATOR_SHIFT = 32 - COEFF_BOUND.bit_length()
 
 
 @dataclass(frozen=True)
@@ -182,45 +196,67 @@ def _value_and_slope(
 
 
 def _power_rule(
-    exponent: tuple[int, ...], powers: Sequence[Sequence[Fraction]], xi: Sequence[Fraction]
-) -> tuple[Fraction, Fraction]:
-    """m(p) and xi(m)(p) for the monomial m = z1^e_1*...*zn^e_n, from
-    powers[j][e] = p_(j+1)^e, by the Leibniz rule over its factors."""
+    exponent: tuple[int, ...],
+    powers: Sequence[Sequence[int]],
+    lowers: Sequence[Sequence[int]],
+    xi: Sequence[int],
+) -> tuple[int, int]:
+    """P*m(p) and P*D*xi(m)(p) for the monomial m = z1^e_1*...*zn^e_n, by the
+    Leibniz rule over its factors, from the integer tables of ``_PointTable``:
+    powers[j][e] = p^e*b^E and lowers[j][e] = p^(e-1)*b^E for p = p_(j+1)
+    with denominator b, and xi[j] = D*xi_(j+1).  A factor with e = 0 still
+    contributes its b^E to the scale P = prod b^E."""
     value, slope = 1, 0
-    for e, power, x in zip(exponent, powers, xi):
+    for e, power, lower, x in zip(exponent, powers, lowers, xi):
         if e:
-            value, slope = value * power[e], slope * power[e] + value * e * power[e - 1] * x
+            value, slope = value * power[e], slope * power[e] + value * e * lower[e] * x
+        else:
+            value, slope = value * power[0], slope * power[0]
     return value, slope
 
 
 class _PointTable:
-    """Everything one (basepoint, vector) pair contributes to component values.
+    """Everything one (basepoint, vector) pair contributes to component
+    values, in integers.
 
-    ``powers[j][e]`` is p_(j+1)^e for e <= max(eps, delta).  ``basis`` lists
+    With p_j = a_j/b_j, E = max(eps, delta) and D the lcm of the vector's
+    denominators, ``powers[j][e]`` is a^e*b^(E-e) and, for e >= 1,
+    ``lowers[j][e]`` is a^(e-1)*b^(E-e+1), where (a, b) = (a_(j+1), b_(j+1));
+    ``xi`` and ``xi0`` are the vector's components times D.  ``basis`` lists
     (m(p), xi(m)(p)) for each degree-<=eps basis monomial m in basis order,
     and ``factors`` values tau^I, the chart monomial of I, by the same power
-    rule.  Component I of a section a is
-    a(p) * factor_I + tau^I(p) * xi(a)(p), with no polynomial built.
+    rule.  Values come out times ``scale`` = P = prod_j b_j^E and slopes
+    times ``slope_scale`` = P*D, so the cell a(p) * factor_I + tau^I(p) *
+    xi(a)(p) of a basis monomial a is its rational value times
+    ``scale*slope_scale``.
     """
 
     def __init__(self, ctx: ConnectionContext, vector: LogTangentVector):
         if len(vector.basepoint) != ctx.n:
             raise ValueError(f"basepoint needs {ctx.n} coordinates")
         self.ctx = ctx
-        self.vector = vector
-        self.powers = []
-        for p in map(Fraction, vector.basepoint):
-            row = [1]
-            for _ in range(max(ctx.eps, ctx.delta)):
-                row.append(row[-1] * p)
-            self.powers.append(row)
-        self.basis = [_power_rule(exp, self.powers, vector.xi) for exp in ctx.basis_exponents]
+        top = max(ctx.eps, ctx.delta)
+        common = lcm(vector.xi0.denominator, *(x.denominator for x in vector.xi))
+        self.xi0 = vector.xi0.numerator * (common // vector.xi0.denominator)
+        self.xi = [x.numerator * (common // x.denominator) for x in vector.xi]
+        self.powers, self.lowers = [], []
+        self.scale = 1
+        for p in vector.basepoint:
+            a, b = p.numerator, p.denominator
+            self.powers.append([a**e * b ** (top - e) for e in range(top + 1)])
+            self.lowers.append([0] + [a ** (e - 1) * b ** (top - e + 1) for e in range(1, top + 1)])
+            self.scale *= b**top
+        self.slope_scale = self.scale * common
+        self.basis = [
+            _power_rule(exp, self.powers, self.lowers, self.xi) for exp in ctx.basis_exponents
+        ]
 
-    def factors(self, index: MultiIndex) -> tuple[Fraction, Fraction]:
+    def factors(self, index: MultiIndex) -> tuple[int, int]:
         """The two factors index I contributes to every component value:
-        tau^I(p) and (r+1)*xi(tau^I)(p) - xi0*tau^I(p)."""
-        value, slope = _power_rule(index[1:], self.powers, self.vector.xi)
-        return value, (self.ctx.r + 1) * slope - self.vector.xi0 * value
+        tau^I(p) and (r+1)*xi(tau^I)(p) - xi0*tau^I(p), times ``scale`` and
+        ``slope_scale``."""
+        value, slope = _power_rule(index[1:], self.powers, self.lowers, self.xi)
+        return value, (self.ctx.r + 1) * slope - self.xi0 * value
 
 
 def stratum_of_point(ctx: ConnectionContext, basepoint: Sequence[Fraction]) -> frozenset[int]:
@@ -241,10 +277,11 @@ class RankReport:
 
 def _row_blocks(
     ctx: ConnectionContext, vector: LogTangentVector, stratum: frozenset[int]
-) -> Iterator[tuple[MultiIndex, Iterator[Fraction]]]:
-    """Each row index of the restricted evaluation map with its own block,
-    the values of its component on the basis monomials, built lazily from
-    the point table.
+) -> tuple[int, Iterator[tuple[MultiIndex, Iterator[int]]]]:
+    """The common scale of the cells, and each row index of the restricted
+    evaluation map with its own block: the integer cells of its component on
+    the basis monomials, built lazily from the point table.  A cell is its
+    rational entry times the scale.
     """
     point_stratum = stratum_of_point(ctx, vector.basepoint)
     if point_stratum != stratum:
@@ -256,13 +293,16 @@ def _row_blocks(
 
     # a function, not a generator expression: each block binds its own
     # row's factors even when it is read after the next row is yielded
-    def block(tau_val: Fraction, factor: Fraction) -> Iterator[Fraction]:
+    def block(tau_val: int, factor: int) -> Iterator[int]:
         for a_val, a_slope in basis:
             yield a_val * factor + tau_val * a_slope
 
-    for row_index in ctx.delta_indices:
-        if not any(row_index[j] for j in stratum):
-            yield row_index, block(*table.factors(row_index))
+    rows = (
+        (row_index, block(*table.factors(row_index)))
+        for row_index in ctx.delta_indices
+        if not any(row_index[j] for j in stratum)
+    )
+    return table.scale * table.slope_scale, rows
 
 
 def connection_matrix(
@@ -277,18 +317,20 @@ def connection_matrix(
     (index, basis monomial) pairs; entries vanish off the diagonal index
     block, which is what makes the rank bound a per-block statement.  Each
     row meets exactly one block (its own index).  ``connection_rank`` reads
-    the same blocks and never builds this matrix; here every off-block cell
-    is one shared int zero, which prints as a Fraction zero does.
+    the same blocks and never builds this matrix; here each in-block cell is
+    divided by the table's scale, and every off-block cell is one shared int
+    zero, which prints as a Fraction zero does.
     """
     position = {I: p for p, I in enumerate(ctx.delta_indices)}
     width = index_count(ctx.n, ctx.eps)
     rows: list[MultiIndex] = []
     matrix: list[list[Fraction | int]] = []
-    for row_index, block in _row_blocks(ctx, vector, frozenset(stratum)):
+    scale, blocks = _row_blocks(ctx, vector, frozenset(stratum))
+    for row_index, block in blocks:
         before = position[row_index] * width
         after = (len(position) - 1) * width - before
         rows.append(row_index)
-        matrix.append([0] * before + list(block) + [0] * after)
+        matrix.append([0] * before + [Fraction(cell, scale) for cell in block] + [0] * after)
     return rows, matrix
 
 
@@ -297,12 +339,13 @@ def connection_rank(
 ) -> RankReport:
     """Rank of the evaluation matrix against the bound C(k + delta, k).
 
-    Each block is read up to its first nonzero entry; the matrix is never
-    built and nothing is eliminated.  ``ratmat.rank`` is the dense oracle the
-    tests compare against.
+    Each block is read up to its first nonzero integer cell; the matrix is
+    never built, nothing is eliminated and no cell is divided by its scale.
+    ``ratmat.rank`` is the dense oracle the tests compare against.
     """
     J = frozenset(stratum)
-    return rank_report(ctx, J, [any(block) for _, block in _row_blocks(ctx, vector, J)])
+    _, blocks = _row_blocks(ctx, vector, J)
+    return rank_report(ctx, J, [any(block) for _, block in blocks])
 
 
 def rank_report(
@@ -339,13 +382,34 @@ def random_coefficients(ctx: ConnectionContext, rng: random.Random) -> list[tupl
 
     A flat list of (numerator, denominator) pairs, index-major and
     basis-minor: per index in index order, per basis monomial in basis order,
-    the two ``randint`` calls of ``random_fraction``, all made before this
-    returns.  The pair (p, q) is the coefficient p/q of its basis monomial."""
-    randint = rng.randint
-    return [
-        (randint(-COEFF_BOUND, COEFF_BOUND), randint(1, COEFF_BOUND))
-        for _ in range(len(ctx.delta_indices) * len(ctx.basis_exponents))
-    ]
+    what the two ``randint`` calls of ``random_fraction`` return, all drawn
+    before this returns.  The pair (p, q) is the coefficient p/q of its basis
+    monomial.
+
+    The calls are read from whole words, and the RNG ends in the state the
+    calls leave.  ``randint(lo, hi)`` is lo plus ``getrandbits(k)``, k the
+    bit length of hi - lo + 1, redrawn until below hi - lo + 1; for k <= 32
+    that is one 32-bit Mersenne Twister word shifted right by 32 - k.  So
+    while c calls are owed, ``getrandbits(32*c)`` yields the next c words,
+    least significant first, and each word is a numerator or a denominator
+    drawn, or one redrawn.  Every call takes at least one word, so no word
+    is drawn that the calls would not draw."""
+    size = len(ctx.delta_indices) * len(ctx.basis_exponents)
+    draws: list[tuple[int, int]] = []
+    append = draws.append
+    numerator = None
+    owed = 2 * size  # randint calls
+    while owed:
+        words = struct.unpack(f"<{owed}I", rng.getrandbits(32 * owed).to_bytes(4 * owed, "little"))
+        for word in words:
+            if numerator is None:
+                if word >> _NUMERATOR_SHIFT <= 2 * COEFF_BOUND:
+                    numerator = (word >> _NUMERATOR_SHIFT) - COEFF_BOUND
+            elif word >> _DENOMINATOR_SHIFT < COEFF_BOUND:
+                append((numerator, (word >> _DENOMINATOR_SHIFT) + 1))
+                numerator = None
+        owed = 2 * (size - len(draws)) - (numerator is not None)
+    return draws
 
 
 def random_stratum_point(
@@ -378,20 +442,25 @@ def is_indeterminate(
     """True when every twisted component vanishes on the vector at once.
 
     ``draws`` are as ``random_coefficients`` returns them.  Row i values its
-    section from the point table, skipping zero numerators, as
-    a(p) = sum_K (p/q)*m_K(p) and xi(a)(p) = sum_K (p/q)*xi(m_K)(p); component
-    I is a(p)*factor_I + tau^I(p)*xi(a)(p).  The loop stops at the first
-    nonzero component.  Draws of any other length raise DegreeMismatch."""
+    section from the point table, skipping zero numerators, with its
+    denominators cleared: for L the lcm of the row's q, L*a(p) =
+    sum_K p*(L/q)*m_K(p) and L*xi(a)(p) = sum_K p*(L/q)*xi(m_K)(p), each
+    times the table's scale, and component I is a(p)*factor_I +
+    tau^I(p)*xi(a)(p).  Every scale is positive, so the integer is zero
+    exactly when the component is.  The loop stops at the first nonzero
+    component.  Draws of any other length raise DegreeMismatch."""
     width = len(ctx.basis_exponents)
     if len(draws) != len(ctx.delta_indices) * width:
         raise DegreeMismatch(f"need {len(ctx.delta_indices) * width} draws, got {len(draws)}")
     table = _PointTable(ctx, vector)
     basis = table.basis
     for row, index in enumerate(ctx.delta_indices):
+        section = draws[row * width:(row + 1) * width]
+        common = lcm(*(q for _, q in section))
         value = slope = 0
-        for (p, q), (v, s) in zip(draws[row * width:(row + 1) * width], basis):
+        for (p, q), (v, s) in zip(section, basis):
             if p:
-                c = Fraction(p, q)
+                c = p * (common // q)
                 value += c * v
                 slope += c * s
         tau_val, factor = table.factors(index)

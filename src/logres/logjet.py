@@ -69,7 +69,8 @@ class JetChart:
     """A dehomogenized fiber chart: 2n-1 coordinates, base log marks z1..zk.
 
     A chart builds each stratum prime once, on first use of `stratum_primes`,
-    and each intersected route once per tuple of primes it intersects.
+    each intersected route once per tuple of primes it intersects, and each
+    closed form once per set of components through the point.
     """
 
     n: int
@@ -79,6 +80,8 @@ class JetChart:
     chart: Chart
     # intersected route per tuple of the subsets J whose non-unit primes it intersects
     _intersected: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # closed form per I & {1..k}, the only part of I it reads
+    _closed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def stratum_primes(self) -> dict[tuple[int, ...], MonomialIdeal]:
@@ -199,9 +202,16 @@ def obstruction_ideal_intersected(jet: JetChart, I: Iterable[int]) -> MonomialId
 
 
 def obstruction_ideal_closed_form(jet: JetChart, I: Iterable[int]) -> MonomialIdeal:
-    """Dehomogenization of (z1*xi1, ..., zm*xim, xi_{m+1}, ..., xin)."""
-    Is = frozenset(I)
-    through = Is & set(range(1, jet.k + 1))
+    """Dehomogenization of (z1*xi1, ..., zm*xim, xi_{m+1}, ..., xin).  It
+    depends only on the components of I through the point, so the chart
+    builds it once per such set."""
+    through = frozenset(I) & set(range(1, jet.k + 1))
+    if through not in jet._closed:
+        jet._closed[through] = _closed_form(jet, through)
+    return jet._closed[through]
+
+
+def _closed_form(jet: JetChart, through: frozenset[int]) -> MonomialIdeal:
     variables = jet.chart.variables
     if jet.t not in through:
         return MonomialIdeal.unit(variables)

@@ -18,6 +18,9 @@ CLI verb needs it, so it is not shipped in ``src/logres``:
   (c07) and the graph-substitution identity of deformed Fermat sections (c09),
   on random sections summed as polynomials from ``sample``'s draws, in the
   chart frame of a connection context (``connection_frame``);
+* the evaluation cells of the connection in ``Fraction`` arithmetic, with
+  the rank and indeterminacy tests read off them (``reference_cells``),
+  which the integer point table of ``logconn`` replaced;
 * residues of chart forms, and global log forms written as chart forms when
   every component is a coordinate hyperplane;
 * the recursive-descent polynomial parser that builds a ``Polynomial`` per
@@ -36,12 +39,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping
 
 from logres.blowup import Atlas, Chart, push_exponent, root_chart
 from logres.logconn import (
     ConnectionContext,
     DegreeMismatch,
+    LogTangentVector,
     _chart_variables,
     _check_base_section,
     random_fraction,
@@ -592,6 +597,49 @@ def fermat_section(ctx: ConnectionContext, coeffs: CoefficientVector) -> Polynom
             continue
         total = total + a * tau_power(ctx, index, ctx.r + 1)
     return total
+
+
+def reference_cells(
+    ctx: ConnectionContext, vector: LogTangentVector
+) -> dict[MultiIndex, list[Fraction]]:
+    """Each weight-delta index I with its component's values on the basis
+    monomials m_K, in Fractions: m_K(p)*factor_I + tau^I(p)*xi(m_K)(p), with
+    factor_I = (r+1)*xi(tau^I)(p) - xi0*tau^I(p).  Monomials are valued and
+    differentiated term by term at the basepoint p, one coordinate at a time."""
+    point = [Fraction(x) for x in vector.basepoint]
+
+    def value_and_slope(exponent):
+        value = prod(p**e for p, e in zip(point, exponent))
+        slope = sum(
+            x * e * point[j] ** (e - 1)
+            * prod(p**f for i, (p, f) in enumerate(zip(point, exponent)) if i != j)
+            for j, (e, x) in enumerate(zip(exponent, vector.xi))
+            if e
+        )
+        return value, slope
+
+    basis = [value_and_slope(K[1:]) for K in enumerate_multiindices(ctx.n, ctx.eps)]
+    cells = {}
+    for index in enumerate_multiindices(ctx.n, ctx.delta):
+        tau, tau_slope = value_and_slope(index[1:])
+        factor = (ctx.r + 1) * tau_slope - vector.xi0 * tau
+        cells[index] = [m * factor + tau * m_slope for m, m_slope in basis]
+    return cells
+
+
+def reference_is_indeterminate(
+    cells: dict[MultiIndex, list[Fraction]], draws: list[tuple[int, int]]
+) -> bool:
+    """Whether every component vanishes, given ``reference_cells`` and the
+    draws of one section per index (index-major, basis-minor (p, q) pairs,
+    the coefficient p/q)."""
+    rows = list(cells.values())
+    width = len(rows[0])
+    assert len(draws) == len(rows) * width
+    return all(
+        sum(Fraction(p, q) * cell for (p, q), cell in zip(draws[i * width:], row)) == 0
+        for i, row in enumerate(rows)
+    )
 
 
 def restriction_identity_residuals(

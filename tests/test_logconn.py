@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,6 +34,8 @@ from oracles import (
     fermat_section,
     monomial,
     monomial_basis,
+    reference_cells,
+    reference_is_indeterminate,
     restriction_identity_residuals,
     summed_random_coefficients,
     tau_power,
@@ -278,7 +281,12 @@ def test_power_rule_table_matches_polynomial_route():
                 assert list(ctx.basis_exponents) == [
                     mono.sorted_terms()[0][0][1:] for _, mono in basis
                 ]
-                assert table.basis == [
+                # integer entries: values times the table's scale, slopes
+                # times its slope scale
+                def rational(value, slope):
+                    return Fraction(value, table.scale), Fraction(slope, table.slope_scale)
+
+                assert [rational(*entry) for entry in table.basis] == [
                     logconn._value_and_slope(mono, point, vector) for _, mono in basis
                 ]
                 for index in enumerate_multiindices(n, ctx.delta):
@@ -286,7 +294,7 @@ def test_power_rule_table_matches_polynomial_route():
                         tau_power(ctx, index), point, vector
                     )
                     factor = (ctx.r + 1) * slope - vector.xi0 * value
-                    assert table.factors(index) == (value, factor)
+                    assert rational(*table.factors(index)) == (value, factor)
 
 
 def test_polynomial_route_shares_no_code_with_the_table_route():
@@ -463,26 +471,65 @@ def test_random_log_tangent_vector_draw_order():
             assert stratum_of_point(ctx, vector.basepoint) == frozenset(stratum)
 
 
+def zero_stream(seed):
+    """The stream that picks which numerators read zero: apart from the
+    generator the draws come from, so their stream is the plain one."""
+    return random.Random(f"zeros:{seed}")
+
+
+def zero_a_third(draws, seed):
+    """The draws with a seeded third of their numerators zeroed, to
+    exercise dropped terms."""
+    zeros = zero_stream(seed)
+    return [(0 if zeros.random() < 1 / 3 else p, q) for p, q in draws]
+
+
 class ZeroHeavyRandom(random.Random):
-    """Draws a zero numerator a third of the time, to exercise dropped terms."""
+    """A randint whose numerators (a < 0) read zero where ``zero_a_third``
+    zeroes them; the generator's own stream is the plain one."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.zeros = zero_stream(seed)
 
     def randint(self, a, b):
-        return 0 if a < 0 and self.random() < 1 / 3 else super().randint(a, b)
+        value = super().randint(a, b)
+        return 0 if a < 0 and self.zeros.random() < 1 / 3 else value
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 60, 315])
+def test_random_coefficients_reads_the_randint_stream_from_words(size):
+    """The word route returns what the randint loop returns and leaves the
+    generator in the state the loop leaves, on every seed; size 0 draws
+    nothing.  A context of any size is a stand-in with that many indices of
+    one basis monomial each."""
+    bound = logconn.COEFF_BOUND
+    shape = SimpleNamespace(delta_indices=range(size), basis_exponents=((),))
+    for seed in range(200):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert random_coefficients(shape, rng) == [
+            (oracle_rng.randint(-bound, bound), oracle_rng.randint(1, bound))
+            for _ in range(size)
+        ]
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_random_coefficients_draw_order():
     """Seeded sample histograms depend on this order.  Every draw is made
     before random_coefficients returns, two randint calls per basis monomial
     per index, index-major, and the sections they stand for are the summed
-    oracle's."""
+    oracle's, also when a third of their numerators are zero."""
     bound = logconn.COEFF_BOUND
     for n, delta, eps in ((1, 2, 1), (2, 4, 1), (2, 3, 2), (3, 2, 2)):
         ctx = make_connection_context(n, eps, delta, 1)
         size = len(enumerate_multiindices(n, delta)) * len(enumerate_multiindices(n, eps))
         for seed in range(4):
             for make_rng in (random.Random, ZeroHeavyRandom):
-                rng, oracle_rng = make_rng(seed), make_rng(seed)
+                rng, oracle_rng = random.Random(seed), make_rng(seed)
                 draws = random_coefficients(ctx, rng)
+                if make_rng is ZeroHeavyRandom:
+                    draws = zero_a_third(draws, seed)
+                    assert any(p == 0 for p, _ in draws)
                 assert draws == [
                     (oracle_rng.randint(-bound, bound), oracle_rng.randint(1, bound))
                     for _ in range(size)
@@ -508,7 +555,8 @@ def test_is_indeterminate_matches_component_value_oracle():
                 z1 = basis.index((eps - 1, 1) + (0,) * (n - 1))
                 for stratum in all_strata(ctx):
                     for make_rng in (random.Random, ZeroHeavyRandom):
-                        rng = make_rng(100 * n + 10 * eps + delta)
+                        seed = 100 * n + 10 * eps + delta
+                        rng = make_rng(seed)
                         generic = random_log_tangent_vector(ctx, rng, stratum)
                         along_z1 = LogTangentVector(
                             Fraction(0), (Fraction(1),) + (Fraction(0),) * (n - 1),
@@ -519,6 +567,8 @@ def test_is_indeterminate_matches_component_value_oracle():
                         flat[constant] = (-p1.numerator, p1.denominator)
                         flat[z1] = (1, 1)
                         draws = random_coefficients(ctx, rng)
+                        if make_rng is ZeroHeavyRandom:  # its numerators too
+                            draws = zero_a_third(draws, seed)
                         for vector, row in ((generic, None), (along_z1, flat)):
                             for k in (0, 2):
                                 case = [(0, 1)] * (k * width)
@@ -556,3 +606,43 @@ def test_empty_sampling_report():
     ctx = ctx_n2(delta=4)
     report = sample_indeterminacy(ctx, trials=0, seed=0)
     assert report.failures == 0 and report.histogram == {}
+
+
+def test_integer_table_matches_the_fraction_reference():
+    """is_indeterminate, connection_rank and the --matrix cells against the
+    Fraction reference of tests/oracles.py.  Points, vectors and draws are
+    small, and a section is often zero, so zero cells, vanishing
+    components and indeterminate draws with nonzero sections all occur."""
+    rng = random.Random(23)
+    small = [Fraction(x) for x in (0, 0, 1, -1, 2, "1/2", "-3/2", "2/3")]
+    indeterminate = 0
+    for _ in range(1500):
+        n, eps, delta = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 3)
+        ctx = make_connection_context(n, eps, delta, rng.randint(1, 2))
+        basepoint = tuple(rng.choice(small) for _ in range(n))
+        xi0, *xi = [rng.choice(small) for _ in range(n + 1)]
+        if not xi0 and not any(xi):
+            continue
+        vector = LogTangentVector(xi0, tuple(xi), basepoint)
+        stratum = stratum_of_point(ctx, basepoint)
+        cells = reference_cells(ctx, vector)
+        width = len(ctx.basis_exponents)
+        rows, matrix = connection_matrix(ctx, vector, stratum)
+        assert rows == [I for I in cells if not any(I[j] for j in stratum)]
+        for row_index, row in zip(rows, matrix):
+            start = list(cells).index(row_index) * width
+            assert row[start:start + width] == cells[row_index]
+            assert not any(row[:start]) and not any(row[start + width:])
+        assert connection_rank(ctx, vector, stratum).rank == sum(any(cells[I]) for I in rows)
+        zero_row = rng.choice((0.2, 0.6, 0.9))
+        draws = []
+        for _ in ctx.delta_indices:
+            nonzero = rng.random() > zero_row
+            draws += [
+                (rng.randint(-2, 2) if nonzero else 0, rng.randint(1, 3)) for _ in range(width)
+            ]
+        expected = reference_is_indeterminate(cells, draws)
+        assert is_indeterminate(ctx, draws, vector) == expected
+        # indeterminate although some section is not zero
+        indeterminate += expected and any(p for p, _ in draws)
+    assert indeterminate >= 20
