@@ -48,12 +48,16 @@ table, and the benchmark's per-layer metrics name it.
 
 ``sample`` keeps each trial's random sections as the (numerator, denominator)
 draws of their coefficients.  ``random_coefficients`` returns exactly what
-the ``randint`` calls of ``random_fraction`` would, and leaves the RNG in
-the same state, but reads them from whole 32-bit Mersenne Twister words:
-``randint`` draws ``getrandbits(k)``, one word shifted right by 32 - k,
-until the value is in range.  ``is_indeterminate`` clears each row's
-denominators, values its section from the draws and the point table, stops
-at the first nonzero component, and builds no polynomial.
+one ``randint`` call per numerator and per denominator would, and leaves
+the RNG in the same state, but reads them from whole 32-bit Mersenne
+Twister words: ``randint`` draws ``getrandbits(k)``, one word shifted right
+by 32 - k, until the value is in range.  Only a word whose top byte is 0xFA
+or more can be redrawn, so a search of the top bytes finds the few words to
+look at one by one, and a pair is decoded from its words when first read.
+The basepoint and the vector read their fractions the same way.
+``is_indeterminate`` clears each row's denominators, values its section
+from the draws and the point table, stops at the first nonzero component,
+so it decodes only the rows it reads, and builds no polynomial.
 
 ``RankReport`` and ``SamplingReport`` are plain frozen dataclasses; the
 command line encodes them, field by field, as JSON.
@@ -62,6 +66,7 @@ command line encodes them, field by field, as JSON.
 from __future__ import annotations
 
 import random
+import re
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -368,60 +373,103 @@ def rank_report(
 # -- indeterminacy sampling ----------------------------------------------------------
 
 
-def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
-    while True:
-        value = Fraction(
-            rng.randint(-COEFF_BOUND, COEFF_BOUND), rng.randint(1, COEFF_BOUND)
-        )
-        if value or not nonzero:
-            return value
+# The top byte of a word at or above 0xFA000000, the least word some role refuses.
+_HIGH_BYTE = re.compile(rb"[\xfa-\xff]")
 
 
-def random_coefficients(ctx: ConnectionContext, rng: random.Random) -> list[tuple[int, int]]:
+def _kept_words(rng: random.Random, size: int) -> bytes:
+    """The words of ``size`` (numerator, denominator) pairs of ``randint``
+    calls, 4 bytes each, little-endian, with every redrawn word left out.
+
+    A word below 0xFA000000 is kept in either role, one at or above
+    0xFA200000 is refused in either role, and one between is kept only as a
+    numerator.  So only the words whose top byte is 0xFA or more, about 2%,
+    are looked at one by one, in order, each in the role an even or odd
+    count of kept words before it gives it."""
+    kept = bytearray()
+    while owed := 2 * size - len(kept) // 4:  # randint calls
+        data = rng.getrandbits(32 * owed).to_bytes(4 * owed, "little")
+        start = 0  # the first word of data not yet copied to kept
+        for match in _HIGH_BYTE.finditer(data[3::4]):
+            i = 4 * match.start()
+            numerator = (len(kept) + i - start) % 8 == 0
+            if not (numerator and data[i + 3] == 0xFA and data[i + 2] < 0x20):
+                kept += data[start:i]
+                start = i + 4
+        kept += data[start:]
+    return bytes(kept)
+
+
+def _pairs(words: bytes, start: int, stop: int) -> list[tuple[int, int]]:
+    """Pairs start..stop-1 of kept words as ``randint`` returns them: a
+    numerator word w reads (w >> 21) - COEFF_BOUND, a denominator (w >> 22) + 1."""
+    return [
+        ((p >> _NUMERATOR_SHIFT) - COEFF_BOUND, (q >> _DENOMINATOR_SHIFT) + 1)
+        for p, q in struct.iter_unpack("<II", words[8 * start:8 * stop])
+    ]
+
+
+class _Draws(Sequence):
+    """The (numerator, denominator) pairs of kept words, decoded in order
+    when first read; ``len`` decodes nothing."""
+
+    def __init__(self, words: bytes):
+        self._words = words
+        self._pairs: list[tuple[int, int]] = []
+
+    def __len__(self) -> int:
+        return len(self._words) // 8
+
+    def __getitem__(self, index):
+        last = range(len(self))[index]  # an int, or the positions a slice reads
+        if not isinstance(last, int):
+            last = max(last[0], last[-1]) if last else -1
+        if last >= len(self._pairs):
+            self._pairs += _pairs(self._words, len(self._pairs), last + 1)
+        return self._pairs[index]
+
+
+def random_coefficients(ctx: ConnectionContext, rng: random.Random) -> Sequence[tuple[int, int]]:
     """The draws of one random degree-<=eps section per weight-delta index.
 
-    A flat list of (numerator, denominator) pairs, index-major and
+    A sequence of (numerator, denominator) pairs, index-major and
     basis-minor: per index in index order, per basis monomial in basis order,
-    what the two ``randint`` calls of ``random_fraction`` return, all drawn
-    before this returns.  The pair (p, q) is the coefficient p/q of its basis
-    monomial.
+    what the two calls ``randint(-COEFF_BOUND, COEFF_BOUND)`` and
+    ``randint(1, COEFF_BOUND)`` return.  The pair (p, q) is the coefficient
+    p/q of its basis monomial.
 
-    The calls are read from whole words, and the RNG ends in the state the
-    calls leave.  ``randint(lo, hi)`` is lo plus ``getrandbits(k)``, k the
-    bit length of hi - lo + 1, redrawn until below hi - lo + 1; for k <= 32
-    that is one 32-bit Mersenne Twister word shifted right by 32 - k.  So
-    while c calls are owed, ``getrandbits(32*c)`` yields the next c words,
-    least significant first, and each word is a numerator or a denominator
-    drawn, or one redrawn.  Every call takes at least one word, so no word
-    is drawn that the calls would not draw."""
-    size = len(ctx.delta_indices) * len(ctx.basis_exponents)
-    draws: list[tuple[int, int]] = []
-    append = draws.append
-    numerator = None
-    owed = 2 * size  # randint calls
-    while owed:
-        words = struct.unpack(f"<{owed}I", rng.getrandbits(32 * owed).to_bytes(4 * owed, "little"))
-        for word in words:
-            if numerator is None:
-                if word >> _NUMERATOR_SHIFT <= 2 * COEFF_BOUND:
-                    numerator = (word >> _NUMERATOR_SHIFT) - COEFF_BOUND
-            elif word >> _DENOMINATOR_SHIFT < COEFF_BOUND:
-                append((numerator, (word >> _DENOMINATOR_SHIFT) + 1))
-                numerator = None
-        owed = 2 * (size - len(draws)) - (numerator is not None)
-    return draws
+    Every word is drawn before this returns, and the RNG ends in the state
+    the calls leave, but a pair is decoded from its words only when first
+    read.  ``randint(lo, hi)`` is lo plus ``getrandbits(k)``, k the bit
+    length of hi - lo + 1, redrawn until below hi - lo + 1; for k <= 32 that
+    is one 32-bit Mersenne Twister word shifted right by 32 - k.  So while c
+    calls are owed, ``getrandbits(32*c)`` yields the next c words, least
+    significant first, and each word is a numerator or a denominator drawn,
+    or one redrawn.  Every call takes at least one word, so no word is drawn
+    that the calls would not draw.  The redrawn words are found by a search
+    of the words' top bytes (see ``_kept_words``)."""
+    return _Draws(_kept_words(rng, len(ctx.delta_indices) * len(ctx.basis_exponents)))
+
+
+def _fractions(rng: random.Random, count: int) -> list[Fraction]:
+    """The next ``count`` coefficients p/q, drawn and decoded as
+    ``random_coefficients`` draws and decodes its pairs."""
+    return [Fraction(p, q) for p, q in _pairs(_kept_words(rng, count), 0, count)]
 
 
 def random_stratum_point(
     ctx: ConnectionContext, rng: random.Random, stratum: Iterable[int]
 ) -> tuple[Fraction, ...]:
     """A random point with z_j = 0 for j in the stratum; the other
-    coordinates are drawn in order, nonzero."""
+    coordinates are drawn in order, nonzero: a pair with a zero numerator is
+    redrawn, so they are the first nonzero fractions of the stream."""
     J = frozenset(stratum)
-    return tuple(
-        Fraction(0) if j in J else random_fraction(rng, nonzero=True)
-        for j in range(1, ctx.n + 1)
-    )
+    free = sum(j not in J for j in range(1, ctx.n + 1))
+    drawn: list[Fraction] = []
+    while len(drawn) < free:
+        drawn += filter(None, _fractions(rng, free - len(drawn)))
+    values = iter(drawn)
+    return tuple(Fraction(0) if j in J else next(values) for j in range(1, ctx.n + 1))
 
 
 def random_log_tangent_vector(
@@ -430,10 +478,9 @@ def random_log_tangent_vector(
     """A random base point on the stratum, then a nonzero (xi0, xi) by rejection."""
     basepoint = random_stratum_point(ctx, rng, stratum)
     while True:
-        xi0 = random_fraction(rng)
-        xi = tuple(random_fraction(rng) for _ in range(ctx.n))
+        xi0, *xi = _fractions(rng, ctx.n + 1)
         if xi0 or any(xi):
-            return LogTangentVector(xi0, xi, basepoint)
+            return LogTangentVector(xi0, tuple(xi), basepoint)
 
 
 def is_indeterminate(

@@ -12,6 +12,7 @@ which prints it with `to_text`, and for the tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from typing import Sequence
 
 Matrix = Sequence[Sequence[Fraction]]
@@ -47,5 +48,16 @@ def rank(matrix: Matrix) -> int:
 def to_text(matrix: Matrix) -> str:
     """Dense exact text format: one row per line, entries as p/q.
 
-    Entries must be Fractions or ints, whose ``str`` is already p/q."""
-    return "\n".join(" ".join(map(str, row)) for row in matrix)
+    Entries must be Fractions or ints, whose ``str`` is already p/q.  Only
+    the nonzero entries are passed to ``str``: each run of zeros before one
+    is written in one step, as is the run after the last."""
+    return "\n".join(map(_row_text, matrix))
+
+
+def _row_text(row: Sequence[Fraction]) -> str:
+    pieces, last = [], -1  # each entry is written with the space after it
+    for i in compress(count(), row):
+        pieces.append("0 " * (i - last - 1) + str(row[i]) + " ")
+        last = i
+    pieces.append("0 " * (len(row) - 1 - last))
+    return "".join(pieces)[:-1]

@@ -28,13 +28,20 @@ CLI verb needs it, so it is not shipped in ``src/logres``:
   replaced with one pass into a term map;
 * the JSON text of a payload from ``json.dumps`` with a ``default=`` hook for
   ``Fraction`` and dataclass leaves (``reference_emit``), which the writer
-  in ``cli._emit`` replaced.
+  in ``cli._emit`` replaced;
+* one ``randint`` call per numerator and per denominator of a random
+  fraction (``random_fraction``), the stream that ``logconn`` reads from
+  whole words;
+* the dense matrix text with ``str`` called on every cell
+  (``reference_to_text``), which ``ratmat.to_text`` replaced with one step
+  per run of zeros.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,12 +51,12 @@ from typing import Iterable, Mapping
 
 from logres.blowup import Atlas, Chart, push_exponent, root_chart
 from logres.logconn import (
+    COEFF_BOUND,
     ConnectionContext,
     DegreeMismatch,
     LogTangentVector,
     _chart_variables,
     _check_base_section,
-    random_fraction,
 )
 from logres.monideal import (
     MixedVariableSets,
@@ -565,6 +572,17 @@ def monomial_basis(ctx: ConnectionContext) -> list[tuple[MultiIndex, Polynomial]
     ]
 
 
+def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
+    """p/q from ``randint(-COEFF_BOUND, COEFF_BOUND)`` and then
+    ``randint(1, COEFF_BOUND)``, both drawn again while ``nonzero`` asks for
+    a nonzero value and p is zero: the stream ``logconn`` reads from whole
+    words for its coefficients, basepoints and vectors."""
+    while True:
+        value = Fraction(rng.randint(-COEFF_BOUND, COEFF_BOUND), rng.randint(1, COEFF_BOUND))
+        if value or not nonzero:
+            return value
+
+
 def summed_random_coefficients(ctx: ConnectionContext, rng) -> CoefficientVector:
     """One random degree-<=eps section per weight-delta index, summed term by
     term from ``random_fraction`` draws: per index in index order, per basis
@@ -640,6 +658,11 @@ def reference_is_indeterminate(
         sum(Fraction(p, q) * cell for (p, q), cell in zip(draws[i * width:], row)) == 0
         for i, row in enumerate(rows)
     )
+
+
+def reference_to_text(matrix) -> str:
+    """Dense exact text of a matrix, ``str`` of every cell: one row per line."""
+    return "\n".join(" ".join(map(str, row)) for row in matrix)
 
 
 def restriction_identity_residuals(

@@ -24,7 +24,6 @@ from logres.logconn import (
     LogTangentVector,
     connection_rank,
     make_connection_context,
-    random_fraction,
     random_stratum_point,
     sample_indeterminacy,
 )
@@ -54,6 +53,7 @@ from oracles import (
     connection_component,
     decompose_simple_ideal,
     prime,
+    random_fraction,
     restrict_system,
     restriction_identity_residuals,
     simple_shape,

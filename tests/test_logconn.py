@@ -19,7 +19,6 @@ from logres.logconn import (
     is_indeterminate,
     make_connection_context,
     random_coefficients,
-    random_fraction,
     random_log_tangent_vector,
     random_stratum_point,
     sample_indeterminacy,
@@ -34,6 +33,7 @@ from oracles import (
     fermat_section,
     monomial,
     monomial_basis,
+    random_fraction,
     reference_cells,
     reference_is_indeterminate,
     restriction_identity_residuals,
@@ -458,17 +458,130 @@ def test_zero_coefficients_are_always_indeterminate():
     assert is_indeterminate(ctx, zero, vector)
 
 
+def oracle_log_tangent_vector(ctx, rng, stratum):
+    """The vector from one randint call per numerator and per denominator:
+    each free basepoint coordinate drawn again while zero, in order, then
+    (xi0, xi) drawn again while all zero."""
+    basepoint = tuple(
+        Fraction(0) if j in stratum else random_fraction(rng, nonzero=True)
+        for j in range(1, ctx.n + 1)
+    )
+    while True:
+        xi0 = random_fraction(rng)
+        xi = tuple(random_fraction(rng) for _ in range(ctx.n))
+        if xi0 or any(xi):
+            return LogTangentVector(xi0, xi, basepoint)
+
+
 def test_random_log_tangent_vector_draw_order():
     # base point first, then (xi0, xi) until nonzero: seeded output depends on it
+    for ctx in (ctx_n2(delta=4), make_connection_context(3, 1, 6, 1)):
+        for seed in range(5):
+            for stratum in all_strata(ctx):  # the last is all of 1..n
+                rng, oracle_rng = random.Random(seed), random.Random(seed)
+                vector = random_log_tangent_vector(ctx, rng, stratum)
+                assert vector == oracle_log_tangent_vector(ctx, oracle_rng, stratum)
+                assert rng.getstate() == oracle_rng.getstate()
+                assert stratum_of_point(ctx, vector.basepoint) == frozenset(stratum)
+
+
+class ScriptedRandom(random.Random):
+    """A generator that serves fixed 32-bit words, in order: getrandbits(k)
+    is the next word shifted right by 32 - k for k <= 32, and the next m
+    words, least significant first, for k = 32*m.  ``used`` counts the words
+    served; reading past the script raises IndexError."""
+
+    def __new__(cls, words):  # Python 3.10 would seed from the script itself
+        return super().__new__(cls)
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words, self.used = list(words), 0
+
+    def getrandbits(self, k):
+        m = 1 if k <= 32 else k // 32
+        assert k <= 32 or k % 32 == 0
+        served = self.words[self.used:self.used + m]
+        if len(served) < m:
+            raise IndexError("script overdrawn")
+        self.used += m
+        if k <= 32:
+            return served[0] >> (32 - k)
+        return sum(word << (32 * i) for i, word in enumerate(served))
+
+
+# the words on each side of the denominator bound 0xFA000000 and of the
+# numerator bound 0xFA200000, and the largest word
+BOUNDARY_WORDS = (0xF9FFFFFF, 0xFA000000, 0xFA1FFFFF, 0xFA200000, 0xFFFFFFFF)
+FILLER_WORDS = [(0x9E3779B9 * i) % 0xFA000000 for i in range(1, 41)]  # kept in either role
+ZERO_NUMERATOR = logconn.COEFF_BOUND << logconn._NUMERATOR_SHIFT
+
+
+def boundary_scripts(size):
+    """Scripts for ``size`` pairs: each boundary word as a numerator, as a
+    denominator and as the last word of the first batch, then runs of
+    refused words in both roles."""
+    for word in BOUNDARY_WORDS:
+        for position in (0, 1, 2 * size - 1):
+            yield FILLER_WORDS[:position] + [word] + FILLER_WORDS
+    yield [0xFFFFFFFF, 0xFA200000, 0xFFFFFFFF, 0xFA1FFFFF] + FILLER_WORDS
+    yield FILLER_WORDS[:1] + [0xFA000000, 0xFFFFFFFF, 0xFA1FFFFF, 0xFA200000] + FILLER_WORDS
+    yield [0xFA100000, 0xFA100000, 0xFA000000, 0xF9FFFFFF] * 3 + FILLER_WORDS
+    yield FILLER_WORDS[:2 * size - 1] + [0xFFFFFFFF] * 5 + FILLER_WORDS
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_random_coefficients_at_the_word_boundaries(size):
+    """On scripted words at and around the refusal bounds, the word route
+    returns what the randint loop returns and reads exactly its words."""
+    bound = logconn.COEFF_BOUND
+    shape = SimpleNamespace(delta_indices=range(size), basis_exponents=((),))
+    for script in boundary_scripts(size):
+        rng, oracle_rng = ScriptedRandom(script), ScriptedRandom(script)
+        assert list(random_coefficients(shape, rng)) == [
+            (oracle_rng.randint(-bound, bound), oracle_rng.randint(1, bound))
+            for _ in range(size)
+        ]
+        assert rng.used == oracle_rng.used
+
+
+def test_random_log_tangent_vector_redraws_zero_pairs():
+    """Scripted zero numerators: a basepoint coordinate redraws its pair,
+    and an all-zero (xi0, xi) is drawn again, as the randint route does."""
+    f = FILLER_WORDS
+    scripts = (
+        [ZERO_NUMERATOR, f[0]] * 3 + [0xFFFFFFFF] + f,
+        f[:4] + [ZERO_NUMERATOR, f[0]] * 3 + f,
+        [ZERO_NUMERATOR, 0xFA000000, f[1], ZERO_NUMERATOR, f[2]] * 2 + f,
+    )
     ctx = ctx_n2(delta=4)
-    for seed in range(5):
-        for stratum in (set(), {1}, {1, 2}):
-            vector = random_log_tangent_vector(ctx, random.Random(seed), stratum)
+    for stratum in all_strata(ctx):
+        for script in scripts:
+            rng, oracle_rng = ScriptedRandom(script), ScriptedRandom(script)
+            vector = random_log_tangent_vector(ctx, rng, stratum)
+            assert vector == oracle_log_tangent_vector(ctx, oracle_rng, stratum)
+            assert rng.used == oracle_rng.used
+
+
+def test_draws_are_decoded_when_first_read():
+    """len() decodes nothing; on a generic vector is_indeterminate decodes at
+    most one row of a ``sample --n 3 --delta 8`` draw, and a draw whose
+    numerators are all zero is decoded to its last row and is
+    indeterminate."""
+    ctx = make_connection_context(3, 1, 8, 1)
+    width = len(ctx.basis_exponents)
+    for seed in range(3):
+        for stratum in all_strata(ctx):
             rng = random.Random(seed)
-            assert vector.basepoint == random_stratum_point(ctx, rng, stratum)
-            assert vector.xi0 == random_fraction(rng)
-            assert vector.xi == tuple(random_fraction(rng) for _ in range(ctx.n))
-            assert stratum_of_point(ctx, vector.basepoint) == frozenset(stratum)
+            vector = random_log_tangent_vector(ctx, rng, stratum)
+            draws = random_coefficients(ctx, rng)
+            assert len(draws) == len(ctx.delta_indices) * width
+            assert draws._pairs == []
+            assert not is_indeterminate(ctx, draws, vector)
+            assert 0 < len(draws._pairs) <= width
+    draws = random_coefficients(ctx, ScriptedRandom([ZERO_NUMERATOR, 1] * len(draws)))
+    assert is_indeterminate(ctx, draws, vector)
+    assert draws._pairs == [(0, 1)] * len(draws)
 
 
 def zero_stream(seed):
@@ -507,7 +620,7 @@ def test_random_coefficients_reads_the_randint_stream_from_words(size):
     shape = SimpleNamespace(delta_indices=range(size), basis_exponents=((),))
     for seed in range(200):
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        assert random_coefficients(shape, rng) == [
+        assert list(random_coefficients(shape, rng)) == [
             (oracle_rng.randint(-bound, bound), oracle_rng.randint(1, bound))
             for _ in range(size)
         ]
@@ -530,7 +643,7 @@ def test_random_coefficients_draw_order():
                 if make_rng is ZeroHeavyRandom:
                     draws = zero_a_third(draws, seed)
                     assert any(p == 0 for p, _ in draws)
-                assert draws == [
+                assert list(draws) == [
                     (oracle_rng.randint(-bound, bound), oracle_rng.randint(1, bound))
                     for _ in range(size)
                 ]

@@ -273,7 +273,7 @@ def test_pullback_zero_section():
 def test_random_section_pullbacks_are_always_members():
     import random
 
-    from logres.logconn import random_fraction
+    from oracles import random_fraction
 
     rng = random.Random(77)
     for _ in range(40):
