@@ -18,7 +18,9 @@ arithmetic on exponents; ``push_exponent`` is the one routine that does it.
 Each chart stores its map to the root (``Chart.to_root``), composed once when
 the chart is built, so total transforms of root ideals never walk the tree,
 and an ``Atlas`` keeps each pushed root monomial per chart, so a generator
-shared by many root ideals is pushed into a chart once.
+shared by many root ideals is pushed into a chart once.  Its stage log lists
+the ids of the charts each stage blew up; a center's label, slots and
+children are read back from its child charts, which already hold them.
 
 ``strict_transform_variety`` is the geometric strict transform of a single
 coordinate subspace, which is either empty in the chart or cut out by the
@@ -156,22 +158,20 @@ def strict_transform_variety(chart: Chart, variety: SimpleVariety) -> SimpleVari
 
 
 @dataclass(frozen=True)
-class CenterRecord:
-    chart_id: str
-    label: str
-    vanishing: tuple[int, ...]  # slots of the chart blown up, in slot order
-    children: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class StageRecord:
+    """The ids of the charts one stage blew up, in processing order."""
+
     stage: int
-    centers: tuple[CenterRecord, ...]
+    centers: tuple[str, ...]
 
 
 @dataclass
 class Atlas:
-    """The blow-up tree: charts by id, adjacency, and the stage log."""
+    """The blow-up tree: charts by id, adjacency, and the stage log.
+
+    The stage log lists chart ids only; each center's label, slots and
+    children are read back from the charts, so every blow-up is stored once.
+    """
 
     root_id: str
     charts: dict[str, Chart] = field(default_factory=dict)
@@ -251,20 +251,20 @@ class Atlas:
             "root": self.root_id,
             "charts": charts,
             "stage_log": [
-                {
-                    "stage": record.stage,
-                    "centers": [
-                        {
-                            "chart": c.chart_id,
-                            "label": c.label,
-                            "vanishing": [
-                                self.charts[c.chart_id].variables[s] for s in c.vanishing
-                            ],
-                            "children": list(c.children),
-                        }
-                        for c in record.centers
-                    ],
-                }
+                {"stage": record.stage, "centers": [self._center_dict(cid) for cid in record.centers]}
                 for record in self.stage_log
             ],
+        }
+
+    def _center_dict(self, chart_id: str) -> dict:
+        """A stage-log center spelled from the atlas: its label is the newest
+        exceptional divisor of its first child, which also holds its slots."""
+        kids = self.children[chart_id]
+        first = self.charts[kids[0]]
+        names = self.charts[chart_id].variables
+        return {
+            "chart": chart_id,
+            "label": first.exceptional[-1][0],
+            "vanishing": [names[s] for s in sorted(first.center)],
+            "children": list(kids),
         }

@@ -26,8 +26,9 @@ j in J vanish is at least C(k + delta, k), k = n - #J.
 Both ``rank`` and ``sample`` evaluate from one table per (basepoint, vector)
 of the powers of each coordinate, in integers.  Write p_j = a_j/b_j, let
 E = max(eps, delta), P = prod_j b_j^E and D the lcm of the vector's
-denominators.  The table holds a_j^e*b_j^(E-e) and a_j^(e-1)*b_j^(E-e+1),
-so the power rule gives the value of every degree-eps basis monomial m_K,
+denominators.  The table holds a_j^e*b_j^(E-e) for e = 0..E, one row per
+coordinate; the power rule reads the derivative of z_j^e from entry e - 1 of
+that row, so it gives the value of every degree-eps basis monomial m_K,
 and of every tau^I, which is the chart monomial of I, times P, and its
 xi-slope times P*D.  Component I of the section a = sum_K c_K*m_K is then
 
@@ -72,7 +73,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Iterator
 
 from .multiindex import MultiIndex, enumerate_multiindices, index_count
@@ -203,18 +204,18 @@ def _value_and_slope(
 def _power_rule(
     exponent: tuple[int, ...],
     powers: Sequence[Sequence[int]],
-    lowers: Sequence[Sequence[int]],
     xi: Sequence[int],
 ) -> tuple[int, int]:
     """P*m(p) and P*D*xi(m)(p) for the monomial m = z1^e_1*...*zn^e_n, by the
-    Leibniz rule over its factors, from the integer tables of ``_PointTable``:
-    powers[j][e] = p^e*b^E and lowers[j][e] = p^(e-1)*b^E for p = p_(j+1)
-    with denominator b, and xi[j] = D*xi_(j+1).  A factor with e = 0 still
-    contributes its b^E to the scale P = prod b^E."""
+    Leibniz rule over its factors, from the integer table of ``_PointTable``:
+    powers[j][e] = p^e*b^E for p = p_(j+1) with denominator b, so the
+    derivative of a factor, e*p^(e-1)*b^E, is e*powers[j][e - 1], and
+    xi[j] = D*xi_(j+1).  A factor with e = 0 still contributes its b^E to the
+    scale P = prod b^E."""
     value, slope = 1, 0
-    for e, power, lower, x in zip(exponent, powers, lowers, xi):
+    for e, power, x in zip(exponent, powers, xi):
         if e:
-            value, slope = value * power[e], slope * power[e] + value * e * lower[e] * x
+            value, slope = value * power[e], slope * power[e] + value * e * power[e - 1] * x
         else:
             value, slope = value * power[0], slope * power[0]
     return value, slope
@@ -225,12 +226,12 @@ class _PointTable:
     values, in integers.
 
     With p_j = a_j/b_j, E = max(eps, delta) and D the lcm of the vector's
-    denominators, ``powers[j][e]`` is a^e*b^(E-e) and, for e >= 1,
-    ``lowers[j][e]`` is a^(e-1)*b^(E-e+1), where (a, b) = (a_(j+1), b_(j+1));
-    ``xi`` and ``xi0`` are the vector's components times D.  ``basis`` lists
-    (m(p), xi(m)(p)) for each degree-<=eps basis monomial m in basis order,
-    and ``factors`` values tau^I, the chart monomial of I, by the same power
-    rule.  Values come out times ``scale`` = P = prod_j b_j^E and slopes
+    denominators, ``powers[j][e]`` is a^e*b^(E-e), where (a, b) =
+    (a_(j+1), b_(j+1)), so ``powers[j][e - 1]`` is the a^(e-1)*b^(E-e+1) the
+    power rule needs for the derivative of z^e; ``xi`` and ``xi0`` are the
+    vector's components times D.  ``basis`` lists (m(p), xi(m)(p)) for each
+    degree-<=eps basis monomial m in basis order, and ``factors`` values
+    tau^I, the chart monomial of I, by the same power rule.  Values come out times ``scale`` = P = prod_j b_j^E and slopes
     times ``slope_scale`` = P*D, so the cell a(p) * factor_I + tau^I(p) *
     xi(a)(p) of a basis monomial a is its rational value times
     ``scale*slope_scale``.
@@ -244,23 +245,19 @@ class _PointTable:
         common = lcm(vector.xi0.denominator, *(x.denominator for x in vector.xi))
         self.xi0 = vector.xi0.numerator * (common // vector.xi0.denominator)
         self.xi = [x.numerator * (common // x.denominator) for x in vector.xi]
-        self.powers, self.lowers = [], []
-        self.scale = 1
-        for p in vector.basepoint:
-            a, b = p.numerator, p.denominator
-            self.powers.append([a**e * b ** (top - e) for e in range(top + 1)])
-            self.lowers.append([0] + [a ** (e - 1) * b ** (top - e + 1) for e in range(1, top + 1)])
-            self.scale *= b**top
-        self.slope_scale = self.scale * common
-        self.basis = [
-            _power_rule(exp, self.powers, self.lowers, self.xi) for exp in ctx.basis_exponents
+        self.powers = [
+            [p.numerator**e * p.denominator ** (top - e) for e in range(top + 1)]
+            for p in vector.basepoint
         ]
+        self.scale = prod(row[0] for row in self.powers)
+        self.slope_scale = self.scale * common
+        self.basis = [_power_rule(exp, self.powers, self.xi) for exp in ctx.basis_exponents]
 
     def factors(self, index: MultiIndex) -> tuple[int, int]:
         """The two factors index I contributes to every component value:
         tau^I(p) and (r+1)*xi(tau^I)(p) - xi0*tau^I(p), times ``scale`` and
         ``slope_scale``."""
-        value, slope = _power_rule(index[1:], self.powers, self.lowers, self.xi)
+        value, slope = _power_rule(index[1:], self.powers, self.xi)
         return value, (self.ctx.r + 1) * slope - self.xi0 * value
 
 

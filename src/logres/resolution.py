@@ -15,8 +15,14 @@ their strict transforms (members whose strict transform leaves a chart are
 dropped).  A system whose indices span `length` consecutive values is
 resolved canonically in `length` stages; the minimal variant stops one stage
 early.  The whole process is deterministic: charts are processed in id order
-and exceptional divisors are labeled ``E<stage>.<counter>``.  Members hold
+and exceptional divisors are labeled ``E<stage>.<counter>``, the counter
+being the number of centers the stage has blown up before.  Members hold
 their coordinates by chart slot, which no blow-up moves; only output names them.
+So each live chart's system is built once, when its chart is made: a stage
+that leaves a chart alone carries its system as it is, and a member whose
+strict transform survives into a child is carried as it is too.  Each stage
+records its live systems and, in the atlas's stage log, the ids of the charts
+it blew up.
 
 Validation returns the violations it finds, so an empty tuple means
 compatible.  A resolution records its leaves once: the charts of its final
@@ -31,14 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blowup import (
-    Atlas,
-    CenterRecord,
-    Chart,
-    StageRecord,
-    blow_up_center,
-    strict_transform_variety,
-)
+from .blowup import Atlas, Chart, StageRecord, blow_up_center, strict_transform_variety
 from .monideal import SimpleVariety
 from .symcore import LogresError
 
@@ -141,7 +140,7 @@ def resolve_system(system: CompatibleSystem, mode: str = "canonical") -> Resolut
         raise InvalidSystem("; ".join(map(str, violations)))
 
     atlas = Atlas.for_root(system.chart)
-    state: list[tuple[Chart, tuple[Member, ...]]] = [(system.chart, system.members)]
+    state = [system]
     indices = {m.index for m in system.members}
     lowest = min(indices, default=0)
     length = max(indices) - lowest + 1 if indices else 0
@@ -150,13 +149,13 @@ def resolve_system(system: CompatibleSystem, mode: str = "canonical") -> Resolut
 
     for stage in range(1, stages + 1):
         target = lowest + stage - 1
-        new_state: list[tuple[Chart, tuple[Member, ...]]] = []
-        centers: list[CenterRecord] = []
-        counter = 0
-        for chart, members in state:
+        new_state: list[CompatibleSystem] = []
+        centers: list[str] = []
+        for live in state:
+            chart, members = live.chart, live.members
             current = [m for m in members if m.index == target]
             if not current:
-                new_state.append((chart, members))
+                new_state.append(live)
                 continue
             if len(current) > 1:
                 # stage invariance failed: two lowest-index members share a chart
@@ -164,35 +163,21 @@ def resolve_system(system: CompatibleSystem, mode: str = "canonical") -> Resolut
                     f"chart {chart.id} holds {len(current)} members of index {target}"
                 )
             center = current[0]
-            label = f"E{stage}.{counter}"
-            counter += 1
-            children = blow_up_center(chart, center.variety, label=label)
+            children = blow_up_center(chart, center.variety, label=f"E{stage}.{len(centers)}")
             atlas.add_blowup(chart.id, children)
-            centers.append(
-                CenterRecord(
-                    chart.id,
-                    label,
-                    tuple(sorted(center.variety.vanishing)),
-                    tuple(c.id for c in children),
-                )
-            )
+            centers.append(chart.id)
             for child in children:
-                transformed = []
-                for m in members:
-                    if m is center:
-                        continue
-                    strict = strict_transform_variety(child, m.variety)
-                    if strict is not None:
-                        transformed.append(Member(m.index, m.label, strict))
-                new_state.append((child, tuple(transformed)))
+                kept = tuple(
+                    m
+                    for m in members
+                    if m is not center and strict_transform_variety(child, m.variety) is not None
+                )
+                new_state.append(CompatibleSystem(child, kept))
         state = new_state
         atlas.stage_log.append(StageRecord(stage, tuple(centers)))
-        per_stage.append(
-            tuple(CompatibleSystem(chart, members) for chart, members in state)
-        )
+        per_stage.append(tuple(state))
 
-    if mode == "canonical" and any(members for _, members in state):
+    if mode == "canonical" and any(live.members for live in state):
         raise InvalidSystem("canonical resolution left unresolved members")
-    leaves = tuple(sorted((chart for chart, _ in state), key=lambda chart: chart.id))
+    leaves = tuple(sorted((live.chart for live in state), key=lambda chart: chart.id))
     return ResolutionResult(atlas, tuple(per_stage), mode, leaves)
-

@@ -8,7 +8,9 @@ from conftest import (
     transverse_slice,
     variety,
 )
+from logres import logjet
 from logres.blowup import root_chart
+from logres.cli import run_command
 from logres.logjet import build_obstruction_system, resolve_obstruction_system
 from logres.resolution import (
     CompatibleSystem,
@@ -115,21 +117,109 @@ def test_single_member_canonical_is_one_stage():
     ]
 
 
-def test_recorded_leaves_are_the_childless_charts_of_the_atlas():
-    """The leaves a resolution records from its final state are the charts
-    with no children in its atlas, sorted by id, on every jet system with
-    n <= 4 in both modes."""
-    checked = 0
+def jet_resolutions():
+    """(key, system, resolution) for every jet system with n <= 4, every c,
+    k and t, in both modes: 186 resolutions."""
     for n in (2, 3, 4):
         for c in range(1, n + 1):
             for k in range(c + 1):
                 for t in range(1, n + 1):
                     for mode in ("canonical", "minimal"):
                         jet, system = build_obstruction_system(n, c, k, t)
-                        result = resolve_obstruction_system(jet, system, mode)
-                        assert result.leaves == tuple(atlas_leaves(result.atlas)), (n, c, k, t, mode)
-                        checked += 1
+                        yield (n, c, k, t, mode), system, resolve_obstruction_system(jet, system, mode)
+
+
+def test_recorded_leaves_are_the_childless_charts_of_the_atlas():
+    """The leaves a resolution records from its final state are the charts
+    with no children in its atlas, sorted by id, on every jet system with
+    n <= 4 in both modes."""
+    checked = 0
+    for key, _, result in jet_resolutions():
+        assert result.leaves == tuple(atlas_leaves(result.atlas)), key
+        checked += 1
     assert checked == 186
+
+
+def test_stage_log_agrees_with_the_stage_records():
+    """Stage s blows up, in order, the charts of the previous stage's record
+    (the root system before stage 1) that hold a member of index lowest+s-1.
+    Each center is labeled E<s>.<position>, vanishes on that member's slots,
+    and is replaced in stage s's record by its children, in order."""
+    for key, system, result in jet_resolutions():
+        log = result.to_dict()["atlas"]["stage_log"]
+        assert [entry["stage"] for entry in log] == list(range(1, len(log) + 1)), key
+        assert len(log) == len(result.per_stage_systems), key
+        lowest = min((m.index for m in system.members), default=0)
+        before = (system,)
+        for s, (entry, after) in enumerate(zip(log, result.per_stage_systems), start=1):
+            expected, following = [], []
+            for live in before:
+                held = [m for m in live.members if m.index == lowest + s - 1]
+                if not held:
+                    following.append(live.chart.id)
+                    continue
+                (member,) = held
+                kids = [x.chart.id for x in after if x.chart.parent == live.chart.id]
+                expected.append(
+                    {
+                        "chart": live.chart.id,
+                        "label": f"E{s}.{len(expected)}",
+                        "vanishing": [live.chart.variables[i] for i in sorted(member.variety.vanishing)],
+                        "children": kids,
+                    }
+                )
+                following += kids
+            assert entry["centers"] == expected, (key, s)
+            assert [x.chart.id for x in after] == following, (key, s)
+            before = after
+
+
+def test_stages_carry_systems_and_members_as_they_are():
+    """A chart a stage does not blow up keeps its very system object in that
+    stage's record, and every member of a child's system is one of its
+    parent's member objects."""
+    for key, system, result in jet_resolutions():
+        before = (system,)
+        for after in result.per_stage_systems:
+            kept = {live.chart.id: live for live in after}
+            for live in before:
+                if live.chart.id in kept:
+                    assert kept[live.chart.id] is live, key
+                    continue
+                children = [x for x in after if x.chart.parent == live.chart.id]
+                assert children, key
+                for child in children:
+                    assert all(any(m is p for p in live.members) for m in child.members), key
+            before = after
+
+
+def test_verify_jet_builds_members_only_for_obstruction_systems(monkeypatch):
+    """At n = 4 every Member that verify-jet builds is built while an
+    obstruction system is assembled; resolving carries them as they are."""
+    inside, built, stray = [False], [0], []
+    init = Member.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        if not inside[0]:
+            stray.append(args)
+        init(self, *args, **kwargs)
+
+    build = logjet.build_obstruction_system
+
+    def building(*args):
+        inside[0] = True
+        try:
+            return build(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Member, "__init__", counted)
+    monkeypatch.setattr(logjet, "build_obstruction_system", building)
+    code, _ = run_command(["verify-jet", "--n", "4", "--format", "text"])
+    assert code == 0
+    assert not stray
+    assert built[0] == 49
 
 
 def test_resolving_invalid_system_raises():
