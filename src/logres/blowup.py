@@ -10,17 +10,20 @@ slot j.  In the j-direction the map to the parent is
 all other coordinates unchanged; the exceptional divisor is cut out by x_j in
 that chart.  No coordinate moves: x_k~ keeps slot k and only its name gains a
 ``~``, so log marks and exceptional divisors carry over slot for slot.  Slot
-j is marked whenever the center met a log-marked slot, so the frame stays
-correct for residue and connection computations downstream.
+j is marked whenever the center met a log-marked slot; log marks feed only
+the next blow-up and the printed atlas.
 
-Every chart map is monomial, so composing chart maps is integer matrix
-arithmetic on exponents; ``push_exponent`` is the one routine that does it.
-Each chart stores its map to the root (``Chart.to_root``), composed once when
-the chart is built, so total transforms of root ideals never walk the tree,
-and an ``Atlas`` keeps each pushed root monomial per chart, so a generator
-shared by many root ideals is pushed into a chart once.  Its stage log lists
-the ids of the charts each stage blew up; a center's label, slots and
-children are read back from its child charts, which already hold them.
+A child chart's ``center`` and ``direction`` fix its map to the parent, so
+that map is not stored: ``_to_parent`` spells it when the chart is built and
+when the atlas is printed.  Every chart map is monomial, so composing chart
+maps is integer matrix arithmetic on exponents; ``push_exponent`` is the one
+routine that does it.  Each chart stores its map to the root
+(``Chart.to_root``), composed over the parent map when the chart is built,
+so total transforms of root ideals never walk the tree, and an ``Atlas``
+keeps each pushed root monomial per chart, so a generator shared by many
+root ideals is pushed into a chart once.  Its stage log lists the ids of the
+charts each stage blew up; a center's label, slots and children are read
+back from its child charts, which already hold them.
 
 ``strict_transform_variety`` is the geometric strict transform of a single
 coordinate subspace, which is either empty in the chart or cut out by the
@@ -50,10 +53,10 @@ class CodimensionOne(LogresError):
 class Chart:
     """One affine chart of a blow-up tree.
 
-    Every field below `variables` holds slots, never names.  `to_parent`
-    holds the image of each parent slot, in parent slot order, as an exponent
-    over this chart's slots.  `to_root` stores the composite map: the image
-    of each root slot over this chart's slots.  `exceptional` lists the
+    Every field below `variables` holds slots, never names.  The map to the
+    parent is not stored: `center` and `direction` fix it (`_to_parent`).
+    `to_root` stores the composite map, composed by `push_exponent`: the
+    image of each root slot over this chart's slots.  `exceptional` lists the
     exceptional divisors visible in this chart as (label, defining slot).
     """
 
@@ -61,7 +64,6 @@ class Chart:
     variables: tuple[str, ...]
     log_marked: frozenset[int] = frozenset()
     parent: str | None = None
-    to_parent: tuple[Exponent, ...] = ()
     to_root: tuple[Exponent, ...] = ()
     exceptional: tuple[tuple[str, int], ...] = ()
     center: frozenset[int] = frozenset()  # blown-up center, in parent slots
@@ -72,16 +74,23 @@ class Chart:
             raise ValueError("duplicate chart variables")
 
 
-def root_chart(
-    variables: Iterable[str],
-    log_marked: Iterable[str] = (),
-    chart_id: str = "root",
-) -> Chart:
-    """The root of a blow-up tree: the one place log marks are read by name.
-    A name that is not a chart variable raises ValueError."""
+def root_chart(variables: Iterable[str], log_marked: Iterable[str] = ()) -> Chart:
+    """The root of a blow-up tree, with id "root": the one place log marks
+    are read by name.  A name that is not a chart variable raises ValueError."""
     vs = tuple(variables)
-    identity = tuple(tuple(int(i == j) for j in range(len(vs))) for i in range(len(vs)))
-    return Chart(chart_id, vs, frozenset(map(vs.index, log_marked)), to_root=identity)
+    return Chart("root", vs, frozenset(map(vs.index, log_marked)), to_root=_to_parent(len(vs)))
+
+
+def _to_parent(width: int, center=frozenset(), kept: int | None = None) -> tuple[Exponent, ...]:
+    """Each parent slot's image in the `kept` chart of a blow-up of `center`:
+    x_i -> x_i, times x_kept when i is another center slot; with no center,
+    the identity."""
+    rows = [[0] * width for _ in range(width)]
+    for i in range(width):
+        rows[i][i] = 1
+    for i in center:
+        rows[i][kept] = 1
+    return tuple(map(tuple, rows))
 
 
 def blow_up_center(
@@ -97,13 +106,7 @@ def blow_up_center(
     met_mark = bool(center.vanishing & chart.log_marked)
     children = []
     for kept in sorted(center.vanishing):
-        images = []
-        for i in range(width):
-            e = [0] * width
-            e[i] = 1  # the coordinate itself, or its renamed copy
-            if i in center.vanishing:
-                e[kept] = 1
-            images.append(tuple(e))
+        images = _to_parent(width, center.vanishing, kept)
         children.append(
             Chart(
                 id=f"{chart.id}/{label}:{chart.variables[kept]}",
@@ -113,7 +116,6 @@ def blow_up_center(
                 ),
                 log_marked=chart.log_marked | {kept} if met_mark else chart.log_marked,
                 parent=chart.id,
-                to_parent=tuple(images),
                 to_root=tuple(push_exponent(images, row, width) for row in chart.to_root),
                 # the divisor the kept slot cut out before misses this chart
                 exceptional=tuple(
@@ -131,7 +133,7 @@ def push_exponent(images: Sequence[Exponent], exponent: Exponent, width: int) ->
 
     `images[i]` is the image of source slot i, an exponent over the `width`
     target slots; the width comes from the target chart, so a map out of a
-    frame with no variables works too.
+    chart with no variables works too.
     """
     out = [0] * width
     for img, e in zip(images, exponent):
@@ -232,6 +234,7 @@ class Atlas:
             chart = self.charts[cid]
             names = chart.variables
             parent_names = self.charts[chart.parent].variables if chart.parent else ()
+            images = _to_parent(len(names), chart.center, chart.direction)
             charts.append(
                 {
                     "id": chart.id,
@@ -240,7 +243,7 @@ class Atlas:
                     "log_marked": sorted(names[s] for s in chart.log_marked),
                     "to_parent": {
                         v: monomial_string(names, e)
-                        for v, e in zip(parent_names, chart.to_parent)
+                        for v, e in zip(parent_names, images)
                     },
                     "exceptional": [[label, names[s]] for label, s in chart.exceptional],
                     "children": sorted(self.children[cid]),

@@ -94,11 +94,7 @@ def make_jet_chart(n: int, c: int, k: int, t: int) -> JetChart:
         raise OutOfRange(f"bad jet chart parameters n={n}, c={c}, k={k}, t={t}")
     base = tuple(f"z{i}" for i in range(1, n + 1))
     fiber = tuple(f"xi{j}" for j in range(1, n + 1) if j != t)
-    chart = root_chart(
-        base + fiber,
-        log_marked=[f"z{i}" for i in range(1, k + 1)],
-        chart_id="root",
-    )
+    chart = root_chart(base + fiber, log_marked=[f"z{i}" for i in range(1, k + 1)])
     return JetChart(n, c, k, t, chart)
 
 

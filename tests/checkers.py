@@ -8,7 +8,11 @@ for its own output here.
 ``rank_output_problems`` checks ``rank --matrix``: each report's printed
 matrix is parsed and its rank recomputed by elimination over ``Fraction``
 rows held sparsely, without assuming the block layout the package builds.
-``sample`` cannot be checked this way: its draws are not printed.
+``resolve_output_problems`` checks the shape of the atlas that ``resolve
+--format json`` prints: each child of each stage-log center must be the
+blow-up of that center in its own direction, spelled from the parent's
+printed names alone.  ``sample`` cannot be checked this way: its draws are
+not printed.
 """
 
 from __future__ import annotations
@@ -80,4 +84,74 @@ def rank_output_problems(text: str) -> list[str]:
             problems.append(f"report {number}: a matrix row does not have {cols} entries")
     if payload["verified"] != all(report["satisfied"] for report in payload["reports"]):
         problems.append(f"verified is {payload['verified']}")
+    return problems
+
+
+def resolve_output_problems(text: str) -> list[str]:
+    """What is wrong with the atlas ``resolve --format json`` prints; empty
+    when each chart but the root is named by one stage-log center, as a
+    chart that blowing up that center gives.
+
+    A chart's slots are the positions of its ``variables``.  Blowing up the
+    center V(x_s : s in S) in direction d, one child per d in S in slot
+    order, gives the chart ``<center>/<label>:<x_d>`` whose parent is the
+    center chart, where:
+    - each slot of S but d gains a ``~`` and every other slot keeps its name;
+    - parent slot s maps to x_s, times x_d when s is in S but is not d, with
+      the factors in slot order;
+    - the exceptional list is the parent's without the divisor on slot d,
+      then the center's label on slot d;
+    - the log marks are the parent's, with slot d added when S met one."""
+    atlas = json.loads(text)["result"]["atlas"]
+    charts = {chart["id"]: chart for chart in atlas["charts"]}
+    problems = []
+    named = []
+    for center in (x for stage in atlas["stage_log"] for x in stage["centers"]):
+        parent = charts[center["chart"]]
+        old = parent["variables"]
+        slots = sorted(old.index(v) for v in center["vanishing"])
+        marked = {old.index(v) for v in parent["log_marked"]}
+        expected_ids = [f"{parent['id']}/{center['label']}:{old[d]}" for d in slots]
+        if center["children"] != expected_ids:
+            problems.append(
+                f"center {parent['id']}: children {center['children']}, expected {expected_ids}"
+            )
+            continue
+        named += expected_ids
+        for d, cid in zip(slots, expected_ids):
+            child = charts.get(cid)
+            if child is None:
+                problems.append(f"{cid}: not in the atlas")
+                continue
+            new = child["variables"]
+            kept = [s for s in slots if s < len(new) and new[s] == old[s]]
+            renamed = [v + "~" if s in slots and s != d else v for s, v in enumerate(old)]
+            expected = {
+                "parent": parent["id"],
+                "variables": renamed,
+                "to_parent": {
+                    v: "*".join(renamed[i] for i in sorted({s, d} if s in slots else {s}))
+                    for s, v in enumerate(old)
+                },
+                "exceptional": [
+                    [label, renamed[old.index(v)]]
+                    for label, v in parent["exceptional"]
+                    if old.index(v) != d
+                ] + [[center["label"], renamed[d]]],
+                "log_marked": sorted(
+                    renamed[s] for s in (marked | {d} if marked & set(slots) else marked)
+                ),
+            }
+            if kept != [d]:
+                problems.append(f"{cid}: center slots {kept} keep their names, expected [{d}]")
+            problems += [
+                f"{cid}: {name} is {child[name]}, expected {value}"
+                for name, value in expected.items()
+                if child[name] != value
+            ]
+    if len(named) != len(set(named)):
+        problems.append("a chart is named as a child of two centers")
+    unnamed = sorted(set(charts) - {atlas["root"]} - set(named))
+    if unnamed:
+        problems.append(f"charts no center names as a child: {unnamed}")
     return problems

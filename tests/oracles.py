@@ -10,6 +10,8 @@ CLI verb needs it, so it is not shipped in ``src/logres``:
 * the simple shape ``<x_1, ..., x_p, x_{p+1}*x_{r+1}, ..., x_r*x_{2r-p}>``
   of monomial ideals and its decomposition into 2^(r-p) coordinate
   subspaces of codimension r;
+* a blow-up chart's map to its parent, read from its center and direction
+  (``to_parent``), which the package builds and prints but does not store;
 * the strict transform of an ideal in one blow-up chart (``transform_ideal``),
   closure of simple ideals under it (c04);
 * slice restriction of compatible systems and subsystem principalization
@@ -369,6 +371,22 @@ class TransformRecord:
     strict_is_simple_or_trivial: bool
 
 
+def to_parent(chart: Chart) -> tuple[Exponent, ...]:
+    """Image of each parent slot over a blow-up chart's slots: x_i itself,
+    times x_direction when i is a center slot other than the direction.  A
+    blow-up moves no slot, so the parent has the chart's width."""
+    if chart.direction is None:
+        raise ValueError(f"chart {chart.id} is not a blow-up chart")
+    images = []
+    for i in range(len(chart.variables)):
+        image = [0] * len(chart.variables)
+        image[i] = 1
+        if i in chart.center and i != chart.direction:
+            image[chart.direction] += 1
+        images.append(tuple(image))
+    return tuple(images)
+
+
 def transform_ideal(chart: Chart, ideal: MonomialIdeal) -> TransformRecord:
     """Total transform, exceptional multiplicities, and residual ideal.
 
@@ -378,13 +396,14 @@ def transform_ideal(chart: Chart, ideal: MonomialIdeal) -> TransformRecord:
     divides the *common* power out of the ideal, unlike the generator-wise
     saturation of ``blowup.strict_transform_variety``.
     """
-    if len(ideal.variables) != len(chart.to_parent):
+    images = to_parent(chart)
+    if len(ideal.variables) != len(images):
         raise MixedVariableSets(
-            f"ideal over {ideal.variables}, chart parent has {len(chart.to_parent)} slots"
+            f"ideal over {ideal.variables}, chart parent has {len(images)} slots"
         )
     width = len(chart.variables)
     total = MonomialIdeal._trusted(
-        chart.variables, [push_exponent(chart.to_parent, g, width) for g in ideal.generators]
+        chart.variables, [push_exponent(images, g, width) for g in ideal.generators]
     )
     mults = []
     strict_gens = [list(g) for g in total.generators]
@@ -430,7 +449,6 @@ def restrict_system(system: CompatibleSystem, zeroed: Iterable[int]) -> Compatib
     slice_chart = root_chart(
         (chart.variables[s] for s in kept),
         (chart.variables[s] for s in chart.log_marked if s not in zs),
-        chart_id=chart.id,
     )
     members = tuple(
         Member(m.index, m.label, SimpleVariety(frozenset(moved[s] for s in m.variety.vanishing - zs)))

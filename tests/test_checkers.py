@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-from checkers import rank_output_problems
+from checkers import rank_output_problems, resolve_output_problems
+from conftest import variety
+from logres.blowup import Atlas, StageRecord, blow_up_center, root_chart
 from logres.cli import run_command
 
 HERE = Path(__file__).resolve().parent
+DIGESTS = HERE.parent / "perfbench" / "digests.json"
 
 
 def connection_deck(seed):
@@ -62,3 +65,63 @@ def test_rank_checker_refuses_spoiled_output():
     off_by_one = json.loads(text)
     off_by_one["reports"][0]["rank"] += 1
     assert any(p.startswith("report 0: rank is") for p in rank_output_problems(json.dumps(off_by_one)))
+
+
+def test_resolve_checker_accepts_every_recorded_json_run_up_to_n4():
+    keys = json.loads(DIGESTS.read_text())["digests"]
+    argvs = [shlex.split(key) for key in keys if key.startswith("resolve ") and "--format json" in key]
+    argvs = [argv for argv in argvs if int(argv[argv.index("--n") + 1]) <= 4]
+    assert len(argvs) == 138
+    for argv in argvs:
+        code, text = run_command(argv)
+        assert code == 0, shlex.join(argv)
+        assert resolve_output_problems(text) == [], shlex.join(argv)
+
+
+def test_resolve_checker_refuses_spoiled_output():
+    """A map to the parent that keeps the ideal principal, an exceptional
+    label, and a dropped log mark, each in the xi2 chart of one blow-up."""
+    code, text = run_command(["resolve", "--n", "3", "--c", "1", "--k", "1", "--t", "1"])
+    assert code == 0
+    assert resolve_output_problems(text) == []
+
+    def problems(spoil):
+        payload = json.loads(text)
+        (chart,) = [c for c in payload["result"]["atlas"]["charts"] if c["id"] == "root/E1.0:xi2"]
+        spoil(chart)
+        return resolve_output_problems(json.dumps(payload))
+
+    def to_parent(chart):
+        assert chart["to_parent"]["xi3"] == "xi2*xi3~"
+        chart["to_parent"]["xi3"] = "xi2"
+
+    def label(chart):
+        assert chart["exceptional"] == [["E1.0", "xi2"]]
+        chart["exceptional"][0][0] = "E1.1"
+
+    def mark(chart):
+        assert chart["log_marked"] == ["xi2", "z1~"]
+        chart["log_marked"].remove("xi2")
+
+    for spoil, name in ((to_parent, "to_parent"), (label, "exceptional"), (mark, "log_marked")):
+        (problem,) = problems(spoil)
+        assert problem.startswith(f"root/E1.0:xi2: {name} is "), problem
+
+
+def test_resolve_checker_drops_the_divisor_on_the_new_direction():
+    """No recorded run blows up in a direction that already carries a
+    divisor, so this atlas does: E1's x2 chart, blown up again along x2."""
+    root = root_chart(("x1", "x2", "x3"), log_marked=("x1",))
+    atlas = Atlas.for_root(root)
+    first = blow_up_center(root, variety(root, "x1", "x2"), "E1")
+    second = blow_up_center(first[1], variety(first[1], "x2", "x3"), "E2")
+    atlas.add_blowup(root.id, first)
+    atlas.add_blowup(first[1].id, second)
+    atlas.stage_log += [StageRecord(1, (root.id,)), StageRecord(2, (first[1].id,))]
+    payload = {"result": {"atlas": atlas.to_dict()}}
+    assert resolve_output_problems(json.dumps(payload)) == []
+    (chart,) = [c for c in payload["result"]["atlas"]["charts"] if c["id"] == second[0].id]
+    assert chart["exceptional"] == [["E2", "x2"]]
+    chart["exceptional"].insert(0, ["E1", "x2"])
+    (problem,) = resolve_output_problems(json.dumps(payload))
+    assert problem.startswith(f"{second[0].id}: exceptional is "), problem

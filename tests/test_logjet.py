@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from logres.blowup import Atlas
+from logres.blowup import Atlas, push_exponent
 from logres.logjet import (
     NotResolved,
     verify_principalization,
@@ -24,7 +24,7 @@ from logres.monideal import MonomialIdeal, ideal_sum, intersect_monomial_ideals
 from logres.resolution import ResolutionResult, resolve_system, validate_compatible_system
 from logres.symcore import Polynomial
 from conftest import variety
-from oracles import extend_variables, monomial, variable
+from oracles import extend_variables, monomial, to_parent, variable
 
 
 def nonempty_subsets(items):
@@ -334,7 +334,8 @@ def test_every_verify_jet_chart_obeys_the_star_subdivision_column_rule():
     star subdivision, so the child's ray at `direction` is the sum of the
     parent's rays over `center`, and every other ray is the parent's.
     Checked with integer sums alone on every chart of every atlas that
-    `verify-jet --n 2..4` builds."""
+    `verify-jet --n 2..4` builds, and against the stored `to_root` composed
+    by `push_exponent` over the oracle's map to the parent."""
 
     def ray(chart, slot):
         return [row[slot] for row in chart.to_root]
@@ -356,6 +357,11 @@ def test_every_verify_jet_chart_obeys_the_star_subdivision_column_rule():
                         else:
                             expected = ray(parent, slot)
                         assert ray(chart, slot) == expected, (n, k, t, chart.id, slot)
+                    width = len(chart.variables)
+                    composed = tuple(
+                        push_exponent(to_parent(chart), row, width) for row in parent.to_root
+                    )
+                    assert composed == chart.to_root, (n, k, t, chart.id)
                     checked += 1
     assert checked == 406
 
