@@ -118,9 +118,8 @@ def blow_up_center(
                 parent=chart.id,
                 to_root=tuple(push_exponent(images, row, width) for row in chart.to_root),
                 # the divisor the kept slot cut out before misses this chart
-                exceptional=tuple(
-                    (exc, s) for exc, s in chart.exceptional if s != kept
-                ) + ((label, kept),),
+                exceptional=tuple(pair for pair in chart.exceptional if pair[1] != kept)
+                + ((label, kept),),
                 center=center.vanishing,
                 direction=kept,
             )

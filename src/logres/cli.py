@@ -189,9 +189,25 @@ def _cmd_resolve(args) -> tuple[int, dict | str]:
         raise UsageError(f"c = {args.c} exceeds n = {args.n}")
     if not (0 <= k <= args.c) or not (1 <= args.t <= args.n):
         raise UsageError(f"need 0 <= k <= c and 1 <= t <= n, got k={k}, t={args.t}")
-    resolution, leaves, certificates = _resolve_certificates(args.n, args.c, k, args.t, args.mode)
+    components = range(1, args.c + 1)
+    targets = {  # at c = 1 the one complement is empty, so it is not a target
+        f"complement_of_{i}": [j for j in components if j != i] for i in components if args.c > 1
+    }
+    if args.mode == "canonical":
+        targets["all_components"] = list(components)
+    json_out = args.format == "json"
+    _, result, certified = _chart_certificates(
+        args.n, args.c, k, args.t, args.mode, list(targets.values()), json_out
+    )
+    certificates = []
+    for name, (cert, error) in zip(targets, certified):
+        entry = {"ideal": name, "base_generators": cert["generators"]}
+        entry.update((key, cert[key]) for key in ("I", "principal", "divisor") if key in cert)
+        if error:
+            entry["error"] = error
+        certificates.append(entry)
     code = 0 if all(entry["principal"] for entry in certificates) else 1
-    if args.format == "json":
+    if json_out:
         params = {
             "n": args.n,
             "c": args.c,
@@ -200,72 +216,53 @@ def _cmd_resolve(args) -> tuple[int, dict | str]:
             "mode": args.mode,
             "seed": args.seed,
         }
-        return code, {"params": params, "result": resolution, "certificates": certificates}
+        return code, {"params": params, "result": result.to_dict(), "certificates": certificates}
     lines = [f"resolution mode={args.mode} n={args.n} c={args.c} k={k} t={args.t}"]
-    lines.append(f"stages: {len(resolution['per_stage_systems'])}")
-    lines.append(f"leaf charts: {leaves}")
+    lines.append(f"stages: {len(result.per_stage_systems)}")
+    lines.append(f"leaf charts: {len(result.leaves)}")
     for entry in certificates:
         status = "principal" if entry.get("principal") else "FAILED"
         lines.append(f"  {entry['ideal']} (I={entry['I']}): {status}")
     return code, "\n".join(lines) + "\n"
 
 
-def _chart_certificates(n: int, c: int, k: int, t: int, mode: str, subsets: list) -> tuple:
+def _chart_certificates(
+    n: int, c: int, k: int, t: int, mode: str, subsets: list, divisors: bool
+) -> tuple:
     """Build and resolve the obstruction system of one fiber chart, then
     certify each subset I: its `obstruction_certificate`, marked principal
-    with the exceptional divisor per leaf, or not principal.  A mismatch of
-    the two obstruction-ideal routes leaves no ideal to certify, so it counts
-    as not principal too.  Returns the jet chart, the resolution and, per
-    subset, (certificate, reason it is not principal or None).  Each distinct
-    ideal is principalized once; a failure is not kept, so the next subset of
-    that ideal tries again and each reason names its own subset."""
+    or not, and with `divisors` set the exceptional divisor per leaf; a text
+    run keeps none.  A route mismatch leaves no ideal, so it counts as not
+    principal.  Returns the jet chart, the resolution and, per subset,
+    (certificate, reason it is not principal or None).  Each distinct ideal
+    is principalized once; a failure is not kept, so the next subset of that
+    ideal tries again and each reason names its own subset."""
     jet, system = logjet.build_obstruction_system(n, c, k, t)
     result = logjet.resolve_obstruction_system(jet, system, mode)
-    divisors = {}  # intersected generators -> divisor, for ideals whose routes agree
+    principal = {}  # intersected generators -> divisor, or None if not kept
     certified = []
     for I in subsets:
         cert = logjet.obstruction_certificate(jet, I)
         key = tuple(cert["generators"]) if cert["equal"] else None
-        divisor = divisors.get(key)
-        if divisor is None:
+        if key not in principal:  # a route mismatch (key None) fails, so is never kept
             try:
                 divisor = logjet.verify_principalization(result, jet, I).per_chart
             except LogresError as err:
                 cert["principal"] = False
                 certified.append((cert, str(err)))
                 continue
-            if key is not None:
-                divisors[key] = divisor
-        cert.update(principal=True, divisor=divisor)
+            principal[key] = divisor if divisors else None
+        cert["principal"] = True
+        if divisors:
+            cert["divisor"] = principal[key]
         certified.append((cert, None))
     return jet, result, certified
 
 
-def _resolve_certificates(n: int, c: int, k: int, t: int, mode: str) -> tuple[dict, int, list]:
-    """The resolution's dict form, its leaf count and the principalization
-    certificates under the names `resolve` prints.  The atlas is freed when
-    this returns, before the JSON is built."""
-    components = range(1, c + 1)
-    targets = {  # at c = 1 the one complement is empty, so it is not a target
-        f"complement_of_{i}": [j for j in components if j != i] for i in components if c > 1
-    }
-    if mode == "canonical":
-        targets["all_components"] = list(components)
-    _, result, certified = _chart_certificates(n, c, k, t, mode, list(targets.values()))
-    certificates = []
-    for name, (cert, error) in zip(targets, certified):
-        entry = {"ideal": name, "base_generators": cert["generators"]}
-        entry.update((key, cert[key]) for key in ("I", "principal", "divisor") if key in cert)
-        if error:
-            entry["error"] = error
-        certificates.append(entry)
-    return result.to_dict(), len(result.leaves), certificates
-
-
-def _verify_jet_chart(n: int, k: int, t: int, subsets: list) -> tuple[list, list, list]:
+def _verify_jet_chart(n: int, k: int, t: int, subsets: list, divisors: bool) -> tuple:
     """Certificates, principality failures and relation failures of one fiber
-    chart (c = n).  The chart's atlas is freed when this returns."""
-    jet, _, certified = _chart_certificates(n, n, k, t, "canonical", subsets)
+    chart (c = n).  Its atlas is freed when this returns, before the next."""
+    jet, _, certified = _chart_certificates(n, n, k, t, "canonical", subsets, divisors)
     principality_failures = [
         {"k": k, "t": t, "I": cert["I"], "error": error} for cert, error in certified if error
     ]
@@ -297,20 +294,21 @@ def _cmd_verify_jet(args) -> tuple[int, dict | str]:
     principality_failures = []
     lift_failures = []
     certificates = []  # text mode prints counts and keeps no certificate
+    json_out = args.format == "json"
     checked = 0
     subsets = logjet.component_subsets(range(1, c + 1))
     for k in range(0, c + 1):
         for t in range(1, n + 1):
-            certs, principality, relations = _verify_jet_chart(n, k, t, subsets)
+            certs, principality, relations = _verify_jet_chart(n, k, t, subsets, json_out)
             checked += len(certs)
             lift_failures += [cert for cert in certs if not cert["equal"]]
-            if args.format == "json":
+            if json_out:
                 certificates += certs
             principality_failures += principality
             relation_failures += relations
     verified = not lift_failures and not relation_failures and not principality_failures
     code = 0 if verified else 1
-    if args.format == "text":
+    if not json_out:
         unprincipal = len(principality_failures)  # named only when nonzero
         return code, (
             f"verify-jet n={n}: {checked} ideals checked, "

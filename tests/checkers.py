@@ -11,8 +11,12 @@ rows held sparsely, without assuming the block layout the package builds.
 ``resolve_output_problems`` checks the shape of the atlas that ``resolve
 --format json`` prints: each child of each stage-log center must be the
 blow-up of that center in its own direction, spelled from the parent's
-printed names alone.  ``sample`` cannot be checked this way: its draws are
-not printed.
+printed names alone, and each chart's children must be the charts that name
+it as their parent.  ``verify_jet_output_problems`` checks ``verify-jet
+--format json``: its counts, equality flags and failure lists against its
+certificates, and each divisor against the atlas ``resolve`` prints for the
+same fiber chart.  ``sample`` cannot be checked this way: its draws are not
+printed.
 """
 
 from __future__ import annotations
@@ -101,7 +105,8 @@ def resolve_output_problems(text: str) -> list[str]:
       the factors in slot order;
     - the exceptional list is the parent's without the divisor on slot d,
       then the center's label on slot d;
-    - the log marks are the parent's, with slot d added when S met one."""
+    - the log marks are the parent's, with slot d added when S met one.
+    A chart's printed children, sorted, are the charts whose parent it is."""
     atlas = json.loads(text)["result"]["atlas"]
     charts = {chart["id"]: chart for chart in atlas["charts"]}
     problems = []
@@ -149,9 +154,78 @@ def resolve_output_problems(text: str) -> list[str]:
                 for name, value in expected.items()
                 if child[name] != value
             ]
+    kids = {cid: [] for cid in charts}
+    for chart in atlas["charts"]:
+        if chart["parent"] is not None:
+            kids.setdefault(chart["parent"], []).append(chart["id"])
+    problems += [
+        f"{cid}: children {chart['children']}, expected {sorted(kids[cid])}"
+        for cid, chart in charts.items()
+        if chart["children"] != sorted(kids[cid])
+    ]
     if len(named) != len(set(named)):
         problems.append("a chart is named as a child of two centers")
     unnamed = sorted(set(charts) - {atlas["root"]} - set(named))
     if unnamed:
         problems.append(f"charts no center names as a child: {unnamed}")
+    return problems
+
+
+def verify_jet_output_problems(text: str, atlases: dict) -> list[str]:
+    """What is wrong with the printed output of ``verify-jet --format json``;
+    empty when its counts, flags and failure lists agree with its
+    certificates and each divisor agrees with its chart's atlas.
+
+    ``atlases`` maps each fiber chart (k, t) to what ``resolve --n N --c N
+    --k k --t t --format json`` prints: the same atlas, resolved canonically.
+    There is one certificate per chart and nonempty I in 1..n, so
+    n(n+1)(2^n - 1) of them.  A certificate's routes are equal exactly when
+    its printed generator lists are, and a principal certificate's divisor
+    names exactly the childless charts of the atlas, each with only its own
+    printed exceptional labels, each to a positive power."""
+    payload = json.loads(text)
+    n = payload["params"]["n"]
+    certificates = payload["certificates"]
+    problems = []
+    if not payload["ideals_checked"] == len(certificates) == n * (n + 1) * (2**n - 1):
+        problems.append(
+            f"{payload['ideals_checked']} ideals checked, {len(certificates)} certificates,"
+            f" expected {n * (n + 1) * (2**n - 1)}"
+        )
+    unequal = [cert for cert in certificates if not cert["equal"]]
+    if payload["lift_ideal_failures"] != unequal:
+        problems.append("lift_ideal_failures are not the certificates whose routes differ")
+    unprincipal = [[c["k"], c["t"], c["I"]] for c in certificates if not c["principal"]]
+    if [[f["k"], f["t"], f["I"]] for f in payload["principality_failures"]] != unprincipal:
+        problems.append("principality_failures are not the unprincipal certificates")
+    failed = ("lift_ideal_failures", "intersection_failures", "principality_failures")
+    if payload["verified"] != (not any(payload[name] for name in failed)):
+        problems.append(f"verified is {payload['verified']}")
+    leaves = {}  # (k, t) -> childless chart id -> its exceptional labels
+    for cert in certificates:
+        where = f"k={cert['k']} t={cert['t']} I={cert['I']}"
+        if cert["equal"] != (cert["closed_form"] == cert["generators"]):
+            problems.append(f"{where}: equal is {cert['equal']}")
+        if not cert["principal"]:
+            continue
+        chart = (cert["k"], cert["t"])
+        if chart not in leaves:
+            printed = json.loads(atlases[chart])
+            params = {key: printed["params"][key] for key in ("n", "c", "k", "t", "mode")}
+            if params != {"n": n, "c": n, "k": chart[0], "t": chart[1], "mode": "canonical"}:
+                problems.append(f"the atlas given for {chart} is resolve {params}")
+            leaves[chart] = {
+                leaf["id"]: {label for label, _ in leaf["exceptional"]}
+                for leaf in printed["result"]["atlas"]["charts"]
+                if not leaf["children"]
+            }
+        divisor = cert.get("divisor", {})
+        missed = sorted(set(leaves[chart]) - set(divisor))
+        foreign = sorted(set(divisor) - set(leaves[chart]))
+        if missed or foreign:
+            problems.append(f"{where}: divisor misses leaves {missed}, names non-leaves {foreign}")
+        for leaf, powers in divisor.items():
+            labels = sorted(leaves[chart].get(leaf, ()))
+            if any(label not in labels or power < 1 for label, power in powers.items()):
+                problems.append(f"{where}: divisor {powers} on {leaf}, whose labels are {labels}")
     return problems

@@ -91,6 +91,9 @@ def test_composed_substitution_matches_oracle():
     assert grand.variables == ("x1~", "x2", "x3~")
     great = blow_up_center(grand, variety(grand, "x1~", "x3~"), label="E3")[1]  # x3~-direction
     assert great.variables == ("x1~~", "x2", "x3~")
+    # the divisor that survives a blow-up is the parent's own pair, not a copy
+    assert great.exceptional == (("E2", 1), ("E3", 2))
+    assert great.exceptional[0] is grand.exceptional[0]
     atlas = Atlas.for_root(base)
     atlas.add_blowup(base.id, [child])
     atlas.add_blowup(child.id, [grand])

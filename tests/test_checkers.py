@@ -7,7 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from checkers import rank_output_problems, resolve_output_problems
+import pytest
+
+from checkers import rank_output_problems, resolve_output_problems, verify_jet_output_problems
 from conftest import variety
 from logres.blowup import Atlas, StageRecord, blow_up_center, root_chart
 from logres.cli import run_command
@@ -108,6 +110,17 @@ def test_resolve_checker_refuses_spoiled_output():
         assert problem.startswith(f"root/E1.0:xi2: {name} is "), problem
 
 
+def test_resolve_checker_refuses_a_dropped_child():
+    """A chart whose printed children miss one that names it as parent."""
+    code, text = run_command(["resolve", "--n", "3", "--c", "1", "--k", "1", "--t", "1"])
+    assert code == 0
+    payload = json.loads(text)
+    (root,) = [c for c in payload["result"]["atlas"]["charts"] if c["id"] == "root"]
+    dropped = root["children"].pop()
+    (problem,) = resolve_output_problems(json.dumps(payload))
+    assert problem.startswith("root: children ") and dropped in problem, problem
+
+
 def test_resolve_checker_drops_the_divisor_on_the_new_direction():
     """No recorded run blows up in a direction that already carries a
     divisor, so this atlas does: E1's x2 chart, blown up again along x2."""
@@ -125,3 +138,55 @@ def test_resolve_checker_drops_the_divisor_on_the_new_direction():
     chart["exceptional"].insert(0, ["E1", "x2"])
     (problem,) = resolve_output_problems(json.dumps(payload))
     assert problem.startswith(f"{second[0].id}: exceptional is "), problem
+
+
+def verify_jet_run(n):
+    """What verify-jet --n n prints, and the atlas resolve prints per chart."""
+    code, text = run_command(["verify-jet", "--n", str(n)])
+    assert code == 0
+    atlases = {}
+    for k in range(n + 1):
+        for t in range(1, n + 1):
+            argv = ["resolve", "--n", str(n), "--c", str(n), "--k", str(k), "--t", str(t)]
+            code, atlases[k, t] = run_command(argv + ["--format", "json"])
+            assert code == 0, shlex.join(argv)
+    return text, atlases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_jet_checker_accepts_every_run_up_to_n4(n):
+    text, atlases = verify_jet_run(n)
+    assert verify_jet_output_problems(text, atlases) == []
+
+
+def test_verify_jet_checker_refuses_spoiled_output():
+    """A divisor with one leaf dropped, a label from no exceptional divisor
+    of its leaf, and a flipped equality flag."""
+    text, atlases = verify_jet_run(3)
+
+    def problems(spoil):
+        payload = json.loads(text)
+        (cert,) = [
+            c for c in payload["certificates"] if (c["k"], c["t"], c["I"]) == (3, 1, [1, 2])
+        ]
+        spoil(cert)
+        return verify_jet_output_problems(json.dumps(payload), atlases)
+
+    def drop_leaf(cert):
+        cert["divisor"].pop(min(cert["divisor"]))
+
+    def foreign_label(cert):
+        powers = next(p for p in cert["divisor"].values() if p)
+        powers["E9.9"] = powers.pop(min(powers))
+
+    def flip_equal(cert):
+        assert cert["equal"]
+        cert["equal"] = False
+
+    (problem,) = problems(drop_leaf)
+    assert problem.startswith("k=3 t=1 I=[1, 2]: divisor misses leaves ['root/"), problem
+    (problem,) = problems(foreign_label)
+    assert problem.startswith("k=3 t=1 I=[1, 2]: divisor {") and "E9.9" in problem, problem
+    flipped = problems(flip_equal)
+    assert "k=3 t=1 I=[1, 2]: equal is False" in flipped, flipped
+    assert "lift_ideal_failures are not the certificates whose routes differ" in flipped

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shlex
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ from logres import __version__, bounds, cli, logconn, logjet
 from logres.cli import main, run_command
 from logres.monideal import MonomialIdeal
 from logres.ratmat import rank
+from logres.resolution import ResolutionResult
 from logres.symcore import Polynomial
 from oracles import reference_emit
 from test_surface import ARGV
@@ -551,7 +553,8 @@ def test_a_route_mismatch_does_not_reuse_a_shared_divisor(monkeypatch):
 
 def test_resolve_reports_a_route_mismatch(monkeypatch):
     """The same spoiled closed form as above: resolve reports the mismatch as
-    an unprincipal certificate with its JSON, not as a bare error."""
+    an unprincipal certificate with its JSON, not as a bare error, and its
+    text names it without spelling the atlas."""
     closed = logjet.obstruction_ideal_closed_form
 
     def spoiled(jet, I):
@@ -569,9 +572,58 @@ def test_resolve_reports_a_route_mismatch(monkeypatch):
     assert spoilt["error"].startswith("obstruction ideal mismatch for I=[1, 2]: ")
     assert spoilt["base_generators"]  # read from the intersected route
     assert all(entry["principal"] for entry in by_name.values())
-    code, text = run_command(argv + ["--format", "text"])
-    assert code == 1
-    assert "  all_components (I=[1, 2]): FAILED\n" in text
+    monkeypatch.setattr(ResolutionResult, "to_dict", _spells_the_atlas)
+    assert run_command(argv + ["--format", "text"]) == (
+        1,
+        "resolution mode=canonical n=2 c=2 k=2 t=1\nstages: 2\nleaf charts: 3\n"
+        "  complement_of_1 (I=[2]): principal\n  complement_of_2 (I=[1]): principal\n"
+        "  all_components (I=[1, 2]): FAILED\n",
+    )
+
+
+def _spells_the_atlas(result):
+    raise AssertionError("resolve --format text spelled the atlas")
+
+
+def test_resolve_text_spells_no_atlas(monkeypatch):
+    """Text prints counts, so `resolve --format text` never spells the
+    resolution as a dict: with `to_dict` raising it prints the recorded
+    bytes.  The spoiled route above is checked the same way."""
+    monkeypatch.setattr(ResolutionResult, "to_dict", _spells_the_atlas)
+    argv = "resolve --n 3 --c 3 --k 3 --t 1 --mode canonical --format text"
+    code, text = run_command(shlex.split(argv))
+    assert code == 0
+    recorded = json.loads(DIGESTS.read_text())["digests"][argv]
+    assert hashlib.sha256(text.encode()).hexdigest() == recorded
+
+
+@pytest.mark.parametrize(
+    "argv, bound_mb, printed",
+    [
+        (
+            "verify-jet --n 5 --format text",
+            2.7,
+            "verify-jet n=5: 930 ideals checked, 0 lift failures, 0 relation failures\n",
+        ),
+        ("resolve --n 5 --c 5 --format text", 1.9, "resolution mode=canonical n=5 c=5 k=5 t=1\n"),
+    ],
+    ids=["verify-jet", "resolve"],
+)
+def test_text_runs_keep_no_divisor_map(argv, bound_mb, printed):
+    """A text run keeps no per-leaf divisor map and spells no atlas.  Under
+    tracemalloc, on Python 3.10 to 3.13, these runs peak at 1.86-2.04 MB and
+    1.30-1.49 MB; keeping the divisor maps until each chart is done, and
+    spelling the atlas for resolve, peaks at 3.63-4.23 MB and 2.21-2.48 MB."""
+    cli._parser()  # built once per process, by whichever test runs first
+    tracemalloc.start()
+    try:
+        code, text = run_command(shlex.split(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert text.startswith(printed)
+    assert peak < bound_mb * 1e6, f"{argv} peaked at {peak / 1e6:.2f} MB"
 
 
 def test_emit_encodes_fractions_and_dataclasses_only():
