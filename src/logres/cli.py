@@ -2,7 +2,8 @@
 reports, global form construction, degree bounds, and indeterminacy sampling.
 
 Exit codes: 0 success / all checks verified, 1 verification failure (the
-report names the offending certificate), 2 usage error.  All JSON output is
+report names the offending certificate), 2 usage error, such as a ``forms``
+component that is constant, inhomogeneous or repeated.  All JSON output is
 key-sorted and seeded, so identical invocations are byte-identical.
 
 A verb returns either text or a plain payload dict; ``run_command`` stamps
@@ -379,9 +380,9 @@ def _cmd_forms(args) -> tuple[int, dict]:
         polys.append(poly)
     try:
         arrangement = residues.DivisorArrangement.make(args.n, polys)
-        forms = residues.construct_global_log_forms(arrangement)
-    except (ValueError, LogresError) as err:
-        return 1, {"error": str(err)}
+    except ValueError as err:
+        raise UsageError(str(err)) from err
+    forms = residues.construct_global_log_forms(arrangement)
     return 0, {
         "params": {"n": args.n, "components": texts},
         "count": len(forms),

@@ -13,9 +13,11 @@ against the degrees (sum_k residue_k * d_k = 0).  Their residues are
 (c-1) x c residue matrix has full rank c-1: the space of global log forms
 has dimension at least c-1.
 
-Smoothness/transversality of the arrangement is an input assumption; the
-constructor only enforces what is decidable exactly (homogeneity, declared
-degrees, pairwise non-proportionality).
+Over a fixed arrangement a form sum_k r_k * dlog(s_k) is its residue vector
+(r_1, ..., r_c), a tuple of ``Fraction``s.  Smoothness/transversality of the
+arrangement is an input assumption; the constructor only enforces what is
+decidable exactly (homogeneity, declared degrees, pairwise
+non-proportionality).
 
 On the chart {x_j != 0} a form is written over the common denominator
 s_1 * ... * s_c of the dehomogenized components, with one numerator per
@@ -23,10 +25,9 @@ chart coordinate.  ``forms_on_charts`` builds that representation for all
 forms of an arrangement at once: each chart's components, cofactors and
 denominator are built once and shared by every form.
 
-The ``forms`` verb reads the residues off each form's constant vector.
 Residues of forms written in a chart frame, and a global form rewritten as a
 chart form when every component is a coordinate hyperplane, are the second
-routes the tests check this against, in ``tests/oracles.py``.
+routes the tests check the residue vectors against, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -62,32 +63,23 @@ def dehomogenize(f: Polynomial, n: int, chart_index: int) -> Polynomial:
 @dataclass(frozen=True)
 class DivisorArrangement:
     n: int
-    components: tuple[tuple[Polynomial, int], ...]
+    polynomials: tuple[Polynomial, ...]
+    degrees: tuple[int, ...]
 
     @classmethod
     def make(cls, n: int, components: Sequence[Polynomial]) -> "DivisorArrangement":
         variables = projective_variables(n)
-        entries = []
-        for poly in components:
-            degree = poly.total_degree()
+        degrees = tuple(poly.total_degree() for poly in components)
+        for poly, degree in zip(components, degrees):
             if poly.variables != variables:
                 raise ValueError(f"component must live over {variables}")
             if poly.is_zero or not poly.is_homogeneous(degree):
                 raise ValueError(f"{poly} is not homogeneous of degree {degree}")
-            entries.append((poly, degree))
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                if _proportional(entries[i][0], entries[j][0]):
+        for i in range(len(components)):
+            for j in range(i + 1, len(components)):
+                if _proportional(components[i], components[j]):
                     raise ValueError("arrangement components must be distinct")
-        return cls(n, tuple(entries))
-
-    @property
-    def count(self) -> int:
-        return len(self.components)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.components)
+        return cls(n, tuple(components), degrees)
 
 
 def _proportional(f: Polynomial, g: Polynomial) -> bool:
@@ -98,48 +90,33 @@ def _proportional(f: Polynomial, g: Polynomial) -> bool:
     return all(g.terms[e] == ratio * c for e, c in f.terms.items())
 
 
-@dataclass(frozen=True)
-class GlobalLogForm:
-    """A constant-residue combination sum_k residue_k * dlog(s_k)."""
-
-    arrangement: DivisorArrangement
-    residues: tuple[Fraction, ...]
-
-    def degree_balance(self) -> Fraction:
-        """Coefficient of dlog(x_j) after dehomogenizing on any chart; the
-        form is chart-regular exactly when this vanishes."""
-        return sum(
-            (res * d for res, (_, d) in zip(self.residues, self.arrangement.components)),
-            Fraction(0),
-        )
-
-
-def construct_global_log_forms(arrangement: DivisorArrangement) -> list[GlobalLogForm]:
-    """The c-1 adjacent-pair combinations, verified balanced and independent."""
-    c = arrangement.count
+def construct_global_log_forms(arrangement: DivisorArrangement) -> list[tuple[Fraction, ...]]:
+    """The residue vectors of the c-1 adjacent-pair combinations, verified
+    balanced (sum_k residue_k * d_k = 0, the coefficient of dlog(x_j) after
+    dehomogenizing on any chart) and independent."""
+    degrees = arrangement.degrees
+    c = len(degrees)
     if c < 1:
         raise ValueError("arrangement needs at least one component")
     forms = []
-    degrees = arrangement.degrees
     for i in range(c - 1):
         residues = [Fraction(0)] * c
         residues[i] = Fraction(degrees[i + 1])
         residues[i + 1] = Fraction(-degrees[i])
-        form = GlobalLogForm(arrangement, tuple(residues))
-        if form.degree_balance() != 0:
+        if sum(res * d for res, d in zip(residues, degrees)) != 0:
             raise LogresError(f"degree balance failed for pair ({i}, {i + 1})")
-        forms.append(form)
+        forms.append(tuple(residues))
     if forms and ratmat.rank(residue_matrix(forms)) != c - 1:
         raise LogresError("residue matrix is rank-deficient")
     return forms
 
 
-def residue_matrix(forms: Sequence[GlobalLogForm]) -> list[list[Fraction]]:
-    return [list(form.residues) for form in forms]
+def residue_matrix(forms: Sequence[tuple[Fraction, ...]]) -> list[list[Fraction]]:
+    return [list(residues) for residues in forms]
 
 
 def forms_on_charts(
-    arrangement: DivisorArrangement, forms: Sequence[GlobalLogForm]
+    arrangement: DivisorArrangement, forms: Sequence[tuple[Fraction, ...]]
 ) -> list[dict]:
     """Each form's residues and its representation on every standard chart
     {x_j != 0}: one numerator per chart coordinate v,
@@ -154,10 +131,10 @@ def forms_on_charts(
     residues pick.
     """
     n = arrangement.n
-    out = [{"residues": form.residues, "charts": {}} for form in forms]
+    out = [{"residues": residues, "charts": {}} for residues in forms]
     for j in range(n + 1):
         variables = chart_variables(n, j)
-        charts = [dehomogenize(poly, n, j) for poly, _ in arrangement.components]
+        charts = [dehomogenize(poly, n, j) for poly in arrangement.polynomials]
         one = Polynomial.constant(variables, 1)
         cofactors = [
             math.prod(charts[:k] + charts[k + 1:], start=one) for k in range(len(charts))
@@ -165,8 +142,8 @@ def forms_on_charts(
         denominator = str(cofactors[0] * charts[0])
         products = [[s.diff(v) * cof for v in variables] for s, cof in zip(charts, cofactors)]
         zero = Polynomial.zero(variables)
-        for form, entry in zip(forms, out):
-            picked = [(k, res) for k, res in enumerate(form.residues) if res]
+        for residues, entry in zip(forms, out):
+            picked = [(k, res) for k, res in enumerate(residues) if res]
             entry["charts"][str(j)] = {
                 "denominator": denominator,
                 "numerators": [

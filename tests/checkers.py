@@ -15,15 +15,21 @@ printed names alone, and each chart's children must be the charts that name
 it as their parent.  ``verify_jet_output_problems`` checks ``verify-jet
 --format json``: its counts, equality flags and failure lists against its
 certificates, and each divisor against the atlas ``resolve`` prints for the
-same fiber chart.  ``sample`` cannot be checked this way: its draws are not
-printed.
+same fiber chart.  ``forms_output_problems`` checks ``forms``: from the
+printed components alone, with sympy (imported inside it, so the other
+checkers do not load it), it recomputes the degrees, each chart's
+denominator and numerators for the printed residues, the degree balance and
+the rank of the residue matrix.  ``sample`` cannot be checked this way: its
+draws are not printed.
 """
 
 from __future__ import annotations
 
+import ast
 import json
+import operator
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 
 def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
@@ -228,4 +234,104 @@ def verify_jet_output_problems(text: str, atlases: dict) -> list[str]:
             labels = sorted(leaves[chart].get(leaf, ()))
             if any(label not in labels or power < 1 for label, power in powers.items()):
                 problems.append(f"{where}: divisor {powers} on {leaf}, whose labels are {labels}")
+    return problems
+
+
+_ARITHMETIC = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv
+}
+
+
+def _ring_element(text: str, ring, names: dict):
+    """The element of a sympy polynomial ring that a printed polynomial
+    spells: integers, the generators in names, + - * / and ^ to an integer."""
+
+    def value(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            if isinstance(node.right, ast.Constant) and type(node.right.value) is int:
+                return value(node.left) ** node.right.value
+        elif isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
+            return _ARITHMETIC[type(node.op)](value(node.left), value(node.right))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -value(node.operand)
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            return ring(node.value)
+        elif isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        raise ValueError(f"cannot read {text!r}")
+
+    return value(ast.parse(text.replace("^", "**"), mode="eval").body)
+
+
+def forms_output_problems(text: str) -> list[str]:
+    """What is wrong with the printed output of ``forms``; empty when each
+    printed form is a global log form of the printed arrangement, written
+    out on every standard chart, and the forms are independent.
+
+    A form sum_k r_k * dlog(s_k) is global when sum_k r_k * deg(s_k) = 0.
+    On the chart {x_j != 0}, with x_j -> 1 and x_i -> u_i, it is written over
+    the denominator prod_k s_k with one numerator per chart coordinate v,
+    sum_k r_k * ds_k/dv * prod_{l != k} s_l.  There are c - 1 forms for c
+    components, the residue matrix is their residue rows, and its rank is
+    c - 1.  The arithmetic is sympy's, over the rationals; u_i is read as
+    x_i with x_j set to 1."""
+    import sympy
+    from sympy.polys.rings import ring
+
+    payload = json.loads(text)
+    n = payload["params"]["n"]
+    R, *xs = ring([f"x{i}" for i in range(n + 1)], sympy.QQ)
+    names = {f"{letter}{i}": x for i, x in enumerate(xs) for letter in "xu"}
+    components = [_ring_element(part, R, names) for part in payload["params"]["components"]]
+    c = len(components)
+    problems = []
+    degrees = []
+    for k, s in enumerate(components):
+        total = {sum(monomial) for monomial in s.monoms()}
+        degrees.append(max(total))
+        if len(total) != 1:
+            problems.append(f"component {k} is not homogeneous")
+    if payload["degrees"] != degrees:
+        problems.append(f"degrees are {payload['degrees']}, expected {degrees}")
+    forms = payload["forms"]
+    if not payload["count"] == len(forms) == c - 1:
+        problems.append(f"count {payload['count']}, {len(forms)} forms, expected {c - 1}")
+    rows = [form["residues"] for form in forms]
+    if payload["residue_matrix"] != rows:
+        problems.append("residue_matrix is not the forms' residue rows")
+    residues = [[Fraction(r) for r in row] for row in rows]
+    rank = sparse_rank([{col: r for col, r in enumerate(row) if r} for row in residues])
+    if rank != c - 1:
+        problems.append(f"the residue rows have rank {rank}, expected {c - 1}")
+    charts = [[s.compose(x, R(1)) for s in components] for x in xs]  # x_j set to 1
+    for number, (form, row) in enumerate(zip(forms, residues)):
+        if len(row) != c or sum(r * d for r, d in zip(row, degrees)) != 0:
+            problems.append(f"form {number}: residues {form['residues']} are not balanced")
+            continue
+        if sorted(form["charts"], key=int) != [str(j) for j in range(n + 1)]:
+            problems.append(f"form {number}: charts {sorted(form['charts'])}")
+            continue
+        for j in range(n + 1):
+            local = charts[j]
+            printed = form["charts"][str(j)]
+            if _ring_element(printed["denominator"], R, names) != prod(local):
+                problems.append(f"form {number} chart {j}: denominator is not prod_k s_k")
+            numerators = [
+                sum(
+                    (
+                        R(sympy.QQ(r.numerator, r.denominator)) * local[k].diff(v)
+                        * prod(local[:k] + local[k + 1:])
+                        for k, r in enumerate(row)
+                        if r
+                    ),
+                    R(0),
+                )
+                for i, v in enumerate(xs)
+                if i != j
+            ]
+            read = [_ring_element(text, R, names) for text in printed["numerators"]]
+            if read != numerators:
+                problems.append(
+                    f"form {number} chart {j}: numerators are not those of its residues"
+                )
     return problems

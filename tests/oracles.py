@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from logres.blowup import Atlas, Chart, push_exponent, root_chart
 from logres.logconn import (
@@ -67,7 +67,7 @@ from logres.monideal import (
     intersect_monomial_ideals,
 )
 from logres.multiindex import CoefficientVector, MultiIndex, enumerate_multiindices
-from logres.residues import GlobalLogForm, chart_variables
+from logres.residues import DivisorArrangement, chart_variables
 from logres.resolution import (
     CompatibleSystem,
     Member,
@@ -733,13 +733,15 @@ def residue_of_form(form: LogForm, coordinate: str) -> Polynomial:
     return Polynomial(variables, restricted)
 
 
-def as_coordinate_logform(form: GlobalLogForm, chart_index: int) -> LogForm:
-    """Chart-frame form when every component is a coordinate hyperplane."""
-    n = form.arrangement.n
-    variables = chart_variables(n, chart_index)
+def as_coordinate_logform(
+    arrangement: DivisorArrangement, residues: Sequence[Fraction], chart_index: int
+) -> LogForm:
+    """Chart-frame form of sum_k residues[k] * dlog(s_k) when every component
+    s_k is a coordinate hyperplane."""
+    variables = chart_variables(arrangement.n, chart_index)
     logpart: dict[str, Polynomial] = {}
     marked = set()
-    for res, (poly, _) in zip(form.residues, form.arrangement.components):
+    for res, poly in zip(residues, arrangement.polynomials):
         if len(poly.terms) != 1 or poly.total_degree() != 1:
             raise ValueError(f"{poly} is not a coordinate hyperplane")
         (exp,) = poly.terms

@@ -218,6 +218,15 @@ def test_center_errors():
         blow_up_center(base, variety(base, "x1"))
 
 
+def test_a_blowup_that_would_repeat_a_name_is_refused():
+    """A root that already holds "x1~" cannot rename x1 to it."""
+    root = root_chart(("x1", "x1~", "x2"))
+    with pytest.raises(ValueError, match="^duplicate chart variables$"):
+        blow_up_center(root, variety(root, "x1", "x2"))
+    children = blow_up_center(root, variety(root, "x1~", "x2"))
+    assert [c.variables for c in children] == [("x1", "x1~", "x2~"), ("x1", "x1~~", "x2")]
+
+
 def test_atlas_json_is_deterministic():
     def build():
         base = root_chart(("x1", "x2", "x3"))

@@ -9,7 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from checkers import rank_output_problems, resolve_output_problems, verify_jet_output_problems
+from checkers import (
+    forms_output_problems,
+    rank_output_problems,
+    resolve_output_problems,
+    verify_jet_output_problems,
+)
 from conftest import variety
 from logres.blowup import Atlas, StageRecord, blow_up_center, root_chart
 from logres.cli import run_command
@@ -36,9 +41,11 @@ def matrix_argvs():
 
 
 def test_checkers_import_no_logres_module():
+    """Nor sympy: only the forms checker loads it, when it runs."""
     loaded = subprocess.run(
         [sys.executable, "-c",
-         "import sys, checkers; print([m for m in sys.modules if m.split('.')[0] == 'logres'])"],
+         "import sys, checkers;"
+         " print([m for m in sys.modules if m.split('.')[0] in ('logres', 'sympy')])"],
         cwd=HERE, capture_output=True, text=True, check=True,
     ).stdout
     assert loaded.strip() == "[]"
@@ -190,3 +197,51 @@ def test_verify_jet_checker_refuses_spoiled_output():
     flipped = problems(flip_equal)
     assert "k=3 t=1 I=[1, 2]: equal is False" in flipped, flipped
     assert "lift_ideal_failures are not the certificates whose routes differ" in flipped
+
+
+def test_forms_checker_accepts_every_recorded_run():
+    keys = json.loads(DIGESTS.read_text())["digests"]
+    argvs = [shlex.split(key) for key in keys if key.startswith("forms ")]
+    assert len(argvs) == 48
+    for argv in argvs:
+        code, text = run_command(argv)
+        assert code == 0, shlex.join(argv)
+        assert forms_output_problems(text) == [], shlex.join(argv)
+
+
+def test_forms_checker_refuses_spoiled_output():
+    """A residue entry, one chart numerator and a degree, each spoiled."""
+    code, text = run_command(["forms", "--n", "2", "--components", "x0; x1; x0^2 + x1^2 + x2^2"])
+    assert code == 0
+    assert forms_output_problems(text) == []
+
+    def problems(spoil):
+        payload = json.loads(text)
+        spoil(payload)
+        return forms_output_problems(json.dumps(payload))
+
+    def residue(payload):
+        assert payload["forms"][1]["residues"] == ["0", "2", "-1"]
+        payload["forms"][1]["residues"][1] = "3"
+
+    def numerator(payload):
+        assert payload["forms"][0]["charts"]["2"]["numerators"][1] == "-u0^3 - u0*u1^2 - u0"
+        payload["forms"][0]["charts"]["2"]["numerators"][1] = "-u0^3 - u0*u1^2"
+
+    def scaled(payload):  # balanced and independent still, but not what the charts write
+        payload["forms"][1]["residues"] = payload["residue_matrix"][1] = ["0", "4", "-2"]
+
+    def degree(payload):
+        payload["degrees"][2] = 3
+
+    assert problems(residue) == [
+        "residue_matrix is not the forms' residue rows",
+        "form 1: residues ['0', '3', '-1'] are not balanced",
+    ]
+    assert problems(scaled) == [
+        f"form 1 chart {j}: numerators are not those of its residues" for j in range(3)
+    ]
+    assert problems(numerator) == [
+        "form 0 chart 2: numerators are not those of its residues"
+    ]
+    assert problems(degree) == ["degrees are [1, 1, 3], expected [1, 1, 2]"]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logres import __version__, bounds, cli, logconn, logjet
+from logres import __version__, bounds, cli, logconn, logjet, residues
 from logres.cli import main, run_command
 from logres.monideal import MonomialIdeal
 from logres.ratmat import rank
@@ -212,9 +212,23 @@ def test_forms_command():
 
 
 def test_forms_rejects_bad_arrangement():
-    code, payload = run_json(["forms", "--n", "2", "--components", "x0; 2*x0"])
-    assert code == 1
-    assert "error" in payload
+    """An input that is no arrangement is a usage error, as a constant
+    component is, and not a verification failure."""
+    for components, message in (
+        ("x0; 2*x0", "arrangement components must be distinct"),
+        ("x0+x1^2", "x1^2 + x0 is not homogeneous of degree 2"),
+    ):
+        code, text = run_command(["forms", "--n", "2", "--components", components])
+        assert (code, text) == (2, f"usage error: {message}\n")
+
+
+def test_a_failed_certificate_is_a_verification_failure(monkeypatch):
+    """A refusal of the forms construction reaches run_command, which
+    reports it as every verb's verification failure: exit 1."""
+    monkeypatch.setattr(residues.ratmat, "rank", lambda matrix: 0)
+    assert run_command(["forms", "--n", "2", "--components", "x0; x1"]) == (
+        1, "verification failure: residue matrix is rank-deficient\n"
+    )
 
 
 def test_sample_command():
@@ -281,6 +295,7 @@ def test_out_file(tmp_path):
         "sample --n 2 --delta 4 --trials -5",
         "forms --n 2 --components 1/0*x0",
         "forms --n 2 --components 2",
+        "forms --n 2 --components ';'",
         "bounds --n 2 --delta 7,8 --eps 1,1 --c 1",
         "bounds --n 2 --delta 4,6 --eps 1,1 --alpha 1/3",
         "bounds --n 0 --delta '' --eps ''",
@@ -678,12 +693,11 @@ def _prints_json(argv):
 
 
 def test_every_json_payload_carries_the_header():
-    runs = [(argv, 0) for argv in ARGV if _prints_json(argv)]
-    runs.append((["forms", "--n", "2", "--components", "x0; 2*x0"], 1))
-    assert len(runs) == 8
-    for argv, expected in runs:
+    runs = [argv for argv in ARGV if _prints_json(argv)]
+    assert len(runs) == 7
+    for argv in runs:
         code, payload = run_json(argv)
-        assert code == expected
+        assert code == 0
         assert payload["schema_version"] == cli.SCHEMA_VERSION
         assert payload["command"] == argv[0]
 

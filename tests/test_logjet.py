@@ -1,9 +1,13 @@
+import dataclasses
+import json
 from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
 
+from logres import blowup, resolution
 from logres.blowup import Atlas, push_exponent
+from logres.cli import run_command
 from logres.logjet import (
     NotResolved,
     verify_principalization,
@@ -375,6 +379,26 @@ def test_unresolved_base_raises_not_resolved():
     assert str(exc.value) == (
         "total transform of obstruction ideal for I=[1, 2] has 2 minimal generators (chart root)"
     )
+
+
+def test_a_leaf_that_loses_its_newest_divisor_is_not_principal(monkeypatch):
+    """Children that drop their newest exceptional pair leave that divisor's
+    coordinate as a non-exceptional factor of the total transform, which
+    verify-jet refuses with the leaf named."""
+
+    def forgetful(chart, center, label="E"):
+        children = blowup.blow_up_center(chart, center, label)
+        return [dataclasses.replace(c, exceptional=c.exceptional[:-1]) for c in children]
+
+    monkeypatch.setattr(resolution, "blow_up_center", forgetful)
+    code, text = run_command(["verify-jet", "--n", "2"])
+    assert code == 1
+    failures = json.loads(text)["principality_failures"]
+    assert failures[0] == {
+        "k": 1, "t": 1, "I": [1],
+        "error": "non-exceptional factor xi2 in the total transform (chart root/E1.0:xi2)",
+    }
+    assert all(f["error"].startswith("non-exceptional factor ") for f in failures)
 
 
 # -- one build per chart --------------------------------------------------------------

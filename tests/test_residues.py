@@ -103,10 +103,10 @@ def test_residue_is_linear_and_local():
 def test_pencil_of_lines():
     arr = arrangement("x0", "x1")
     (form,) = construct_global_log_forms(arr)
-    assert form.residues == (Fraction(1), Fraction(-1))
-    assert form.degree_balance() == 0
+    assert form == (Fraction(1), Fraction(-1))
+    assert sum(r * d for r, d in zip(form, arr.degrees)) == 0
     # on the chart x2 != 0 this is dlog(u0) - dlog(u1)
-    chart_form = as_coordinate_logform(form, 2)
+    chart_form = as_coordinate_logform(arr, form, 2)
     assert residue_of_form(chart_form, "u0") == Polynomial.constant(
         chart_form.chart.variables, 1
     )
@@ -124,13 +124,13 @@ def test_lines_and_conic():
         2, [hom("x0"), hom("x1"), hom("x0^2 + x1^2 + x2^2")]
     )
     forms = construct_global_log_forms(arr)
-    assert [f.residues for f in forms] == [
+    assert forms == [
         (Fraction(1), Fraction(-1), Fraction(0)),
         (Fraction(0), Fraction(2), Fraction(-1)),
     ]
     matrix = residue_matrix(forms)
     assert rank(matrix) == 2
-    assert all(f.degree_balance() == 0 for f in forms)
+    assert all(sum(r * d for r, d in zip(f, arr.degrees)) == 0 for f in forms)
 
 
 def test_arrangement_rejects_duplicates_and_inhomogeneous():
@@ -196,7 +196,7 @@ def test_chart_representations_agree_on_overlaps():
                     p = [Fraction(rng.randint(1, 40)) for _ in range(3)]
                     values = [
                         poly.evaluate({v: x for v, x in zip(P2, p)})
-                        for poly, _ in arr.components
+                        for poly in arr.polynomials
                     ]
                     if all(values):
                         break

@@ -8,7 +8,7 @@ from conftest import (
     transverse_slice,
     variety,
 )
-from logres import logjet
+from logres import logjet, resolution
 from logres.blowup import root_chart
 from logres.cli import run_command
 from logres.logjet import build_obstruction_system, resolve_obstruction_system
@@ -228,6 +228,20 @@ def test_resolving_invalid_system_raises():
         chart, (Member(1, "a", variety(chart, "x1")), Member(1, "b", variety(chart, "x2")))
     )
     with pytest.raises(InvalidSystem):
+        resolve_system(bad)
+
+
+def test_a_stage_refuses_two_lowest_index_members_in_one_chart(monkeypatch):
+    """The stage guard stands behind validation: with validation passing
+    everything, the stage itself refuses the pair."""
+    chart = root_chart(("x1", "x2", "x3"))
+    bad = CompatibleSystem(
+        chart,
+        (Member(1, "a", variety(chart, "x1", "x2")), Member(1, "b", variety(chart, "x2", "x3"))),
+    )
+    assert validate_compatible_system(bad)
+    monkeypatch.setattr(resolution, "validate_compatible_system", lambda system: ())
+    with pytest.raises(InvalidSystem, match="^chart root holds 2 members of index 1$"):
         resolve_system(bad)
 
 
