@@ -12,7 +12,8 @@ file.  The record holds:
 - `cases`: fixed-size commands, each run 3 times in a fresh `python -m
   logres.cli` process (the `sample` case loops over 40 seeds in one
   process), with each run's wall time, CPU time (user + sys) and peak RSS
-  from `os.wait4`, the medians, the exit code and the sha256 of stdout;
+  from `os.wait4`, the medians, the exit code and the sha256 of stdout, and
+  the Python-level peak of one more run under `-X tracemalloc`;
 - `cold_start`: a fresh `sample` command and a bare `python -c pass`, 15
   alternating processes each, with the medians of wall and CPU time;
 - `frontier` (only with --frontier): `verify-jet --n 7 --format text`, once;
@@ -60,14 +61,26 @@ SAMPLE_LOOP = (
 )
 
 
+# Prepended to a command's code under -X tracemalloc: print the peak of
+# traced memory to stderr at exit, after the command's own SystemExit.
+PEAK_AT_EXIT = (
+    "import atexit, sys, tracemalloc\n"
+    "atexit.register(lambda: print(tracemalloc.get_traced_memory()[1], file=sys.stderr))\n"
+)
+
+
+def child_env(root: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in ("LOGRES_TRACE", "PYTHONPATH")}
+    env["PYTHONPATH"] = str(root / "src")
+    return env
+
+
 def measure(command: list[str], root: Path) -> dict:
     """One fresh process: wall time, its own CPU time and peak RSS, exit code
     and the sha256 of its stdout."""
-    env = {k: v for k, v in os.environ.items() if k not in ("LOGRES_TRACE", "PYTHONPATH")}
-    env["PYTHONPATH"] = str(root / "src")
     with tempfile.TemporaryFile() as out:
         started = time.perf_counter()
-        proc = subprocess.Popen(command, cwd=root, env=env, stdout=out)
+        proc = subprocess.Popen(command, cwd=root, env=child_env(root), stdout=out)
         _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
         wall = time.perf_counter() - started
         proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
@@ -84,12 +97,27 @@ def measure(command: list[str], root: Path) -> dict:
     }
 
 
+def tracemalloc_peak_mb(command: list[str], root: Path) -> float:
+    """The peak of Python-level allocations of one more fresh process of
+    `command`, `python -m module ...` or `python -c code ...`, traced from
+    start-up.  Unlike peak RSS, it does not move with glibc's mmap threshold."""
+    python, flag, target, *rest = command
+    code = target if flag == "-c" else (
+        f"import runpy\nrunpy.run_module({target!r}, run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run([python, "-X", "tracemalloc", "-c", PEAK_AT_EXIT + code, *rest],
+                          cwd=root, env=child_env(root), stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    return round(int(proc.stderr.split()[-1]) / 2**20, 2)
+
+
 def repeated(command: list[str], root: Path) -> dict:
     runs = [measure(command, root) for _ in range(REPEATS)]
     return {
         "runs": runs,
         **{f"median_{key}": statistics.median(run[key] for run in runs)
            for key in ("wall_s", "cpu_s", "peak_rss_mb")},
+        "tracemalloc_peak_mb": tracemalloc_peak_mb(command, root),
     }
 
 

@@ -1,8 +1,9 @@
 """Blow-ups of coordinate subspaces in affine charts.
 
 A coordinate is its *slot*, an index into ``Chart.variables``; the names
-there only spell the slots on output.  Blowing up the subspace
-V(x_{i_1}, ..., x_{i_r}) of a chart produces one child chart per center
+there only spell the slots on output, and a coordinate subspace is the
+``frozenset`` of its slots.  Blowing up the subspace V(x_{i_1}, ..., x_{i_r})
+of a chart, the center {i_1, ..., i_r}, produces one child chart per center
 slot j.  In the j-direction the map to the parent is
 
   x_j -> x_j,    x_k -> x_j * x_k~   (k in center, k != j),
@@ -26,8 +27,8 @@ charts each stage blew up; a center's label, slots and children are read
 back from its child charts, which already hold them.
 
 ``strict_transform_variety`` is the geometric strict transform of a single
-coordinate subspace, which is either empty in the chart or cut out by the
-same slots.  The strict transform of an ideal in one chart, with the common
+coordinate subspace, which is either empty in the chart or the same slot
+set.  The strict transform of an ideal in one chart, with the common
 power of each exceptional coordinate divided out, is a route the tests
 check, in ``tests/oracles.py``.
 """
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .monideal import MonomialIdeal, SimpleVariety
+from .monideal import MonomialIdeal
 from .symcore import Exponent, LogresError, monomial_string
 
 
@@ -93,25 +94,23 @@ def _to_parent(width: int, center=frozenset(), kept: int | None = None) -> tuple
     return tuple(map(tuple, rows))
 
 
-def blow_up_center(
-    chart: Chart, center: SimpleVariety, label: str = "E"
-) -> list[Chart]:
-    """One child chart per center slot, in slot order."""
+def blow_up_center(chart: Chart, center: frozenset[int], label: str = "E") -> list[Chart]:
+    """One child chart per slot of `center`, in slot order."""
     width = len(chart.variables)
-    missing = sorted(s for s in center.vanishing if not 0 <= s < width)
+    missing = sorted(s for s in center if not 0 <= s < width)
     if missing:
         raise CenterNotInChart(f"slots {missing} not in chart {chart.id}")
-    if center.codim < 2:
-        raise CodimensionOne(f"center {center} has codimension {center.codim}")
-    met_mark = bool(center.vanishing & chart.log_marked)
+    if len(center) < 2:
+        raise CodimensionOne(f"center {sorted(center)} has codimension {len(center)}")
+    met_mark = bool(center & chart.log_marked)
     children = []
-    for kept in sorted(center.vanishing):
-        images = _to_parent(width, center.vanishing, kept)
+    for kept in sorted(center):
+        images = _to_parent(width, center, kept)
         children.append(
             Chart(
                 id=f"{chart.id}/{label}:{chart.variables[kept]}",
                 variables=tuple(
-                    v + "~" if i in center.vanishing and i != kept else v
+                    v + "~" if i in center and i != kept else v
                     for i, v in enumerate(chart.variables)
                 ),
                 log_marked=chart.log_marked | {kept} if met_mark else chart.log_marked,
@@ -120,7 +119,7 @@ def blow_up_center(
                 # the divisor the kept slot cut out before misses this chart
                 exceptional=tuple(pair for pair in chart.exceptional if pair[1] != kept)
                 + ((label, kept),),
-                center=center.vanishing,
+                center=center,
                 direction=kept,
             )
         )
@@ -142,15 +141,16 @@ def push_exponent(images: Sequence[Exponent], exponent: Exponent, width: int) ->
     return tuple(out)
 
 
-def strict_transform_variety(chart: Chart, variety: SimpleVariety) -> SimpleVariety | None:
-    """Geometric strict transform of a coordinate subspace; None when empty.
+def strict_transform_variety(chart: Chart, variety: frozenset[int]) -> frozenset[int] | None:
+    """Geometric strict transform of a coordinate subspace, given by its
+    slots; None when empty.
 
     Empty exactly when the chart direction is one of the variety's slots;
     otherwise the same slots cut it out, since a blow-up moves no slot.
     """
     if chart.direction is None:
         raise ValueError(f"chart {chart.id} is not a blow-up chart")
-    if chart.direction in variety.vanishing:
+    if chart.direction in variety:
         return None
     return variety
 

@@ -63,26 +63,23 @@ class ThresholdReport:
     c: int
     m_threshold: int
     chain_holds: bool
-    alpha_min: int | None
+    alpha_min: int
 
 
-def degree_threshold(n: int, c: int, delta: Sequence[int] | None = None) -> ThresholdReport:
+def degree_threshold(n: int, c: int, delta: Sequence[int]) -> ThresholdReport:
     """Uniform degree threshold (4n)^(n+2), the chain inequality check, and
-    the per-delta lower bound 3 + 2n * (max delta)^n when delta is given."""
+    the per-delta lower bound 3 + 2n * (max delta)^n."""
     if n < 1 or c < n:
         raise ValueError("need n >= 1 and c >= n")
-    alpha_min = None
-    if delta is not None:
-        ds = _integers(delta, "delta")
-        if not ds:
-            raise ValueError("empty delta vector")
-        alpha_min = 3 + 2 * n * max(ds) ** n
+    ds = _integers(delta, "delta")
+    if not ds:
+        raise ValueError("empty delta vector")
     return ThresholdReport(
         n=n,
         c=c,
         m_threshold=(4 * n) ** (n + 2),
         chain_holds=chain_inequality_holds(n),
-        alpha_min=alpha_min,
+        alpha_min=3 + 2 * n * max(ds) ** n,
     )
 
 

@@ -426,7 +426,7 @@ def _cmd_bounds(args) -> tuple[int, dict | str]:
     if threshold is not None:
         lines.append(
             f"m_threshold = {threshold.m_threshold}  chain_holds = {threshold.chain_holds}"
-            + (f"  alpha_min = {threshold.alpha_min}" if threshold.alpha_min else "")
+            f"  alpha_min = {threshold.alpha_min}"
         )
     if split is not None:
         lines.append(

@@ -44,7 +44,6 @@ from typing import Iterable, Sequence
 from .blowup import Chart, root_chart
 from .monideal import (
     MonomialIdeal,
-    SimpleVariety,
     ideal_sum,
     intersect_monomial_ideals,
 )
@@ -128,11 +127,12 @@ def stratum_prime(jet: JetChart, J: Iterable[int]) -> MonomialIdeal:
     return MonomialIdeal.from_varsets(variables, [{v} for v in sorted(names)])
 
 
-def stratum_variety(jet: JetChart, J: Iterable[int]) -> SimpleVariety | None:
+def stratum_variety(jet: JetChart, J: Iterable[int]) -> frozenset[int] | None:
+    """The slots cutting out the stratum of J; None when it misses the chart."""
     prime = jet.stratum_primes[_component_key(jet, J)]
     if prime.is_unit:
         return None
-    return SimpleVariety(frozenset(g.index(1) for g in prime.generators))
+    return frozenset(g.index(1) for g in prime.generators)
 
 
 def build_obstruction_system(n: int, c: int, k: int, t: int) -> tuple[JetChart, CompatibleSystem]:

@@ -3,9 +3,9 @@
 A ``MonomialIdeal`` stores its minimal monomial generators as exponent tuples
 over a fixed variable frame.  Square-free generators are the main case (each
 is just a subset of the variables), but blow-up transforms introduce powers of
-exceptional coordinates, so general exponents are supported.  A
-``SimpleVariety`` is a coordinate subspace, given by the slots of its vanishing
-coordinates: indices into the chart's variable tuple, which only names them.
+exceptional coordinates, so general exponents are supported.  A coordinate
+subspace is the ``frozenset`` of the slots of its vanishing coordinates:
+indices into the chart's variable tuple, which only names them.
 
 The verbs need sums, intersections and containment of monomial ideals.  The
 *simple* shape <x_1, ..., x_p, x_{p+1}*x_{r+1}, ..., x_r*x_{2r-p}>, its
@@ -151,23 +151,4 @@ def intersect_monomial_ideals(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
         gens = [_lcm(a, b) for a in acc.generators for b in ideal.generators]
         acc = MonomialIdeal._trusted(vs, gens)
     return acc
-
-
-@dataclass(frozen=True)
-class SimpleVariety:
-    """A coordinate subspace V(x_s : s in vanishing) of a chart, cut out by
-    the chart slots in `vanishing`."""
-
-    vanishing: frozenset[int]
-
-    def __post_init__(self):
-        if not self.vanishing:
-            raise ValueError("a simple variety needs a nonempty vanishing set")
-
-    @property
-    def codim(self) -> int:
-        return len(self.vanishing)
-
-    def __str__(self) -> str:
-        return "V(" + ",".join(map(str, sorted(self.vanishing))) + ")"
 

@@ -2,8 +2,9 @@
 blow-ups of the lowest-index members.
 
 A *compatible system* in a chart is an indexed family of coordinate
-subspaces such that the intersection of any two members of the same index is
-contained in some member of strictly lower index.  Since every coordinate
+subspaces, each the ``frozenset`` of its slots, such that the intersection
+of any two members of the same index is contained in some member of
+strictly lower index.  Since every coordinate
 subspace of a chart passes through the origin, two members can never be
 disjoint inside one chart; in particular each chart carries at most one
 member of the lowest index.  (Globally, same-index members may be disjoint --
@@ -24,9 +25,9 @@ strict transform survives into a child is carried as it is too.  Each stage
 records its live systems and, in the atlas's stage log, the ids of the charts
 it blew up.
 
-Validation returns the violations it finds, so an empty tuple means
-compatible.  A resolution records its leaves once: the charts of its final
-live state, sorted by id.
+Validation returns the message of each violation it finds, so an empty
+tuple means compatible.  A resolution records its leaves once: the charts
+of its final live state, sorted by id.
 
 Slice restriction and subsystem principalization are not verbs: they are
 the functoriality routes the tests check the resolution against, in
@@ -38,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blowup import Atlas, Chart, StageRecord, blow_up_center, strict_transform_variety
-from .monideal import SimpleVariety
 from .symcore import LogresError
 
 
@@ -50,7 +50,7 @@ class InvalidSystem(LogresError):
 class Member:
     index: int
     label: str
-    variety: SimpleVariety
+    variety: frozenset[int]  # the slots cutting out the member
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,9 @@ class CompatibleSystem:
     members: tuple[Member, ...]
 
 
-@dataclass(frozen=True)
-class Violation:
-    index: int
-    label_a: str
-    label_b: str
-
-    def __str__(self) -> str:
-        return f"index {self.index}: {self.label_a} meets {self.label_b} with no lower-index container"
-
-
-def validate_compatible_system(system: CompatibleSystem) -> tuple[Violation, ...]:
-    """Every violation of the same-index intersection condition; none means
-    the system is compatible.
+def validate_compatible_system(system: CompatibleSystem) -> tuple[str, ...]:
+    """The message of every violation of the same-index intersection
+    condition; none means the system is compatible.
 
     Inside a single chart all members pass through the origin, so the
     "disjoint" alternative never applies: each same-index pair needs a
@@ -83,12 +73,11 @@ def validate_compatible_system(system: CompatibleSystem) -> tuple[Violation, ...
         for b in members[i + 1 :]:
             if a.index != b.index:
                 continue
-            union = a.variety.vanishing | b.variety.vanishing
-            if not any(
-                m.index < a.index and m.variety.vanishing <= union
-                for m in members
-            ):
-                violations.append(Violation(a.index, a.label, b.label))
+            union = a.variety | b.variety
+            if not any(m.index < a.index and m.variety <= union for m in members):
+                violations.append(
+                    f"index {a.index}: {a.label} meets {b.label} with no lower-index container"
+                )
     return tuple(violations)
 
 
@@ -113,7 +102,7 @@ class ResolutionResult:
                                 "index": m.index,
                                 "label": m.label,
                                 "vanishing": sorted(
-                                    system.chart.variables[s] for s in m.variety.vanishing
+                                    system.chart.variables[s] for s in m.variety
                                 ),
                             }
                             for m in system.members
@@ -137,7 +126,7 @@ def resolve_system(system: CompatibleSystem, mode: str = "canonical") -> Resolut
         raise ValueError(f"unknown mode {mode!r}")
     violations = validate_compatible_system(system)
     if violations:
-        raise InvalidSystem("; ".join(map(str, violations)))
+        raise InvalidSystem("; ".join(violations))
 
     atlas = Atlas.for_root(system.chart)
     state = [system]

@@ -19,15 +19,19 @@ same fiber chart.  ``forms_output_problems`` checks ``forms``: from the
 printed components alone, with sympy (imported inside it, so the other
 checkers do not load it), it recomputes the degrees, each chart's
 denominator and numerators for the printed residues, the degree balance and
-the rank of the residue matrix.  ``sample`` cannot be checked this way: its
-draws are not printed.
+the rank of the residue matrix.  ``bounds_output_problems`` checks
+``bounds`` in either format: from the printed n, delta, eps, c and alpha
+alone it recomputes every other printed number and flag from its formula.
+``sample`` cannot be checked this way: its draws are not printed.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import math
 import operator
+import re
 from fractions import Fraction
 from math import comb, prod
 
@@ -334,4 +338,110 @@ def forms_output_problems(text: str) -> list[str]:
                 problems.append(
                     f"form {number} chart {j}: numerators are not those of its residues"
                 )
+    return problems
+
+
+def _bounds_text_fields(text: str) -> dict:
+    """The sections a text ``bounds`` report prints, keyed as in its JSON.
+    The text omits c and the split's m, so those keys are absent."""
+    lines = text.splitlines()
+    head = re.fullmatch(r"n=(\d+)  applicable=(yes|no)", lines[0])
+    rows = []
+    for line in lines[2:]:
+        if line.startswith("r_min = "):
+            break
+        rows.append([int(x) for x in line.split()])
+    if [row[0] for row in rows] != list(range(1, len(rows) + 1)) or any(len(r) != 5 for r in rows):
+        raise ValueError("the table is not rows of i, delta, eps, b and m")
+    _, delta, eps, b, m = [list(column) for column in zip(*rows)] or [[]] * 5
+    fields = {
+        "effective": {
+            "n": int(head[1]), "applicable": head[2] == "yes", "delta": delta, "eps": eps,
+            "b": b, "m": m, "r_min": int(lines[2 + len(rows)].removeprefix("r_min = ")),
+        }
+    }
+    for line in lines[3 + len(rows):]:
+        threshold = re.fullmatch(
+            r"m_threshold = (\d+)  chain_holds = (True|False)  alpha_min = (\d+)", line
+        )
+        split = re.fullmatch(
+            r"alpha = (\S+): r = (-?\d+), eps = \[([-\d, ]*)\], valid = (True|False)", line
+        )
+        if threshold:
+            fields["threshold"] = {
+                "m_threshold": int(threshold[1]), "chain_holds": threshold[2] == "True",
+                "alpha_min": int(threshold[3]),
+            }
+        elif split:
+            fields["reconstruction"] = {
+                "alpha": split[1], "r": int(split[2]), "valid": split[4] == "True",
+                "eps": [int(x) for x in split[3].split(", ") if x],
+            }
+        else:
+            raise ValueError(f"cannot read {line!r}")
+    return fields
+
+
+def bounds_output_problems(text: str) -> list[str]:
+    """What is wrong with the printed output of ``bounds``, text or JSON;
+    empty when every printed number and flag follows from the printed n,
+    delta, eps, c and alpha.
+
+    With P = prod_i delta_i: b_i = P / delta_i, r_min = 1 + sum_i b_i *
+    (eps_i + delta_i), m_i = eps_i + (r_min + 1) * delta_i, and the report is
+    applicable when every delta_i >= 4n - 1.  The threshold is (4n)^(n+2),
+    the chain holds when (4n - 1) * (3 + 2n * (4n - 1)^n) is at most it, and
+    alpha_min = 3 + 2n * (max delta)^n.  A scale alpha splits as r =
+    ceil(alpha) - 2 and eps_i = (alpha - ceil(alpha) + 1) * delta_i, with
+    m_i = alpha * delta_i, and the split is valid when every 1 <= eps_i <=
+    delta_i and m_i = eps_i + (r + 1) * delta_i."""
+    is_json = text.startswith("{")
+    printed = json.loads(text) if is_json else _bounds_text_fields(text)
+    effective = printed["effective"]
+    n, delta, eps = effective["n"], effective["delta"], effective["eps"]
+    if not len(delta) == len(eps) == n:
+        return [f"{len(delta)} delta and {len(eps)} eps entries for n = {n}"]
+    problems = []
+    r_min = 1 + sum(prod(delta) // d * (e + d) for d, e in zip(delta, eps))
+    expected = {
+        "effective": {
+            "b": [prod(delta) // d for d in delta],
+            "r_min": r_min,
+            "m": [e + (r_min + 1) * d for d, e in zip(delta, eps)],
+            "applicable": all(d >= 4 * n - 1 for d in delta),
+        }
+    }
+    if "threshold" in printed:
+        bound = (4 * n) ** (n + 2)
+        expected["threshold"] = {
+            "m_threshold": bound,
+            "chain_holds": (4 * n - 1) * (3 + 2 * n * (4 * n - 1) ** n) <= bound,
+            "alpha_min": 3 + 2 * n * max(delta) ** n,
+        }
+        if is_json:  # the text prints neither n nor c again
+            expected["threshold"]["n"] = n
+            if not printed["threshold"].get("c", 0) >= n:
+                problems.append(f"threshold c is {printed['threshold'].get('c')}, below n = {n}")
+    if "reconstruction" in printed:
+        split = printed["reconstruction"]
+        alpha = Fraction(split["alpha"])
+        ceiling = math.ceil(alpha)
+        r = ceiling - 2
+        shares = [(alpha - ceiling + 1) * d for d in delta]
+        m = [alpha * d for d in delta]
+        if any(x.denominator != 1 for x in shares + m):
+            return [f"alpha = {alpha} times delta is not integral"]
+        expected["reconstruction"] = {
+            "r": r,
+            "eps": [int(x) for x in shares],
+            "valid": all(1 <= x <= d and y == x + (r + 1) * d for x, d, y in zip(shares, delta, m)),
+        }
+        if is_json:  # the text does not print the split's m
+            expected["reconstruction"]["m"] = [int(x) for x in m]
+    for section, values in expected.items():
+        problems += [
+            f"{section} {name} is {printed[section].get(name)}, expected {value}"
+            for name, value in values.items()
+            if printed[section].get(name) != value
+        ]
     return problems

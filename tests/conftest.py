@@ -9,7 +9,7 @@ import random
 from itertools import combinations
 
 from logres.blowup import root_chart
-from logres.monideal import MonomialIdeal, SimpleVariety
+from logres.monideal import MonomialIdeal
 from logres.resolution import (
     CompatibleSystem,
     Member,
@@ -49,9 +49,9 @@ def all_simple_ideals(variables, max_r):
 
 def variety(frame, *names):
     """The coordinate subspace cut out by the named coordinates of a chart
-    (or of a bare variable tuple), held by slot as the package holds it."""
+    (or of a bare variable tuple): their slots, as the package holds it."""
     variables = getattr(frame, "variables", frame)
-    return SimpleVariety(frozenset(map(variables.index, names)))
+    return frozenset(map(variables.index, names))
 
 
 def jet_style_members(chart, n, k):
@@ -101,13 +101,13 @@ def random_rejection_system(rng: random.Random, max_vars=6, max_members=4, tries
         members = []
         base = variety(chart, *rng.sample(variables, rng.randint(2, min(3, nvars))))
         members.append(Member(1, "m1", base))
-        seen = {base.vanishing}
+        seen = {base}
         for j in range(rng.randint(0, max_members - 1)):
             size = rng.randint(2, min(4, nvars))
             drawn = variety(chart, *rng.sample(variables, size))
-            if drawn.vanishing in seen:
+            if drawn in seen:
                 continue
-            seen.add(drawn.vanishing)
+            seen.add(drawn)
             members.append(Member(rng.randint(2, 3), f"m{j + 2}", drawn))
         indices = sorted({m.index for m in members})
         if indices != list(range(indices[0], indices[-1] + 1)):
@@ -129,7 +129,7 @@ def transverse_slice(rng: random.Random, system: CompatibleSystem):
     """Random slice slots disjoint from every member's support."""
     used = set()
     for m in system.members:
-        used |= m.variety.vanishing
+        used |= m.variety
     free = [s for s in range(len(system.chart.variables)) if s not in used]
     if not free:
         return frozenset()

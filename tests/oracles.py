@@ -63,7 +63,6 @@ from logres.logconn import (
 from logres.monideal import (
     MixedVariableSets,
     MonomialIdeal,
-    SimpleVariety,
     intersect_monomial_ideals,
 )
 from logres.multiindex import CoefficientVector, MultiIndex, enumerate_multiindices
@@ -288,13 +287,14 @@ class NotSimpleShape(LogresError):
     """The ideal does not match the simple pattern under any renaming."""
 
 
-def prime(variety: SimpleVariety, variables: Iterable[str]) -> MonomialIdeal:
-    """The prime of a coordinate subspace over a chart's variables."""
+def prime(variety: frozenset[int], variables: Iterable[str]) -> MonomialIdeal:
+    """The prime of a coordinate subspace, given by its slots, over a chart's
+    variables."""
     vs = tuple(variables)
-    missing = sorted(s for s in variety.vanishing if not 0 <= s < len(vs))
+    missing = sorted(s for s in variety if not 0 <= s < len(vs))
     if missing:
         raise MixedVariableSets(f"variety slots {missing} not in chart")
-    return MonomialIdeal.from_varsets(vs, [{vs[s]} for s in sorted(variety.vanishing)])
+    return MonomialIdeal.from_varsets(vs, [{vs[s]} for s in sorted(variety)])
 
 
 def is_squarefree(ideal: MonomialIdeal) -> bool:
@@ -345,8 +345,9 @@ def is_simple_ideal(ideal: MonomialIdeal) -> bool:
     return True
 
 
-def decompose_simple_ideal(ideal: MonomialIdeal) -> list[SimpleVariety]:
-    """The 2^(pairs) coordinate subspaces whose union the simple ideal cuts out.
+def decompose_simple_ideal(ideal: MonomialIdeal) -> list[frozenset[int]]:
+    """The 2^(pairs) coordinate subspaces, as slot sets, whose union the
+    simple ideal cuts out.
 
     Every returned variety has codimension p + (r - p) = r, one variable taken
     from each pair generator.
@@ -355,8 +356,8 @@ def decompose_simple_ideal(ideal: MonomialIdeal) -> list[SimpleVariety]:
     slot = {v: i for i, v in enumerate(ideal.variables)}
     varieties = []
     for choice in product(*pairs) if pairs else [()]:
-        varieties.append(SimpleVariety(frozenset(slot[v] for v in (*singles, *choice))))
-    varieties.sort(key=lambda V: tuple(sorted(V.vanishing)))
+        varieties.append(frozenset(slot[v] for v in (*singles, *choice)))
+    varieties.sort(key=sorted)
     return varieties
 
 
@@ -442,7 +443,7 @@ def restrict_system(system: CompatibleSystem, zeroed: Iterable[int]) -> Compatib
     if unknown:
         raise ValueError(f"slice slots {unknown} not in chart")
     for m in system.members:
-        if m.variety.vanishing <= zs:
+        if m.variety <= zs:
             raise NonTransverseSlice(f"{m.label} is contained in the slice")
     kept = [s for s in range(len(chart.variables)) if s not in zs]
     moved = {s: i for i, s in enumerate(kept)}
@@ -451,7 +452,7 @@ def restrict_system(system: CompatibleSystem, zeroed: Iterable[int]) -> Compatib
         (chart.variables[s] for s in chart.log_marked if s not in zs),
     )
     members = tuple(
-        Member(m.index, m.label, SimpleVariety(frozenset(moved[s] for s in m.variety.vanishing - zs)))
+        Member(m.index, m.label, frozenset(moved[s] for s in m.variety - zs))
         for m in system.members
     )
     return CompatibleSystem(slice_chart, members)
@@ -470,10 +471,8 @@ def _is_subsystem(system: CompatibleSystem, sub_labels: frozenset[str]) -> bool:
         for inner in sub:
             if inner.index < out.index:
                 continue
-            union = out.variety.vanishing | inner.variety.vanishing
-            if not any(
-                s.index < out.index and s.variety.vanishing <= union for s in sub
-            ):
+            union = out.variety | inner.variety
+            if not any(s.index < out.index and s.variety <= union for s in sub):
                 return False
     return True
 

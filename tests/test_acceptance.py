@@ -200,7 +200,7 @@ def test_c05_disjointness_preservation():
                     continue  # intersection empty in this chart
                 # first claim: the transformed intersection stays inside t3
                 assert t3 is not None
-                assert t3.vanishing <= (t1.vanishing | t2.vanishing)
+                assert t3 <= (t1 | t2)
                 # ideal-theoretic route agrees with the combinatorial one
                 both = ideal_sum(
                     [prime(t1, chart.variables), prime(t2, chart.variables)]
@@ -296,7 +296,7 @@ def test_c11_bounds_arithmetic():
     started = time.monotonic()
     for n in range(1, 21):
         assert chain_inequality_holds(n), n
-    assert degree_threshold(2, 2).m_threshold == 4096
+    assert degree_threshold(2, 2, delta=(7, 7)).m_threshold == 4096
     rng = random.Random(1111)
     checked = 0
     while checked < 100:

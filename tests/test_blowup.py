@@ -14,7 +14,7 @@ from logres.blowup import (
 )
 from conftest import variety
 from logres.logjet import build_obstruction_system, resolve_obstruction_system
-from logres.monideal import MonomialIdeal, SimpleVariety
+from logres.monideal import MonomialIdeal
 from logres.symcore import monomial_string
 from oracles import monomial, prime, substitute, to_parent, transform_ideal, variable
 
@@ -212,10 +212,12 @@ def test_log_marking_propagation():
 
 def test_center_errors():
     base = root_chart(("x1", "x2"))
-    with pytest.raises(CenterNotInChart):
-        blow_up_center(base, SimpleVariety(frozenset({0, 2})))  # slot 2 is past x2
-    with pytest.raises(CodimensionOne):
+    with pytest.raises(CenterNotInChart, match=r"^slots \[2\] not in chart root$"):
+        blow_up_center(base, frozenset({0, 2}))  # slot 2 is past x2
+    with pytest.raises(CodimensionOne, match=r"^center \[0\] has codimension 1$"):
         blow_up_center(base, variety(base, "x1"))
+    with pytest.raises(CodimensionOne, match=r"^center \[\] has codimension 0$"):
+        blow_up_center(base, frozenset())
 
 
 def test_a_blowup_that_would_repeat_a_name_is_refused():

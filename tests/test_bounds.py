@@ -39,7 +39,7 @@ def test_chain_inequality_first_twenty():
 
 
 def test_chain_value_n2():
-    report = degree_threshold(2, 2)
+    report = degree_threshold(2, 2, delta=(7, 7))
     assert report.m_threshold == 8**4 == 4096
     lhs = (4 * 2 - 1) * (3 + 2 * 2 * (4 * 2 - 1) ** 2)
     assert lhs == 7 * (3 + 4 * 49) == 1393
@@ -54,7 +54,7 @@ def test_alpha_lower_bound():
 
 def test_threshold_preconditions():
     with pytest.raises(ValueError):
-        degree_threshold(2, 1)
+        degree_threshold(2, 1, delta=(7, 7))
 
 
 def test_reconstruction_integral_alpha():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from checkers import (
+    bounds_output_problems,
     forms_output_problems,
     rank_output_problems,
     resolve_output_problems,
@@ -245,3 +246,60 @@ def test_forms_checker_refuses_spoiled_output():
         "form 0 chart 2: numerators are not those of its residues"
     ]
     assert problems(degree) == ["degrees are [1, 1, 3], expected [1, 1, 2]"]
+
+
+def test_bounds_checker_accepts_every_recorded_run():
+    keys = json.loads(DIGESTS.read_text())["digests"]
+    runs = [run_command(shlex.split(key)) for key in keys if key.startswith("bounds ")]
+    texts = [text for code, text in runs if code == 0]
+    assert len(texts) == 48
+    assert any(text.startswith("{") for text in texts)
+    assert any(text.startswith("n=") for text in texts)
+    for text in texts:
+        assert bounds_output_problems(text) == [], text
+
+
+BOUNDS_ARGV = ["bounds", "--n", "3", "--delta", "11,20,5", "--eps", "5,18,2", "--c", "5",
+               "--alpha", "9/1"]
+
+
+def test_bounds_checker_refuses_spoiled_text():
+    """A b_i, an m_i and the alpha split's r, each spoiled in the text table."""
+    code, text = run_command(BOUNDS_ARGV + ["--format", "text"])
+    assert code == 0
+    assert bounds_output_problems(text) == []
+
+    def problems(old, new):
+        assert text.count(old) == 1
+        return bounds_output_problems(text.replace(old, new))
+
+    assert problems("  1     11     5      100", "  1     11     5      101") == [
+        "effective b is [101, 55, 220], expected [100, 55, 220]"
+    ]
+    assert problems("     104658\n", "     104659\n") == [
+        "effective m is [57557, 104659, 26162], expected [57557, 104658, 26162]"
+    ]
+    assert problems(": r = 7,", ": r = 8,") == ["reconstruction r is 8, expected 7"]
+
+
+def test_bounds_checker_refuses_spoiled_json():
+    """The same three spoils in the JSON payload, and a threshold with c < n."""
+    code, text = run_command(BOUNDS_ARGV + ["--format", "json"])
+    assert code == 0
+    assert bounds_output_problems(text) == []
+
+    def problems(section, name, spoil):
+        payload = json.loads(text)
+        payload[section][name] = spoil(payload[section][name])
+        return bounds_output_problems(json.dumps(payload))
+
+    assert problems("effective", "b", lambda b: [b[0], b[1] + 1, b[2]]) == [
+        "effective b is [100, 56, 220], expected [100, 55, 220]"
+    ]
+    assert problems("effective", "m", lambda m: m[:2] + [m[2] - 1]) == [
+        "effective m is [57557, 104658, 26161], expected [57557, 104658, 26162]"
+    ]
+    assert problems("reconstruction", "r", lambda r: r - 1) == [
+        "reconstruction r is 6, expected 7"
+    ]
+    assert problems("threshold", "c", lambda c: 2) == ["threshold c is 2, below n = 3"]

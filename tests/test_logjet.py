@@ -100,7 +100,7 @@ def test_stratum_dimension_is_codim_n():
             for t in range(1, n + 1):
                 jet, system = build_obstruction_system(n, n, k, t)
                 for m in system.members:
-                    assert m.variety.codim == n  # dim = (2n-1) - n = n-1
+                    assert len(m.variety) == n  # dim = (2n-1) - n = n-1
 
 
 def test_out_of_range():

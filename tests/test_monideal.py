@@ -100,7 +100,7 @@ def test_decompose_spec_shape():
         variety(vs, "x1", "x3", "x4"),
         variety(vs, "x1", "x2", "x3"),
     }
-    assert all(v.codim == 3 for v in got)
+    assert all(len(v) == 3 for v in got)
 
 
 def test_decompose_prime_is_itself():
@@ -143,7 +143,7 @@ def test_decomposition_matches_point_membership_oracle():
             point = tuple((mask >> i) & 1 for i in range(len(vs)))
             on_variety = all(vanishes_at(g, point) for g in ideal.generators)
             on_union = any(
-                all(not point[s] for s in piece.vanishing)
+                all(not point[s] for s in piece)
                 for piece in pieces
             )
             assert on_variety == on_union, (ideal, point)
@@ -154,7 +154,7 @@ def test_reintersecting_decomposition_recovers_ideal_exhaustively():
     count = 0
     for ideal in all_simple_ideals(vs, 3):
         parts = decompose_simple_ideal(ideal)
-        assert len({v.codim for v in parts}) == 1
+        assert len({len(v) for v in parts}) == 1
         primes = [prime(v, vs) for v in parts]
         assert intersect_monomial_ideals(primes) == ideal
         count += 1
