@@ -331,11 +331,9 @@ def _cmd_verify_jet(args) -> tuple[int, dict | str]:
 def _cmd_rank(args) -> tuple[int, dict]:
     stratum = frozenset(_int_list(args.stratum))
     ctx = logconn.make_connection_context(args.n, args.eps, args.delta, args.r)
-    if not stratum <= set(ctx.stratum_candidates()):
-        raise UsageError(
-            f"stratum {sorted(stratum)} not attainable; "
-            f"vanishing slots are {ctx.stratum_candidates()}"
-        )
+    slots = list(range(1, ctx.n + 1))  # tau_0 = 1 never vanishes
+    if not stratum <= set(slots):
+        raise UsageError(f"stratum {sorted(stratum)} not attainable; vanishing slots are {slots}")
     rng = random.Random(args.seed)
     reports = []
     all_ok = True

@@ -47,18 +47,19 @@ verb calls it.  It is the polynomial route the tests compare the table
 against; beyond the context's cached listings it shares no code with the
 table, and the benchmark's per-layer metrics name it.
 
-``sample`` keeps each trial's random sections as the (numerator, denominator)
-draws of their coefficients.  ``random_coefficients`` returns exactly what
-one ``randint`` call per numerator and per denominator would, and leaves
-the RNG in the same state, but reads them from whole 32-bit Mersenne
-Twister words: ``randint`` draws ``getrandbits(k)``, one word shifted right
-by 32 - k, until the value is in range.  Only a word whose top byte is 0xFA
-or more can be redrawn, so a search of the top bytes finds the few words to
-look at one by one, and a pair is decoded from its words when first read.
-The basepoint and the vector read their fractions the same way.
-``is_indeterminate`` clears each row's denominators, values its section
-from the draws and the point table, stops at the first nonzero component,
-so it decodes only the rows it reads, and builds no polynomial.
+``sample`` keeps each trial's random sections as the kept Mersenne Twister
+words of their coefficients' (numerator, denominator) draws.
+``random_coefficients`` keeps exactly the words that one ``randint`` call
+per numerator and per denominator would return, and leaves the RNG in the
+same state, reading whole 32-bit words: ``randint`` draws
+``getrandbits(k)``, one word shifted right by 32 - k, until the value is in
+range.  Only a word whose top byte is 0xFA or more can be redrawn, so a
+search of the top bytes finds the few words to look at one by one.  The
+basepoint and the vector read their fractions the same way.
+``is_indeterminate`` decodes a row's pairs from their words when it reads
+that row, clears the row's denominators, values its section from the point
+table, and stops at the first nonzero component, so it decodes only the
+rows it reads, and builds no polynomial.
 
 ``RankReport`` and ``SamplingReport`` are plain frozen dataclasses; the
 command line encodes them, field by field, as JSON.
@@ -103,10 +104,6 @@ class ConnectionContext:
     eps: int
     delta: int
     r: int
-
-    def stratum_candidates(self) -> list[int]:
-        """Indices j whose tau_j can vanish: 1..n, since tau_0 = 1."""
-        return list(range(1, self.n + 1))
 
     @cached_property
     def delta_indices(self) -> tuple[MultiIndex, ...]:
@@ -406,51 +403,32 @@ def _pairs(words: bytes, start: int, stop: int) -> list[tuple[int, int]]:
     ]
 
 
-class _Draws(Sequence):
-    """The (numerator, denominator) pairs of kept words, decoded in order
-    when first read; ``len`` decodes nothing."""
-
-    def __init__(self, words: bytes):
-        self._words = words
-        self._pairs: list[tuple[int, int]] = []
-
-    def __len__(self) -> int:
-        return len(self._words) // 8
-
-    def __getitem__(self, index):
-        last = range(len(self))[index]  # an int, or the positions a slice reads
-        if not isinstance(last, int):
-            last = max(last[0], last[-1]) if last else -1
-        if last >= len(self._pairs):
-            self._pairs += _pairs(self._words, len(self._pairs), last + 1)
-        return self._pairs[index]
-
-
-def random_coefficients(ctx: ConnectionContext, rng: random.Random) -> Sequence[tuple[int, int]]:
+def random_coefficients(ctx: ConnectionContext, rng: random.Random) -> bytes:
     """The draws of one random degree-<=eps section per weight-delta index.
 
-    A sequence of (numerator, denominator) pairs, index-major and
-    basis-minor: per index in index order, per basis monomial in basis order,
-    what the two calls ``randint(-COEFF_BOUND, COEFF_BOUND)`` and
-    ``randint(1, COEFF_BOUND)`` return.  The pair (p, q) is the coefficient
+    The kept words of (numerator, denominator) pairs, 8 bytes a pair,
+    index-major and basis-minor: per index in index order, per basis
+    monomial in basis order, the words of what the two calls
+    ``randint(-COEFF_BOUND, COEFF_BOUND)`` and ``randint(1, COEFF_BOUND)``
+    return, which ``_pairs`` decodes.  The pair (p, q) is the coefficient
     p/q of its basis monomial.
 
     Every word is drawn before this returns, and the RNG ends in the state
-    the calls leave, but a pair is decoded from its words only when first
-    read.  ``randint(lo, hi)`` is lo plus ``getrandbits(k)``, k the bit
-    length of hi - lo + 1, redrawn until below hi - lo + 1; for k <= 32 that
-    is one 32-bit Mersenne Twister word shifted right by 32 - k.  So while c
-    calls are owed, ``getrandbits(32*c)`` yields the next c words, least
-    significant first, and each word is a numerator or a denominator drawn,
-    or one redrawn.  Every call takes at least one word, so no word is drawn
-    that the calls would not draw.  The redrawn words are found by a search
-    of the words' top bytes (see ``_kept_words``)."""
-    return _Draws(_kept_words(rng, len(ctx.delta_indices) * len(ctx.basis_exponents)))
+    the calls leave, but no pair is decoded here.  ``randint(lo, hi)`` is lo
+    plus ``getrandbits(k)``, k the bit length of hi - lo + 1, redrawn until
+    below hi - lo + 1; for k <= 32 that is one 32-bit Mersenne Twister word
+    shifted right by 32 - k.  So while c calls are owed, ``getrandbits(32*c)``
+    yields the next c words, least significant first, and each word is a
+    numerator or a denominator drawn, or one redrawn.  Every call takes at
+    least one word, so no word is drawn that the calls would not draw.  The
+    redrawn words are found by a search of the words' top bytes (see
+    ``_kept_words``)."""
+    return _kept_words(rng, len(ctx.delta_indices) * len(ctx.basis_exponents))
 
 
 def _fractions(rng: random.Random, count: int) -> list[Fraction]:
-    """The next ``count`` coefficients p/q, drawn and decoded as
-    ``random_coefficients`` draws and decodes its pairs."""
+    """The next ``count`` coefficients p/q, drawn as ``random_coefficients``
+    draws its pairs and decoded as ``is_indeterminate`` decodes them."""
     return [Fraction(p, q) for p, q in _pairs(_kept_words(rng, count), 0, count)]
 
 
@@ -480,26 +458,25 @@ def random_log_tangent_vector(
             return LogTangentVector(xi0, tuple(xi), basepoint)
 
 
-def is_indeterminate(
-    ctx: ConnectionContext, draws: Sequence[tuple[int, int]], vector: LogTangentVector
-) -> bool:
+def is_indeterminate(ctx: ConnectionContext, draws: bytes, vector: LogTangentVector) -> bool:
     """True when every twisted component vanishes on the vector at once.
 
-    ``draws`` are as ``random_coefficients`` returns them.  Row i values its
-    section from the point table, skipping zero numerators, with its
-    denominators cleared: for L the lcm of the row's q, L*a(p) =
-    sum_K p*(L/q)*m_K(p) and L*xi(a)(p) = sum_K p*(L/q)*xi(m_K)(p), each
-    times the table's scale, and component I is a(p)*factor_I +
-    tau^I(p)*xi(a)(p).  Every scale is positive, so the integer is zero
+    ``draws`` are kept words as ``random_coefficients`` returns them.  Row i
+    decodes its pairs when the loop reads it, so no row after the first
+    nonzero component is decoded, and values its section from the point
+    table, skipping zero numerators, with its denominators cleared: for L
+    the lcm of the row's q, L*a(p) = sum_K p*(L/q)*m_K(p) and L*xi(a)(p) =
+    sum_K p*(L/q)*xi(m_K)(p), each times the table's scale, and component I
+    is a(p)*factor_I + tau^I(p)*xi(a)(p).  Every scale is positive, so the integer is zero
     exactly when the component is.  The loop stops at the first nonzero
-    component.  Draws of any other length raise DegreeMismatch."""
+    component.  Draws of any other length, in bytes, raise DegreeMismatch."""
     width = len(ctx.basis_exponents)
-    if len(draws) != len(ctx.delta_indices) * width:
-        raise DegreeMismatch(f"need {len(ctx.delta_indices) * width} draws, got {len(draws)}")
+    if len(draws) != 8 * len(ctx.delta_indices) * width:
+        raise DegreeMismatch(f"need {len(ctx.delta_indices) * width} draws, got {len(draws) // 8}")
     table = _PointTable(ctx, vector)
     basis = table.basis
     for row, index in enumerate(ctx.delta_indices):
-        section = draws[row * width:(row + 1) * width]
+        section = _pairs(draws, row * width, (row + 1) * width)
         common = lcm(*(q for _, q in section))
         value = slope = 0
         for (p, q), (v, s) in zip(section, basis):
@@ -531,11 +508,10 @@ def sample_indeterminacy(
     if ctx.delta < 2 * ctx.n:
         raise ValueError(f"sampling requires delta >= 2n, got {ctx.delta} < {2 * ctx.n}")
     rng = random.Random(seed)
-    candidates = ctx.stratum_candidates()
     histogram: dict[str, int] = {}
     failures = 0
     for _ in range(trials):
-        J = frozenset(j for j in candidates if rng.random() < 0.5)
+        J = frozenset(j for j in range(1, ctx.n + 1) if rng.random() < 0.5)
         key = "{" + ",".join(map(str, sorted(J))) + "}"
         histogram[key] = histogram.get(key, 0) + 1
         vector = random_log_tangent_vector(ctx, rng, J)

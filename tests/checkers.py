@@ -23,15 +23,21 @@ the rank of the residue matrix.  ``bounds_output_problems`` checks
 ``bounds`` in either format: from the printed n, delta, eps, c and alpha
 alone it recomputes every other printed number and flag from its formula.
 ``sample`` cannot be checked this way: its draws are not printed.
+
+From the command line, ``python tests/checkers.py VERB FILE...`` checks each
+file as the output of ``bounds``, ``rank``, ``resolve`` or ``forms``, prints
+every problem and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 from math import comb, prod
 
@@ -445,3 +451,29 @@ def bounds_output_problems(text: str) -> list[str]:
             if printed[section].get(name) != value
         ]
     return problems
+
+
+def main(argv: list[str]) -> int:
+    """Check each file as the stdout of the verb; 1 if any has a problem."""
+    checkers = {
+        "bounds": bounds_output_problems,
+        "rank": rank_output_problems,
+        "resolve": resolve_output_problems,
+        "forms": forms_output_problems,
+    }
+    parser = argparse.ArgumentParser(description="Check printed logres output.")
+    parser.add_argument("verb", choices=checkers)
+    parser.add_argument("files", nargs="+")
+    args = parser.parse_args(argv)
+    problems = [
+        f"{path}: {problem}"
+        for path in args.files
+        for problem in checkers[args.verb](open(path).read())
+    ]
+    for problem in problems:
+        print(problem)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -33,7 +33,8 @@ CLI verb needs it, so it is not shipped in ``src/logres``:
   in ``cli._emit`` replaced;
 * one ``randint`` call per numerator and per denominator of a random
   fraction (``random_fraction``), the stream that ``logconn`` reads from
-  whole words;
+  whole words, and the kept words of given (numerator, denominator) pairs
+  (``encode_draws``), the inverse of the decoding ``is_indeterminate`` does;
 * the dense matrix text with ``str`` called on every cell
   (``reference_to_text``), which ``ratmat.to_text`` replaced with one step
   per run of zeros.
@@ -45,6 +46,7 @@ import dataclasses
 import json
 import random
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -598,6 +600,20 @@ def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
         value = Fraction(rng.randint(-COEFF_BOUND, COEFF_BOUND), rng.randint(1, COEFF_BOUND))
         if value or not nonzero:
             return value
+
+
+def encode_draws(pairs: Iterable[tuple[int, int]]) -> bytes:
+    """Kept words that decode to ``pairs``, as ``random_coefficients``
+    returns them: the word (p + 1000) << 21 for a numerator p and
+    (q - 1) << 22 for a denominator q, 4 bytes each, little-endian.  A pair
+    outside the ranges of ``randint(-COEFF_BOUND, COEFF_BOUND)`` and
+    ``randint(1, COEFF_BOUND)`` is refused."""
+    words = bytearray()
+    for p, q in pairs:
+        if not (-COEFF_BOUND <= p <= COEFF_BOUND and 1 <= q <= COEFF_BOUND):
+            raise ValueError(f"pair {(p, q)} is outside the randint ranges")
+        words += struct.pack("<II", (p + COEFF_BOUND) << 21, (q - 1) << 22)
+    return bytes(words)
 
 
 def summed_random_coefficients(ctx: ConnectionContext, rng) -> CoefficientVector:

@@ -77,6 +77,44 @@ def test_rank_checker_refuses_spoiled_output():
     assert any(p.startswith("report 0: rank is") for p in rank_output_problems(json.dumps(off_by_one)))
 
 
+def test_checkers_command_line_exit_codes(tmp_path):
+    """``python checkers.py rank FILE...`` exits 0 and prints nothing on a
+    good ``rank --matrix`` output, and exits 1 naming each spoiled file: one
+    with its first matrix row zeroed, one with a cell cut from that row."""
+    code, text = run_command(matrix_argvs()[0])
+    assert code == 0
+    good = tmp_path / "good.json"
+    good.write_text(text)
+
+    def spoiled(name, spoil):
+        payload = json.loads(text)
+        report = payload["reports"][0]
+        lines = report["matrix"].split("\n")
+        lines[0] = spoil(lines[0].split())
+        report["matrix"] = "\n".join(lines)
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return path
+
+    zeroed = spoiled("zeroed.json", lambda cells: " ".join("0" for _ in cells))
+    cut = spoiled("cut.json", lambda cells: " ".join(cells[:-1]))
+
+    def check(*paths):
+        return subprocess.run(
+            [sys.executable, str(HERE / "checkers.py"), "rank", *map(str, paths)],
+            capture_output=True, text=True,
+        )
+
+    passed = check(good)
+    assert (passed.returncode, passed.stdout) == (0, "")
+    failed = check(good, zeroed, cut)
+    assert failed.returncode == 1
+    problems = failed.stdout.splitlines()
+    for path, start in ((zeroed, "report 0: rank is"), (cut, "report 0: a matrix row")):
+        assert any(line.startswith(f"{path}: {start}") for line in problems)
+    assert not any(line.startswith(f"{good}:") for line in problems)
+
+
 def test_resolve_checker_accepts_every_recorded_json_run_up_to_n4():
     keys = json.loads(DIGESTS.read_text())["digests"]
     argvs = [shlex.split(key) for key in keys if key.startswith("resolve ") and "--format json" in key]

@@ -6,6 +6,7 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from logres import logconn, ratmat
 from logres.cli import run_command
@@ -30,6 +31,7 @@ from oracles import (
     LogForm,
     connection_component,
     connection_frame,
+    encode_draws,
     fermat_section,
     monomial,
     monomial_basis,
@@ -52,6 +54,11 @@ def point_map(ctx, basepoint):
     return dict(zip(variables(ctx), (Fraction(0),) + tuple(basepoint)))
 
 
+def decoded(draws):
+    """The (numerator, denominator) pairs of kept words."""
+    return logconn._pairs(draws, 0, len(draws) // 8)
+
+
 def sections_from_draws(ctx, draws):
     """The sections ``sample`` values, built as polynomials from its draws:
     the pair (p, q) is the coefficient p/q of its basis monomial, index-major
@@ -70,7 +77,7 @@ def sections_from_draws(ctx, draws):
 
 
 def all_strata(ctx):
-    slots = ctx.stratum_candidates()
+    slots = range(1, ctx.n + 1)
     return [set(c) for k in range(len(slots) + 1) for c in combinations(slots, k)]
 
 
@@ -327,7 +334,7 @@ def test_polynomial_route_shares_no_code_with_the_table_route():
         shape = make_connection_context(2, 2, 4, 1)
         vector = random_log_tangent_vector(shape, rng, stratum)
         draws = random_coefficients(shape, rng)
-        a = sections_from_draws(shape, draws).entries[0][1]
+        a = sections_from_draws(shape, decoded(draws)).entries[0][1]
         indices = enumerate_multiindices(2, 4)
         # a fresh context per route, so its cached accessors run inside the hook
         ctx = make_connection_context(2, 2, 4, 1)
@@ -341,7 +348,7 @@ def test_polynomial_route_shares_no_code_with_the_table_route():
     assert logconn._power_rule.__code__ in table_route
     allowed = {
         accessor(name).__code__
-        for name in ("stratum_candidates", "delta_indices", "basis_exponents")
+        for name in ("delta_indices", "basis_exponents")
     }
     shared = polynomial_route & table_route
     assert shared <= allowed, sorted(code.co_name for code in shared - allowed)
@@ -452,7 +459,7 @@ def test_sampling_small_run_has_no_failures():
 def test_zero_coefficients_are_always_indeterminate():
     ctx = ctx_n2(delta=4)
     rng = random.Random(3)
-    zero = [(0, 1)] * len(random_coefficients(ctx, random.Random(0)))
+    zero = encode_draws([(0, 1)] * (len(random_coefficients(ctx, random.Random(0))) // 8))
     basepoint = random_stratum_point(ctx, rng, set())
     vector = LogTangentVector(Fraction(1), (Fraction(1), Fraction(1)), basepoint)
     assert is_indeterminate(ctx, zero, vector)
@@ -538,7 +545,7 @@ def test_random_coefficients_at_the_word_boundaries(size):
     shape = SimpleNamespace(delta_indices=range(size), basis_exponents=((),))
     for script in boundary_scripts(size):
         rng, oracle_rng = ScriptedRandom(script), ScriptedRandom(script)
-        assert list(random_coefficients(shape, rng)) == [
+        assert decoded(random_coefficients(shape, rng)) == [
             (oracle_rng.randint(-bound, bound), oracle_rng.randint(1, bound))
             for _ in range(size)
         ]
@@ -563,25 +570,55 @@ def test_random_log_tangent_vector_redraws_zero_pairs():
             assert rng.used == oracle_rng.used
 
 
-def test_draws_are_decoded_when_first_read():
-    """len() decodes nothing; on a generic vector is_indeterminate decodes at
-    most one row of a ``sample --n 3 --delta 8`` draw, and a draw whose
-    numerators are all zero is decoded to its last row and is
-    indeterminate."""
+def test_is_indeterminate_decodes_each_row_when_it_reads_it(monkeypatch):
+    """The (start, stop) pair ranges is_indeterminate decodes, on the draws
+    of ``sample --n 3 --delta 8``: on a generic vector only row 0, and on
+    draws whose numerators are all zero, which are indeterminate, each row
+    once, in order.  Decoding every word up front would read one range."""
     ctx = make_connection_context(3, 1, 8, 1)
-    width = len(ctx.basis_exponents)
+    width, rows = len(ctx.basis_exponents), len(ctx.delta_indices)
+    decode, ranges = logconn._pairs, []
+
+    def recorded(words, start, stop):
+        ranges.append((start, stop))
+        return decode(words, start, stop)
+
+    monkeypatch.setattr(logconn, "_pairs", recorded)
+    zero = encode_draws([(0, 1)] * (rows * width))
     for seed in range(3):
         for stratum in all_strata(ctx):
             rng = random.Random(seed)
             vector = random_log_tangent_vector(ctx, rng, stratum)
             draws = random_coefficients(ctx, rng)
-            assert len(draws) == len(ctx.delta_indices) * width
-            assert draws._pairs == []
+            assert len(draws) == 8 * rows * width
+            ranges.clear()
             assert not is_indeterminate(ctx, draws, vector)
-            assert 0 < len(draws._pairs) <= width
-    draws = random_coefficients(ctx, ScriptedRandom([ZERO_NUMERATOR, 1] * len(draws)))
-    assert is_indeterminate(ctx, draws, vector)
-    assert draws._pairs == [(0, 1)] * len(draws)
+            assert ranges == [(0, width)]
+            ranges.clear()
+            assert is_indeterminate(ctx, zero, vector)
+            assert ranges == [(row * width, (row + 1) * width) for row in range(rows)]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-logconn.COEFF_BOUND, logconn.COEFF_BOUND),
+            st.integers(1, logconn.COEFF_BOUND),
+        ),
+        max_size=12,
+    )
+)
+@example([])
+@example([(-1000, 1), (1000, 1000)])  # the bounds of both randint ranges
+@example([(1000, 1), (0, 1000), (-1000, 1000)])
+def test_encode_draws_is_the_inverse_of_pairs(pairs):
+    assert logconn._pairs(encode_draws(pairs), 0, len(pairs)) == pairs
+
+
+def test_encode_draws_refuses_pairs_outside_the_randint_ranges():
+    for pair in ((-1001, 1), (1001, 1), (0, 0), (0, 1001)):
+        with pytest.raises(ValueError):
+            encode_draws([(0, 1), pair])
 
 
 def zero_stream(seed):
@@ -620,7 +657,7 @@ def test_random_coefficients_reads_the_randint_stream_from_words(size):
     shape = SimpleNamespace(delta_indices=range(size), basis_exponents=((),))
     for seed in range(200):
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        assert list(random_coefficients(shape, rng)) == [
+        assert decoded(random_coefficients(shape, rng)) == [
             (oracle_rng.randint(-bound, bound), oracle_rng.randint(1, bound))
             for _ in range(size)
         ]
@@ -639,11 +676,11 @@ def test_random_coefficients_draw_order():
         for seed in range(4):
             for make_rng in (random.Random, ZeroHeavyRandom):
                 rng, oracle_rng = random.Random(seed), make_rng(seed)
-                draws = random_coefficients(ctx, rng)
+                draws = decoded(random_coefficients(ctx, rng))
                 if make_rng is ZeroHeavyRandom:
                     draws = zero_a_third(draws, seed)
                     assert any(p == 0 for p, _ in draws)
-                assert list(draws) == [
+                assert draws == [
                     (oracle_rng.randint(-bound, bound), oracle_rng.randint(1, bound))
                     for _ in range(size)
                 ]
@@ -679,7 +716,7 @@ def test_is_indeterminate_matches_component_value_oracle():
                         flat = [(0, 1)] * width
                         flat[constant] = (-p1.numerator, p1.denominator)
                         flat[z1] = (1, 1)
-                        draws = random_coefficients(ctx, rng)
+                        draws = decoded(random_coefficients(ctx, rng))
                         if make_rng is ZeroHeavyRandom:  # its numerators too
                             draws = zero_a_third(draws, seed)
                         for vector, row in ((generic, None), (along_z1, flat)):
@@ -692,9 +729,10 @@ def test_is_indeterminate_matches_component_value_oracle():
                                     not (a and component_value(ctx, a, I, vector))
                                     for I, a in sections_from_draws(ctx, case).entries
                                 )
-                                assert is_indeterminate(ctx, case, vector) == expected
+                                got = is_indeterminate(ctx, encode_draws(case), vector)
+                                assert got == expected
                     # every section zero: the loop reads every index
-                    assert is_indeterminate(ctx, [(0, 1)] * len(draws), generic)
+                    assert is_indeterminate(ctx, encode_draws([(0, 1)] * len(draws)), generic)
 
 
 def test_is_indeterminate_refuses_draws_of_the_wrong_length():
@@ -702,11 +740,14 @@ def test_is_indeterminate_refuses_draws_of_the_wrong_length():
     vector = LogTangentVector(
         Fraction(1), (Fraction(2), Fraction(-1)), (Fraction(3), Fraction(5))
     )
-    size = len(random_coefficients(ctx, random.Random(0)))
-    other_delta = len(random_coefficients(ctx_n2(delta=3), random.Random(0)))
+    size = len(random_coefficients(ctx, random.Random(0))) // 8
+    other_delta = len(random_coefficients(ctx_n2(delta=3), random.Random(0))) // 8
     for wrong in (0, size - 1, size + 1, other_delta):
         with pytest.raises(DegreeMismatch):
-            is_indeterminate(ctx, [(1, 1)] * wrong, vector)
+            is_indeterminate(ctx, encode_draws([(1, 1)] * wrong), vector)
+    # a ragged tail of 8*size - 1 bytes; the message counts whole pairs
+    with pytest.raises(DegreeMismatch, match=f"need {size} draws, got {size - 1}$"):
+        is_indeterminate(ctx, encode_draws([(1, 1)] * size)[:-1], vector)
 
 
 def test_sampling_requires_large_delta():
@@ -755,7 +796,7 @@ def test_integer_table_matches_the_fraction_reference():
                 (rng.randint(-2, 2) if nonzero else 0, rng.randint(1, 3)) for _ in range(width)
             ]
         expected = reference_is_indeterminate(cells, draws)
-        assert is_indeterminate(ctx, draws, vector) == expected
+        assert is_indeterminate(ctx, encode_draws(draws), vector) == expected
         # indeterminate although some section is not zero
         indeterminate += expected and any(p for p, _ in draws)
     assert indeterminate >= 20

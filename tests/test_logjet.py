@@ -2,6 +2,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -368,6 +369,33 @@ def test_every_verify_jet_chart_obeys_the_star_subdivision_column_rule():
                     assert composed == chart.to_root, (n, k, t, chart.id)
                     checked += 1
     assert checked == 406
+
+
+def a000522(m):
+    """a(m) = sum_{j=0}^{m} m!/j!, OEIS A000522: 1, 2, 5, 16, 65, ..."""
+    return sum(factorial(m) // factorial(j) for j in range(m + 1))
+
+
+def test_canonical_atlas_sizes_follow_a000522():
+    """Chart and leaf counts of every canonical atlas at 2 <= n <= 6, for
+    every c, k <= c and t: with 1 <= t <= k, n*a(k-1) + 1 charts and
+    (n-1)*a(k-1) + 1 leaves; otherwise the system is empty and the root is
+    the one chart and leaf.  The counts share no code with the blow-ups."""
+    checked = 0
+    for n in range(2, 7):
+        for c in range(1, n + 1):
+            for k in range(c + 1):
+                for t in range(1, n + 1):
+                    jet, system = build_obstruction_system(n, c, k, t)
+                    result = resolve_obstruction_system(jet, system, "canonical")
+                    if 1 <= t <= k:
+                        expected = (n * a000522(k - 1) + 1, (n - 1) * a000522(k - 1) + 1)
+                    else:
+                        expected = (1, 1)
+                    got = (len(result.atlas.charts), len(result.leaves))
+                    assert got == expected, (n, c, k, t)
+                    checked += 1
+    assert checked == 355
 
 
 def test_unresolved_base_raises_not_resolved():
