@@ -1,10 +1,13 @@
 """Write BENCH_<label>.json: the benchmark's results and fixed-size cases.
 
-    python3 bench/bench.py --label <label> [--checkout DIR] [--frontier]
+    python3 bench/bench.py --label <label> [--parent DIR] [--frontier]
 
-Measures the logres checkout at DIR (default: the one holding this file)
-and writes BENCH_<label>.json at the root of the checkout holding this
-file.  The record holds:
+Measures the logres checkout holding this file and writes BENCH_<label>.json
+at its root.  With --parent it measures the checkout at DIR too, in the same
+invocation, and writes BENCH_<short commit of DIR>.json beside the first:
+each measurement is taken of the parent and then of this checkout before
+the next one starts, so a drift in host load reaches both files alike.
+Each record holds:
 
 - `perfbench`: for each workload of BENCHMARK.json, the last stdout line of
   `perfbench/run.py` run unchanged as a subprocess, once with `--trace 0`
@@ -111,54 +114,74 @@ def tracemalloc_peak_mb(command: list[str], root: Path) -> float:
     return round(int(proc.stderr.split()[-1]) / 2**20, 2)
 
 
-def repeated(command: list[str], root: Path) -> dict:
-    runs = [measure(command, root) for _ in range(REPEATS)]
+def repeated(command: list[str], roots: dict[str, Path]) -> dict:
+    """REPEATS fresh processes of `command` per checkout, the checkouts in
+    turn within each repeat, then one traced process each; per label."""
+    runs = {label: [] for label in roots}
+    for _ in range(REPEATS):
+        for label, root in roots.items():
+            runs[label].append(measure(command, root))
     return {
-        "runs": runs,
-        **{f"median_{key}": statistics.median(run[key] for run in runs)
-           for key in ("wall_s", "cpu_s", "peak_rss_mb")},
-        "tracemalloc_peak_mb": tracemalloc_peak_mb(command, root),
+        label: {
+            "runs": these,
+            **{f"median_{key}": statistics.median(run[key] for run in these)
+               for key in ("wall_s", "cpu_s", "peak_rss_mb")},
+            "tracemalloc_peak_mb": tracemalloc_peak_mb(command, roots[label]),
+        }
+        for label, these in runs.items()
     }
 
 
-def cold_start(root: Path) -> dict:
-    """Alternating fresh processes of `sample` and of a bare interpreter."""
+def cold_start(roots: dict[str, Path]) -> dict:
+    """Alternating fresh processes of `sample` and of a bare interpreter, the
+    checkouts in turn within each round; per label."""
     commands = {
         "python -m logres.cli " + " ".join(SAMPLE): [sys.executable, "-m", "logres.cli", *SAMPLE],
         "python -c pass": [sys.executable, "-c", "pass"],
     }
-    runs = {name: [] for name in commands}
+    runs = {label: {name: [] for name in commands} for label in roots}
     for _ in range(COLD_STARTS):
-        for name, command in commands.items():
-            runs[name].append(measure(command, root))
+        for label, root in roots.items():
+            for name, command in commands.items():
+                runs[label][name].append(measure(command, root))
     return {
-        name: {
-            "median_wall_s": statistics.median(run["wall_s"] for run in these),
-            "median_cpu_s": statistics.median(run["cpu_s"] for run in these),
-            "runs": these,
+        label: {
+            name: {
+                "median_wall_s": statistics.median(run["wall_s"] for run in these),
+                "median_cpu_s": statistics.median(run["cpu_s"] for run in these),
+                "runs": these,
+            }
+            for name, these in by_name.items()
         }
-        for name, these in runs.items()
+        for label, by_name in runs.items()
     }
 
 
-def perfbench(root: Path) -> dict:
-    """perfbench/run.py per workload, unchanged, traced and untraced."""
-    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
-    out = {}
-    for workload in workloads:
+def perfbench(roots: dict[str, Path]) -> dict:
+    """perfbench/run.py per workload, unchanged, traced and untraced, each
+    checkout's own in turn; per label."""
+    out = {label: {} for label in roots}
+    for workload in json.loads((HERE.parent / "BENCHMARK.json").read_text())["workloads"]:
         for trace in (0, 1):
-            command = [sys.executable, "perfbench/run.py", "--workload", workload,
+            command = [sys.executable, "perfbench/run.py", "--workload", workload["name"],
                        "--trace", str(trace)]
-            proc = subprocess.run(command, cwd=root, stdout=subprocess.PIPE, text=True, check=True)
-            out[f"{workload}.trace{trace}"] = json.loads(proc.stdout.strip().splitlines()[-1])
+            for label, root in roots.items():
+                proc = subprocess.run(command, cwd=root, stdout=subprocess.PIPE, text=True,
+                                      check=True)
+                out[label][f"{workload['name']}.trace{trace}"] = json.loads(
+                    proc.stdout.strip().splitlines()[-1])
     return out
 
 
+def commit(root: Path, *short: str) -> str:
+    """`git rev-parse [--short=7] HEAD` of the checkout, or "" outside git."""
+    return subprocess.run(["git", "rev-parse", *short, "HEAD"], cwd=root, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True).stdout.strip()
+
+
 def metadata(root: Path) -> dict:
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, stdout=subprocess.PIPE,
-                            stderr=subprocess.DEVNULL, text=True).stdout.strip()
     return {
-        "commit": commit or None,
+        "commit": commit(root) or None,
         "src_logres_lines": sum(
             len(p.read_text().splitlines()) for p in sorted((root / "src" / "logres").glob("*.py"))
         ),
@@ -170,24 +193,40 @@ def metadata(root: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--checkout", type=Path, default=HERE.parent)
+    parser.add_argument("--parent", type=Path, default=None, metavar="DIR",
+                        help="also measure the checkout at DIR, alternating with this one")
     parser.add_argument("--frontier", action="store_true",
-                        help="also run verify-jet --n 7 --format text once")
+                        help="also run verify-jet --n 7 --format text once per checkout")
     args = parser.parse_args()
-    root = args.checkout.resolve()
+    roots = {args.label: HERE.parent}
+    if args.parent is not None:
+        parent = args.parent.resolve()
+        label = commit(parent, "--short=7")
+        if not label or label == args.label:
+            parser.error(f"--parent {args.parent} needs a git commit other than {args.label!r}")
+        roots = {label: parent, **roots}  # the parent runs first in every turn
     python = [sys.executable, "-m", "logres.cli"]
-    record = {"label": args.label, "metadata": metadata(root)}
-    record["perfbench"] = perfbench(root)
-    record["cases"] = {name: repeated(python + argv, root) for name, argv in CASES.items()}
+    records = {label: {"label": label, "metadata": metadata(root)} for label, root in roots.items()}
+    for label, result in perfbench(roots).items():
+        records[label]["perfbench"] = result
     loop = f"{' '.join(SAMPLE)} over seeds 0..{SAMPLE_SEEDS - 1}, in one process"
-    record["cases"][loop] = repeated([sys.executable, "-c", SAMPLE_LOOP, *SAMPLE], root)
-    record["cold_start"] = cold_start(root)
+    commands = {name: python + argv for name, argv in CASES.items()}
+    commands[loop] = [sys.executable, "-c", SAMPLE_LOOP, *SAMPLE]
+    for record in records.values():
+        record["cases"] = {}
+    for name, command in commands.items():
+        for label, result in repeated(command, roots).items():
+            records[label]["cases"][name] = result
+    for label, result in cold_start(roots).items():
+        records[label]["cold_start"] = result
     if args.frontier:
-        record["frontier"] = {"verify-jet --n 7 --format text": measure(
-            python + ["verify-jet", "--n", "7", "--format", "text"], root)}
-    target = HERE.parent / f"BENCH_{args.label}.json"
-    target.write_text(json.dumps(record, indent=1) + "\n")
-    print(target)
+        frontier = python + ["verify-jet", "--n", "7", "--format", "text"]
+        for label, root in roots.items():
+            records[label]["frontier"] = {"verify-jet --n 7 --format text": measure(frontier, root)}
+    for label, record in records.items():
+        target = HERE.parent / f"BENCH_{label}.json"
+        target.write_text(json.dumps(record, indent=1) + "\n")
+        print(target)
     return 0
 
 

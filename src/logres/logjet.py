@@ -30,16 +30,27 @@ No verb pulls sections back: the tests check this paragraph, with random
 sections and with the coordinate sections, whose pullbacks generate the
 obstruction ideal exactly.
 
+Relabeling the components by the transposition pi = (1 t), 1 < t <= k,
+carries fiber chart (k, 1) onto chart (k, t): it swaps z1 and zt, sends the
+coordinate xi_t of chart 1 to the coordinate xi1 of chart t, keeps the log
+marks, and maps the stratum of J to that of pi(J), so the obstruction ideal
+of I to that of pi(I).  Canonical resolutions commute with such relabelings
+(Kollar, Lectures on Resolution of Singularities, ch. 3).  `transposition`
+builds the slot map once, from the names `make_jet_chart` gives, and the
+text runs of verify-jet check each chart (k, t) through it against chart
+(k, 1) instead of resolving it.
+
 Convention recorded in every certificate: the intersection defining the
 obstruction ideal ranges over *nonempty* subsets of I only.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .blowup import Chart, root_chart
 from .monideal import (
@@ -125,6 +136,26 @@ def stratum_prime(jet: JetChart, J: Iterable[int]) -> MonomialIdeal:
     names = {f"z{i}" for i in Js}
     names |= {f"xi{j}" for j in range(1, jet.n + 1) if j not in Js and j != jet.t}
     return MonomialIdeal.from_varsets(variables, [{v} for v in sorted(names)])
+
+
+def transposition(source: JetChart, image: JetChart) -> Callable[[MonomialIdeal], MonomialIdeal]:
+    """The relabeling pi = (1 t) of the components, t = image.t, as a map from
+    the ideals of fiber chart (k, 1) to those of chart (k, t), 1 < t <= k, of
+    the same n, c and k.  pi swaps z1 and zt and sends xi_t, a coordinate of
+    chart 1, to xi1, the coordinate chart t has in its place, so it maps the
+    stratum of J to the stratum of pi(J) and keeps the log marks z1..zk.  The
+    slot map is read once from the names `make_jet_chart` gives."""
+    t = image.t
+    same = (source.n, source.c, source.k) == (image.n, image.c, image.k)
+    if not same or source.t != 1 or not 1 < t <= image.k:
+        raise OutOfRange(
+            f"chart k={image.k}, t={t} is not a relabeling of chart k={source.k}, t={source.t}"
+        )
+    back = {"z1": f"z{t}", f"z{t}": "z1", "xi1": f"xi{t}"}  # pi as it acts on names, inverted
+    slot = {name: s for s, name in enumerate(source.chart.variables)}
+    take = operator.itemgetter(*(slot[back.get(name, name)] for name in image.chart.variables))
+    variables = image.chart.variables
+    return lambda ideal: MonomialIdeal._trusted(variables, map(take, ideal.generators))
 
 
 def stratum_variety(jet: JetChart, J: Iterable[int]) -> frozenset[int] | None:

@@ -15,9 +15,10 @@ routes the tests check, in ``tests/oracles.py``.
 Two constructors build ideals.  The public ``MonomialIdeal.make`` coerces
 and checks every exponent it is given.  The private ``MonomialIdeal._trusted``
 only minimalizes: it takes exponents that this module's own operations
-(``from_varsets``, ``ideal_sum``, ``intersect_monomial_ideals``) or the
-monomial maps of the blow-up engine have just produced, which are well
-formed by construction, so they are not checked again.
+(``from_varsets``, ``ideal_sum``, ``intersect_monomial_ideals``), the
+monomial maps of the blow-up engine or the component relabelings of
+``logjet`` have just produced, which are well formed by construction, so
+they are not checked again.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ for its own output here.
 
 ``rank_output_problems`` checks ``rank --matrix``: each report's printed
 matrix is parsed and its rank recomputed by elimination over ``Fraction``
-rows held sparsely, without assuming the block layout the package builds.
+rows held sparsely, without assuming the block layout the package builds,
+and every cell is recomputed from the printed basepoint and vector by the
+component formula, in ``Fraction``s.
 ``resolve_output_problems`` checks the shape of the atlas that ``resolve
 --format json`` prints: each child of each stage-log center must be the
 blow-up of that center in its own direction, spelled from the parent's
@@ -39,6 +41,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, prod
 
 
@@ -67,14 +70,65 @@ def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
     return len(kept)
 
 
+def weight_indices(n: int, degree: int) -> list[tuple[int, ...]]:
+    """Every (I_0, ..., I_n) of weight `degree`, in descending lexicographic
+    order: the order of the matrix's rows and column blocks, and of the basis
+    monomials within a block."""
+    counts = (
+        tuple(combo.count(slot) for slot in range(n + 1))
+        for combo in combinations_with_replacement(range(n + 1), degree)
+    )
+    return sorted(counts, reverse=True)
+
+
+def value_and_slope(exponent, point, xi) -> tuple[Fraction, Fraction]:
+    """z^e at the point, and its derivative sum_j xi_j * d(z^e)/dz_j there."""
+    value = prod(p**e for p, e in zip(point, exponent))
+    slope = sum(
+        x * e * prod(p ** (f - (i == j)) for i, (p, f) in enumerate(zip(point, exponent)))
+        for j, (x, e) in enumerate(zip(xi, exponent))
+        if e
+    )
+    return value, slope
+
+
+def expected_rows(params: dict, report: dict) -> list[dict[int, Fraction]]:
+    """The evaluation matrix of one report, from its printed basepoint, xi0
+    and xi, and the printed r, eps, delta and stratum alone, each row held
+    as its nonzero cells by column.
+
+    One row per weight-delta index I supported off the stratum, one column
+    per (weight-delta index, weight-eps index K) pair.  The cell of row I in
+    its own block, at basis monomial m = z^K (K without slot 0), is the
+    twisted component (r+1)*m*d(tau^I) + tau^I*dm - m*tau^I*dt/t on the
+    vector xi0*t*d/dt + sum xi_j*d/dz_j, with tau^I = z^I (tau_0 = 1); every
+    other cell is 0."""
+    point = [Fraction(p) for p in report["basepoint"]]
+    xi0, xi = Fraction(report["xi0"]), [Fraction(x) for x in report["xi"]]
+    n, r = params["n"], params["r"]
+    blocks = weight_indices(n, params["delta"])
+    basis = [value_and_slope(K[1:], point, xi) for K in weight_indices(n, params["eps"])]
+    width = len(basis)
+    rows = []
+    for position, I in enumerate(blocks):
+        if any(I[j] for j in params["stratum"]):
+            continue
+        tau, tau_slope = value_and_slope(I[1:], point, xi)
+        cells = ((r + 1) * m * tau_slope + tau * m_slope - m * tau * xi0 for m, m_slope in basis)
+        rows.append({col: x for col, x in enumerate(cells, position * width) if x})
+    return rows
+
+
 def rank_output_problems(text: str) -> list[str]:
     """What is wrong with the printed output of ``rank --matrix``; empty when
-    every report's rank, rows, cols, bound and satisfied hold for its
-    printed matrix.
+    every report's matrix is the one its printed point and vector give, cell
+    by cell, and its rank, rows, cols, bound and satisfied hold for it.
 
     The bound at a point of a stratum J is C(k + delta, k), k = n - #J, and
     the matrix has one column per (weight-delta index, degree-eps basis
-    monomial) pair, C(n + delta, n) * C(n + eps, n) of them."""
+    monomial) pair, C(n + delta, n) * C(n + eps, n) of them.  Each cell is
+    recomputed by ``expected_matrix``; the rank is recomputed by elimination
+    from the printed cells."""
     payload = json.loads(text)
     params = payload["params"]
     n, delta, eps = params["n"], params["delta"], params["eps"]
@@ -85,9 +139,8 @@ def rank_output_problems(text: str) -> list[str]:
         problems.append(f"{len(payload['reports'])} reports for {params['samples']} samples")
     for number, report in enumerate(payload["reports"]):
         lines = [line.split() for line in report["matrix"].split("\n")]
-        rank = sparse_rank(
-            [{c: Fraction(x) for c, x in enumerate(line) if x != "0"} for line in lines]
-        )
+        printed = [{c: Fraction(x) for c, x in enumerate(line) if x != "0"} for line in lines]
+        rank = sparse_rank(printed)
         expected = {
             "rows": len(lines),
             "cols": cols,
@@ -102,6 +155,18 @@ def rank_output_problems(text: str) -> list[str]:
         ]
         if any(len(line) != cols for line in lines):
             problems.append(f"report {number}: a matrix row does not have {cols} entries")
+        zeros = [j for j, p in enumerate(report["basepoint"], 1) if Fraction(p) == 0]
+        if zeros != params["stratum"]:
+            problems.append(f"report {number}: basepoint vanishes on {zeros}, not the stratum")
+        wanted = expected_rows(params, report)
+        if len(wanted) != len(lines):
+            problems.append(f"report {number}: {len(lines)} matrix rows, expected {len(wanted)}")
+        problems += [
+            f"report {number}: row {i} column {j} is {row.get(j, 0)}, expected {want.get(j, 0)}"
+            for i, (row, want) in enumerate(zip(printed, wanted))
+            for j in sorted(row.keys() | want.keys())
+            if row.get(j, 0) != want.get(j, 0)
+        ][:1]  # the first wrong cell of a report names the fault
     if payload["verified"] != all(report["satisfied"] for report in payload["reports"]):
         problems.append(f"verified is {payload['verified']}")
     return problems

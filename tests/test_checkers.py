@@ -77,6 +77,37 @@ def test_rank_checker_refuses_spoiled_output():
     assert any(p.startswith("report 0: rank is") for p in rank_output_problems(json.dumps(off_by_one)))
 
 
+def test_rank_checker_accepts_every_recorded_matrix_run():
+    """Every recorded ``rank --matrix`` argv, cell by cell."""
+    keys = json.loads(DIGESTS.read_text())["digests"]
+    argvs = [shlex.split(key) for key in keys if key.startswith("rank ") and "--matrix" in key]
+    assert len(argvs) == 60
+    for argv in argvs:
+        code, text = run_command(argv)
+        assert code == 0, shlex.join(argv)
+        assert rank_output_problems(text) == [], shlex.join(argv)
+
+
+def test_rank_checker_refuses_a_wrong_cell():
+    """A generic matrix has one nonzero block per row, so a wrong value in a
+    nonzero cell keeps the rank: the checker recomputes the cell instead."""
+    code, text = run_command(
+        ["rank", "--n", "3", "--delta", "4", "--eps", "2", "--samples", "2", "--matrix"]
+    )
+    assert code == 0 and rank_output_problems(text) == []
+    payload = json.loads(text)
+    report = payload["reports"][0]
+    lines = report["matrix"].split("\n")
+    cells = lines[0].split()
+    assert cells[0] == "1/16"
+    cells[0] = "12345/7"
+    lines[0] = " ".join(cells)
+    report["matrix"] = "\n".join(lines)
+    assert rank_output_problems(json.dumps(payload)) == [
+        "report 0: row 0 column 0 is 12345/7, expected 1/16"
+    ]
+
+
 def test_checkers_command_line_exit_codes(tmp_path):
     """``python checkers.py rank FILE...`` exits 0 and prints nothing on a
     good ``rank --matrix`` output, and exits 1 naming each spoiled file: one

@@ -409,7 +409,8 @@ def test_verify_jet_reports_a_failed_pair_in_both_orders(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_verify_jet_skips_only_pairs_with_a_unit_prime(monkeypatch, n):
     """The relation loop leaves out a pair only when one of its primes is the
-    unit ideal, where the relation holds without a check."""
+    unit ideal, where the relation holds without a check.  JSON runs take the
+    flat route, which runs the loop in every chart."""
     holds = logjet.stratum_relation_holds
     visited = set()
 
@@ -418,7 +419,7 @@ def test_verify_jet_skips_only_pairs_with_a_unit_prime(monkeypatch, n):
         return holds(jet, I, J)
 
     monkeypatch.setattr(logjet, "stratum_relation_holds", recording)
-    code, _ = run_command(["verify-jet", "--n", str(n), "--format", "text"])
+    code, _ = run_command(["verify-jet", "--n", str(n), "--format", "json"])
     assert code == 0
     subsets = logjet.component_subsets(range(1, n + 1))
     skipped = 0
@@ -457,6 +458,169 @@ def test_verify_jet_principalizes_each_distinct_ideal_once(monkeypatch, n, expec
             jet = logjet.make_jet_chart(n, n, k, t)
             distinct |= {(k, t, logjet.obstruction_ideal(jet, I)) for I in subsets}
     assert set(calls) == distinct
+
+
+def flat_charts(n):
+    """The fiber charts a passing text run builds and resolves: each chart
+    (k, 1), and each chart whose system is empty (t > k, k = 0 included)."""
+    return {(k, t) for k in range(n + 1) for t in range(1, n + 1) if t == 1 or t > k}
+
+
+def test_verify_jet_text_resolves_only_the_charts_it_cannot_relabel(monkeypatch):
+    """The text twin of the two tests above: at n = 5 a text run resolves and
+    principalizes the 20 flat charts alone, and checks relations only there.
+    Chart (k, 1) has 2^(k-1) + 1 distinct obstruction ideals (the unit ideal,
+    and one per set of components through the point that holds 1), and an
+    empty system one, the unit ideal: 36 + 15 = 51 principalizations, where
+    a JSON run makes 159."""
+    n = 5
+    resolve = logjet.resolve_obstruction_system
+    verify = logjet.verify_principalization
+    holds = logjet.stratum_relation_holds
+    resolved, principalized, related = [], [], set()
+
+    def resolving(jet, system, mode):
+        resolved.append((jet.k, jet.t))
+        return resolve(jet, system, mode)
+
+    def counting(result, jet, I):
+        principalized.append((jet.k, jet.t, logjet.obstruction_ideal(jet, I)))
+        return verify(result, jet, I)
+
+    def recording(jet, I, J):
+        related.add((jet.k, jet.t))
+        return holds(jet, I, J)
+
+    monkeypatch.setattr(logjet, "resolve_obstruction_system", resolving)
+    monkeypatch.setattr(logjet, "verify_principalization", counting)
+    monkeypatch.setattr(logjet, "stratum_relation_holds", recording)
+    code, text = run_command(["verify-jet", "--n", str(n), "--format", "text"])
+    assert code == 0
+    assert text == "verify-jet n=5: 930 ideals checked, 0 lift failures, 0 relation failures\n"
+    flat = flat_charts(n)
+    assert sorted(resolved) == sorted(flat) and len(flat) == 20
+    assert related <= flat
+    assert len(principalized) == len(set(principalized)) == 51
+    subsets = logjet.component_subsets(range(1, n + 1))
+    distinct = set()
+    for k, t in flat:
+        jet = logjet.make_jet_chart(n, n, k, t)
+        distinct |= {(k, t, logjet.obstruction_ideal(jet, I)) for I in subsets}
+    assert set(principalized) == distinct
+
+
+def test_a_failing_chart_sends_its_images_down_the_flat_route(monkeypatch):
+    """A failure in chart (k, 1) leaves no verdict to relabel: charts (k, t),
+    1 < t <= k, are then built and resolved as at n = 3 before, and only
+    they."""
+    resolve = logjet.resolve_obstruction_system
+    verify = logjet.verify_principalization
+    resolved = []
+
+    def resolving(jet, system, mode):
+        resolved.append((jet.k, jet.t))
+        return resolve(jet, system, mode)
+
+    def spoiled(result, jet, I):
+        if (jet.k, jet.t, tuple(I)) == (2, 1, (1, 2)):
+            raise logjet.NotResolved("root", "spoiled")
+        return verify(result, jet, I)
+
+    monkeypatch.setattr(logjet, "resolve_obstruction_system", resolving)
+    monkeypatch.setattr(logjet, "verify_principalization", spoiled)
+    code, text = run_command(["verify-jet", "--n", "3", "--format", "text"])
+    assert code == 1
+    assert text == (
+        "verify-jet n=3: 84 ideals checked, 0 lift failures, 0 relation failures,"
+        " 1 principality failures\n"
+    )
+    assert sorted(resolved) == sorted(flat_charts(3) | {(2, 2)})
+
+
+def flat_outcomes(n, k, t, subsets):
+    """Per chart, the subsets with a lift failure, with a principality
+    failure, and the pairs with a relation failure, by the flat route."""
+    jet, certs, principality, relations = cli._verify_jet_chart(n, k, t, subsets, False)
+    return jet, (
+        {tuple(cert["I"]) for cert in certs if not cert["equal"]},
+        {tuple(failure["I"]) for failure in principality},
+        {(tuple(failure["I"]), tuple(failure["J"])) for failure in relations},
+    )
+
+
+@pytest.mark.parametrize("spoil", [False, True], ids=["as built", "closed forms spoilt"])
+def test_relabeled_charts_agree_with_the_flat_route(monkeypatch, spoil):
+    """For n = 2..5, every chart (k, t) with 1 < t <= k and every subset I,
+    the relabel route finds the lift, principality and relation failures
+    the flat route finds.  Spoilt, the closed form is the unit ideal in
+    those charts for each I that holds t and sums to a multiple of 3, so
+    both routes fail there for the same I."""
+    closed = logjet.obstruction_ideal_closed_form
+
+    def spoiled(jet, I):
+        if 1 < jet.t <= jet.k and jet.t in I and sum(I) % 3 == 0:
+            return MonomialIdeal.unit(jet.chart.variables)
+        return closed(jet, I)
+
+    if spoil:
+        monkeypatch.setattr(logjet, "obstruction_ideal_closed_form", spoiled)
+    failing = 0
+    for n in range(2, 6):
+        subsets = logjet.component_subsets(range(1, n + 1))
+        for k in range(2, n + 1):
+            source, passed = flat_outcomes(n, k, 1, subsets)
+            assert passed == (set(), set(), set())
+            for t in range(2, k + 1):
+                _, flat = flat_outcomes(n, k, t, subsets)
+                unequal = set(cli._relabeled_chart(source, t, subsets))
+                assert (unequal, unequal, set()) == flat, (n, k, t)
+                failing += len(unequal)
+    assert bool(failing) == spoil
+
+
+def test_a_spoiled_prime_of_an_image_chart_is_a_verification_failure(monkeypatch):
+    """Chart (3, 2) is checked as the relabeling of chart (3, 1), prime by
+    prime: one prime short of a generator stops the run, naming the chart."""
+    prime = logjet.stratum_prime
+
+    def spoiled(jet, J):
+        ideal = prime(jet, J)
+        if (jet.k, jet.t, tuple(J)) == (3, 2, (2, 3)):
+            return MonomialIdeal.make(ideal.variables, ideal.generators[1:])
+        return ideal
+
+    monkeypatch.setattr(logjet, "stratum_prime", spoiled)
+    code, text = run_command(["verify-jet", "--n", "4", "--format", "text"])
+    assert (code, text) == (
+        1,
+        "verification failure: chart k=3, t=2 is not the relabeling of chart k=3, t=1:"
+        " the stratum prime of J=[2, 3] differs\n",
+    )
+
+
+def test_a_spoiled_closed_form_of_an_image_chart_counts_as_on_the_flat_route(monkeypatch):
+    """A closed form of chart (4, 3) spoilt: the text run prints the one lift
+    failure and the one principality failure the flat route of a JSON run
+    reports."""
+    closed = logjet.obstruction_ideal_closed_form
+
+    def spoiled(jet, I):
+        if (jet.k, jet.t, tuple(I)) == (4, 3, (1, 3)):
+            return MonomialIdeal.unit(jet.chart.variables)
+        return closed(jet, I)
+
+    monkeypatch.setattr(logjet, "obstruction_ideal_closed_form", spoiled)
+    code, payload = run_json(["verify-jet", "--n", "4"])
+    assert code == 1
+    (lift,) = payload["lift_ideal_failures"]
+    (unprincipal,) = payload["principality_failures"]
+    assert (lift["k"], lift["t"], lift["I"]) == (unprincipal["k"], unprincipal["t"], unprincipal["I"])
+    assert (lift["k"], lift["t"], lift["I"]) == (4, 3, [1, 3])
+    assert run_command(["verify-jet", "--n", "4", "--format", "text"]) == (
+        1,
+        "verify-jet n=4: 300 ideals checked, 1 lift failures, 0 relation failures,"
+        " 1 principality failures\n",
+    )
 
 
 def test_a_principality_failure_is_not_shared_by_its_ideal(monkeypatch):

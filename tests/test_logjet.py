@@ -24,6 +24,7 @@ from logres.logjet import (
     stratum_prime,
     stratum_relation_holds,
     stratum_variety,
+    transposition,
 )
 from logres.monideal import MonomialIdeal, ideal_sum, intersect_monomial_ideals
 from logres.resolution import ResolutionResult, resolve_system, validate_compatible_system
@@ -427,6 +428,41 @@ def test_a_leaf_that_loses_its_newest_divisor_is_not_principal(monkeypatch):
         "error": "non-exceptional factor xi2 in the total transform (chart root/E1.0:xi2)",
     }
     assert all(f["error"].startswith("non-exceptional factor ") for f in failures)
+
+
+def test_transposition_carries_chart_1_onto_chart_t():
+    """pi = (1 t) carries every stratum prime, closed form and intersected
+    route of chart (k, 1) onto those of chart (k, t) of pi(J), and the
+    members of the system onto its members, for n = 2..5 and 1 < t <= k.
+    Any other pair of charts is refused."""
+    for n in range(2, 6):
+        subsets = component_subsets(range(1, n + 1))
+        for k in range(2, n + 1):
+            source, source_system = build_obstruction_system(n, n, k, 1)
+            for t in range(2, k + 1):
+                image, image_system = build_obstruction_system(n, n, k, t)
+                pi = transposition(source, image)
+                swap = {1: t, t: 1}
+                for J in subsets:
+                    back = tuple(sorted(swap.get(i, i) for i in J))
+                    for route in (stratum_prime, obstruction_ideal_closed_form,
+                                  obstruction_ideal_intersected):
+                        assert route(image, J) == pi(route(source, back)), (n, k, t, J, route)
+
+                def mapped(slots):
+                    names = source.chart.variables
+                    prime = MonomialIdeal.from_varsets(names, [{names[s]} for s in slots])
+                    return frozenset(g.index(1) for g in pi(prime).generators)
+
+                assert {(m.index, m.variety) for m in image_system.members} == {
+                    (m.index, mapped(m.variety)) for m in source_system.members
+                }
+    source = make_jet_chart(3, 3, 3, 1)
+    for image in (make_jet_chart(3, 3, 2, 2), make_jet_chart(3, 3, 3, 1), make_jet_chart(4, 4, 3, 2)):
+        with pytest.raises(OutOfRange):
+            transposition(source, image)
+    with pytest.raises(OutOfRange):
+        transposition(make_jet_chart(3, 3, 3, 2), make_jet_chart(3, 3, 3, 3))
 
 
 # -- one build per chart --------------------------------------------------------------

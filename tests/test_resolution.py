@@ -192,10 +192,10 @@ def test_stages_carry_systems_and_members_as_they_are():
             before = after
 
 
-def test_verify_jet_builds_members_only_for_obstruction_systems(monkeypatch):
-    """At n = 4 every Member that verify-jet builds is built while an
-    obstruction system is assembled; resolving carries them as they are."""
-    inside, built, stray = [False], [0], []
+def members_built(monkeypatch, argv):
+    """How many Members a run builds, the (k, t) of each obstruction system
+    it assembles, and the Members it builds outside one."""
+    inside, built, stray, charts = [False], [0], [], []
     init = Member.__init__
 
     def counted(self, *args, **kwargs):
@@ -206,19 +206,44 @@ def test_verify_jet_builds_members_only_for_obstruction_systems(monkeypatch):
 
     build = logjet.build_obstruction_system
 
-    def building(*args):
+    def building(n, c, k, t):
         inside[0] = True
+        charts.append((k, t))
         try:
-            return build(*args)
+            return build(n, c, k, t)
         finally:
             inside[0] = False
 
     monkeypatch.setattr(Member, "__init__", counted)
     monkeypatch.setattr(logjet, "build_obstruction_system", building)
-    code, _ = run_command(["verify-jet", "--n", "4", "--format", "text"])
+    code, _ = run_command(argv)
     assert code == 0
+    return built[0], charts, stray
+
+
+def test_verify_jet_builds_members_only_for_obstruction_systems(monkeypatch):
+    """At n = 4 every Member that verify-jet builds is built while an
+    obstruction system is assembled; resolving carries them as they are.
+    A JSON run assembles every chart's system: chart (k, t), t <= k, has
+    2^(k-1) members, 49 in all."""
+    built, charts, stray = members_built(monkeypatch, ["verify-jet", "--n", "4", "--format", "json"])
     assert not stray
-    assert built[0] == 49
+    assert len(charts) == 4 * 5
+    assert built == 49
+
+
+def test_verify_jet_text_builds_members_only_for_the_charts_it_resolves(monkeypatch):
+    """The text twin at n = 5: a text run assembles the systems of charts
+    (k, 1) and of the empty charts, t > k, alone, and checks charts (k, t),
+    1 < t <= k, as their relabelings, so it builds 2^(k-1) members per k,
+    31 in all, where a JSON run builds 129."""
+    n = 5
+    built, charts, stray = members_built(monkeypatch, ["verify-jet", "--n", str(n), "--format", "text"])
+    assert not stray
+    assert sorted(charts) == sorted(
+        (k, t) for k in range(n + 1) for t in range(1, n + 1) if t == 1 or t > k
+    )
+    assert built == sum(2 ** (k - 1) for k in range(1, n + 1)) == 31
 
 
 def test_resolving_invalid_system_raises():
