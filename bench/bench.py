@@ -5,8 +5,10 @@
 Measures the logres checkout holding this file and writes BENCH_<label>.json
 at its root.  With --parent it measures the checkout at DIR too, in the same
 invocation, and writes BENCH_<short commit of DIR>.json beside the first:
-each measurement is taken of the parent and then of this checkout before
-the next one starts, so a drift in host load reaches both files alike.
+each measurement is taken of both checkouts before the next one starts,
+the parent first in even turns and this checkout first in odd ones, so a
+drift in host load, or an edge to whichever side runs second, reaches both
+files alike.
 Each record holds:
 
 - `perfbench`: for each workload of BENCHMARK.json, the last stdout line of
@@ -114,12 +116,19 @@ def tracemalloc_peak_mb(command: list[str], root: Path) -> float:
     return round(int(proc.stderr.split()[-1]) / 2**20, 2)
 
 
+def in_turn(roots: dict[str, Path], turn: int) -> list[tuple[str, Path]]:
+    """The checkouts in the order of one turn: as given in even turns and
+    reversed in odd ones, so that neither always runs first."""
+    order = list(roots.items())
+    return order if turn % 2 == 0 else order[::-1]
+
+
 def repeated(command: list[str], roots: dict[str, Path]) -> dict:
     """REPEATS fresh processes of `command` per checkout, the checkouts in
     turn within each repeat, then one traced process each; per label."""
     runs = {label: [] for label in roots}
-    for _ in range(REPEATS):
-        for label, root in roots.items():
+    for turn in range(REPEATS):
+        for label, root in in_turn(roots, turn):
             runs[label].append(measure(command, root))
     return {
         label: {
@@ -140,8 +149,8 @@ def cold_start(roots: dict[str, Path]) -> dict:
         "python -c pass": [sys.executable, "-c", "pass"],
     }
     runs = {label: {name: [] for name in commands} for label in roots}
-    for _ in range(COLD_STARTS):
-        for label, root in roots.items():
+    for turn in range(COLD_STARTS):
+        for label, root in in_turn(roots, turn):
             for name, command in commands.items():
                 runs[label][name].append(measure(command, root))
     return {
@@ -159,13 +168,14 @@ def cold_start(roots: dict[str, Path]) -> dict:
 
 def perfbench(roots: dict[str, Path]) -> dict:
     """perfbench/run.py per workload, unchanged, traced and untraced, each
-    checkout's own in turn; per label."""
+    checkout's own in turn, a turn per workload; per label."""
     out = {label: {} for label in roots}
-    for workload in json.loads((HERE.parent / "BENCHMARK.json").read_text())["workloads"]:
+    workloads = json.loads((HERE.parent / "BENCHMARK.json").read_text())["workloads"]
+    for turn, workload in enumerate(workloads):
         for trace in (0, 1):
             command = [sys.executable, "perfbench/run.py", "--workload", workload["name"],
                        "--trace", str(trace)]
-            for label, root in roots.items():
+            for label, root in in_turn(roots, turn):
                 proc = subprocess.run(command, cwd=root, stdout=subprocess.PIPE, text=True,
                                       check=True)
                 out[label][f"{workload['name']}.trace{trace}"] = json.loads(
@@ -204,7 +214,7 @@ def main() -> int:
         label = commit(parent, "--short=7")
         if not label or label == args.label:
             parser.error(f"--parent {args.parent} needs a git commit other than {args.label!r}")
-        roots = {label: parent, **roots}  # the parent runs first in every turn
+        roots = {label: parent, **roots}  # the parent runs first in even turns
     python = [sys.executable, "-m", "logres.cli"]
     records = {label: {"label": label, "metadata": metadata(root)} for label, root in roots.items()}
     for label, result in perfbench(roots).items():

@@ -127,7 +127,7 @@ def rank_output_problems(text: str) -> list[str]:
     The bound at a point of a stratum J is C(k + delta, k), k = n - #J, and
     the matrix has one column per (weight-delta index, degree-eps basis
     monomial) pair, C(n + delta, n) * C(n + eps, n) of them.  Each cell is
-    recomputed by ``expected_matrix``; the rank is recomputed by elimination
+    recomputed by ``expected_rows``; the rank is recomputed by elimination
     from the printed cells."""
     payload = json.loads(text)
     params = payload["params"]
