@@ -194,6 +194,8 @@ class Atlas:
 
     def add_blowup(self, parent_id: str, kids: list[Chart]) -> None:
         """Attach the children of a blow-up; a chart id is never reused."""
+        if parent_id not in self.charts:
+            raise ValueError(f"parent chart {parent_id!r} is not in the atlas")
         taken = [chart.id for chart in kids if chart.id in self.charts]
         if taken:
             raise ValueError(f"chart ids {taken} already in the atlas")

@@ -1,5 +1,7 @@
-"""Command-line front end: resolution runs, jet-chart verification, rank
-reports, global form construction, degree bounds, and indeterminacy sampling.
+"""Command-line front end: each verb parses its arguments and prints what the
+package returns: resolution runs and jet-chart verification, both certified
+chart by chart in ``logjet``, rank reports, global forms, degree bounds, and
+indeterminacy sampling.
 
 Exit codes: 0 success / all checks verified, 1 verification failure (the
 report names the offending certificate), 2 usage error, such as a ``forms``
@@ -197,7 +199,7 @@ def _cmd_resolve(args) -> tuple[int, dict | str]:
     if args.mode == "canonical":
         targets["all_components"] = list(components)
     json_out = args.format == "json"
-    _, result, certified = _chart_certificates(
+    _, result, certified = logjet.certify_chart(
         args.n, args.c, k, args.t, args.mode, list(targets.values()), json_out
     )
     certificates = []
@@ -227,163 +229,21 @@ def _cmd_resolve(args) -> tuple[int, dict | str]:
     return code, "\n".join(lines) + "\n"
 
 
-def _chart_certificates(
-    n: int, c: int, k: int, t: int, mode: str, subsets: list, divisors: bool
-) -> tuple:
-    """Build and resolve the obstruction system of one fiber chart, then
-    certify each subset I: its `obstruction_certificate`, marked principal
-    or not, and with `divisors` set the exceptional divisor per leaf; a text
-    run keeps none.  A route mismatch leaves no ideal, so it counts as not
-    principal.  Returns the jet chart, the resolution and, per subset,
-    (certificate, reason it is not principal or None).  Each distinct ideal
-    is principalized once; a failure is not kept, so the next subset of that
-    ideal tries again and each reason names its own subset."""
-    jet, system = logjet.build_obstruction_system(n, c, k, t)
-    result = logjet.resolve_obstruction_system(jet, system, mode)
-    principal = {}  # intersected generators -> divisor, or None if not kept
-    certified = []
-    for I in subsets:
-        cert = logjet.obstruction_certificate(jet, I)
-        key = tuple(cert["generators"]) if cert["equal"] else None
-        if key not in principal:  # a route mismatch (key None) fails, so is never kept
-            try:
-                divisor = logjet.verify_principalization(result, jet, I).per_chart
-            except LogresError as err:
-                cert["principal"] = False
-                certified.append((cert, str(err)))
-                continue
-            principal[key] = divisor if divisors else None
-        cert["principal"] = True
-        if divisors:
-            cert["divisor"] = principal[key]
-        certified.append((cert, None))
-    return jet, result, certified
-
-
-def _verify_jet_chart(n: int, k: int, t: int, subsets: list, divisors: bool) -> tuple:
-    """The flat route: the jet chart, certificates, principality failures and
-    relation failures of one fiber chart (c = n), which it builds, resolves
-    and principalizes.  Its atlas is freed when this returns, before the next."""
-    jet, _, certified = _chart_certificates(n, n, k, t, "canonical", subsets, divisors)
-    principality_failures = [
-        {"k": k, "t": t, "I": cert["I"], "error": error} for cert, error in certified if error
-    ]
-    # The relation is symmetric, holds for I = J and holds when either prime
-    # is the unit ideal: check each unordered pair of proper primes once,
-    # report failures in ordered (I, J) order.
-    proper = [I for I in subsets if not jet.stratum_primes[I].is_unit]
-    failed = {
-        frozenset((I, J))
-        for pos, I in enumerate(proper)
-        for J in proper[pos + 1:]
-        if not logjet.stratum_relation_holds(jet, I, J)
-    }
-    relation_failures = [
-        {"k": k, "t": t, "I": list(I), "J": list(J)}
-        for I in proper
-        for J in proper
-        if failed and frozenset((I, J)) in failed
-    ]
-    return jet, [cert for cert, _ in certified], principality_failures, relation_failures
-
-
-def _relabeled_chart(source: logjet.JetChart, t: int, subsets: list) -> list:
-    """Fiber chart (source.k, t), 1 < t <= k, checked as the image of chart
-    (k, 1), `source`, under the relabeling pi = (1 t) of the components;
-    `source` has passed every check of the flat route.
-
-    Each stratum prime of (k, t) must be pi of the prime of pi(J) in (k, 1);
-    that fixes the system, the intersected routes and the relations as the
-    images of those of (k, 1), and a mismatch raises, naming the chart.  The
-    canonical resolution commutes with the relabeling (Kollar, Lectures on
-    Resolution of Singularities, ch. 3), so pi(I) principal in every leaf of
-    (k, 1) makes I principal in every leaf of (k, t).  Each closed form of
-    (k, t) is built and compared with pi of the (k, 1) intersected route of
-    pi(I); returns the subsets where they differ, each a lift failure and a
-    principality failure, as on the flat route."""
-    jet = logjet.make_jet_chart(source.n, source.c, source.k, t)
-    pi = logjet.transposition(source, jet)
-    swap = {1: t, t: 1}
-    preimage = {J: tuple(sorted(swap.get(i, i) for i in J)) for J in subsets}
-    for J in subsets:
-        if jet.stratum_primes[J] != pi(source.stratum_primes[preimage[J]]):
-            raise LogresError(
-                f"chart k={jet.k}, t={t} is not the relabeling of chart k={jet.k}, t=1:"
-                f" the stratum prime of J={list(J)} differs"
-            )
-    return [
-        I
-        for I in subsets
-        if logjet.obstruction_ideal_closed_form(jet, I)
-        != pi(logjet.obstruction_ideal_intersected(source, preimage[I]))
-    ]
-
-
 def _cmd_verify_jet(args) -> tuple[int, dict | str]:
-    """Check every fiber chart (k, t) of c = n components, 0 <= k <= n and
-    1 <= t <= n, for every nonempty component subset I: that the intersected
-    and closed-form routes to the obstruction ideal agree (the lift), that
-    the ideal is principal in every leaf of the chart's resolution, and the
-    stratum relations.  "Ideals checked" counts the (k, t, I) checked,
-    n(n+1)(2^n - 1), on either route.
-
-    A JSON run prints each certificate with a divisor per leaf id, so it
-    takes the flat route, `_verify_jet_chart`, in every chart: 159
-    principalizations at n = 5.  A text run prints counts, so it takes the
-    flat route only in the charts (k, 1) and the charts with an empty system
-    (k = 0 or t > k), 51 principalizations at n = 5, and checks each chart
-    (k, t), 1 < t <= k, as the relabeling of chart (k, 1) by `_relabeled_chart`.
-    When chart (k, 1) has any failure its images take the flat route too, so
-    a failing run prints what the flat route prints."""
-    n = args.n
-    if n < 2:
+    if args.n < 2:
         raise UsageError("verify-jet needs n >= 2")
-    c = n
-    relation_failures = []
-    principality_failures = []
-    lift_failures = []
-    certificates = []  # text mode prints counts and keeps no certificate
     json_out = args.format == "json"
-    checked = 0
-    subsets = logjet.component_subsets(range(1, c + 1))
-    for k in range(0, c + 1):
-        source = None  # chart (k, 1) of a text run, once it passed every check
-        for t in range(1, n + 1):
-            checked += len(subsets)
-            if source is not None and t <= k:
-                for I in _relabeled_chart(source, t, subsets):
-                    failure = {"k": k, "t": t, "I": list(I)}
-                    lift_failures.append(failure)
-                    principality_failures.append(failure)  # no one ideal to certify
-                continue
-            jet, certs, principality, relations = _verify_jet_chart(n, k, t, subsets, json_out)
-            lifts = [cert for cert in certs if not cert["equal"]]
-            if json_out:
-                certificates += certs
-            elif t == 1 and not (lifts or principality or relations):
-                source = jet
-            lift_failures += lifts
-            principality_failures += principality
-            relation_failures += relations
-    verified = not lift_failures and not relation_failures and not principality_failures
-    code = 0 if verified else 1
-    if not json_out:
-        unprincipal = len(principality_failures)  # named only when nonzero
-        return code, (
-            f"verify-jet n={n}: {checked} ideals checked, "
-            f"{len(lift_failures)} lift failures, "
-            f"{len(relation_failures)} relation failures"
-            f"{f', {unprincipal} principality failures' if unprincipal else ''}\n"
-        )
-    return code, {
-        "params": {"n": n, "c": c},
-        "ideals_checked": checked,
-        "certificates": certificates,
-        "lift_ideal_failures": lift_failures,
-        "intersection_failures": relation_failures,
-        "principality_failures": principality_failures,
-        "verified": verified,
-    }
+    report = logjet.verify_jet(args.n, json_out)
+    code = 0 if report["verified"] else 1
+    if json_out:
+        return code, {"params": {"n": args.n, "c": args.n}, **report}
+    unprincipal = len(report["principality_failures"])  # named only when nonzero
+    return code, (
+        f"verify-jet n={args.n}: {report['ideals_checked']} ideals checked, "
+        f"{len(report['lift_ideal_failures'])} lift failures, "
+        f"{len(report['intersection_failures'])} relation failures"
+        f"{f', {unprincipal} principality failures' if unprincipal else ''}\n"
+    )
 
 
 def _cmd_rank(args) -> tuple[int, dict]:

@@ -27,8 +27,11 @@ alone it recomputes every other printed number and flag from its formula.
 ``sample`` cannot be checked this way: its draws are not printed.
 
 From the command line, ``python tests/checkers.py VERB FILE...`` checks each
-file as the output of ``bounds``, ``rank``, ``resolve`` or ``forms``, prints
-every problem and exits 1 if there is any.
+file as the output of ``bounds``, ``rank``, ``resolve`` or ``forms``, and
+``python tests/checkers.py verify-jet OUT ATLAS...`` checks the output of
+``verify-jet --format json`` against the ``resolve --format json`` output of
+each of its charts.  Either prints every problem, a file that cannot be read
+or parsed among them, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -518,23 +521,45 @@ def bounds_output_problems(text: str) -> list[str]:
     return problems
 
 
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def main(argv: list[str]) -> int:
-    """Check each file as the stdout of the verb; 1 if any has a problem."""
+    """Check each file as the stdout of the verb; 1 if any has a problem.
+    ``verify-jet OUT ATLAS...`` checks OUT, a ``verify-jet --format json``
+    output, against the ATLAS files, each the stdout of one ``resolve
+    --format json`` run, keyed by the chart (k, t) its params name.  A file
+    that cannot be read, or is not output of the verb, is a problem too."""
     checkers = {
         "bounds": bounds_output_problems,
         "rank": rank_output_problems,
         "resolve": resolve_output_problems,
         "forms": forms_output_problems,
+        "verify-jet": verify_jet_output_problems,
     }
     parser = argparse.ArgumentParser(description="Check printed logres output.")
     parser.add_argument("verb", choices=checkers)
     parser.add_argument("files", nargs="+")
     args = parser.parse_args(argv)
-    problems = [
-        f"{path}: {problem}"
-        for path in args.files
-        for problem in checkers[args.verb](open(path).read())
-    ]
+    problems = []
+    paths, extra = args.files, ()
+    if args.verb == "verify-jet":
+        paths, atlases = args.files[:1], {}
+        for path in args.files[1:]:
+            try:
+                text = _read(path)
+                params = json.loads(text)["params"]
+                atlases[params["k"], params["t"]] = text
+            except (OSError, ValueError, LookupError, TypeError) as err:
+                problems.append(f"{path}: cannot read a resolve atlas: {type(err).__name__}: {err}")
+        extra = (atlases,)
+    for path in paths:
+        try:
+            problems += [f"{path}: {problem}" for problem in checkers[args.verb](_read(path), *extra)]
+        except (OSError, ValueError, LookupError, TypeError) as err:
+            problems.append(f"{path}: cannot check it: {type(err).__name__}: {err}")
     for problem in problems:
         print(problem)
     return 1 if problems else 0

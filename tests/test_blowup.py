@@ -313,6 +313,16 @@ def test_add_blowup_refuses_a_chart_id_already_in_the_atlas():
         atlas.add_blowup(base.id, [base])
 
 
+def test_add_blowup_refuses_an_unknown_parent_before_changing_the_atlas():
+    base = root_chart(("x1", "x2"))
+    children = blow_up_center(base, variety(base, "x1", "x2"))
+    atlas = Atlas.for_root(base)
+    charts, kids = dict(atlas.charts), {key: list(ids) for key, ids in atlas.children.items()}
+    with pytest.raises(ValueError, match="^parent chart 'nope' is not in the atlas$"):
+        atlas.add_blowup("nope", children)
+    assert atlas.charts == charts and atlas.children == kids
+
+
 def test_a_chart_stores_no_map_to_its_parent():
     """`center` and `direction` fix a chart's map to its parent, so the chart
     does not store it.  Resolving the n = 6 system (k = 6, t = 1) holds

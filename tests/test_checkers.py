@@ -269,6 +269,46 @@ def test_verify_jet_checker_refuses_spoiled_output():
     assert "lift_ideal_failures are not the certificates whose routes differ" in flipped
 
 
+def test_verify_jet_checker_command_line(tmp_path):
+    """``python checkers.py verify-jet OUT ATLAS...`` exits 0 on good output
+    and 1 with one divisor leaf dropped; a file that is not JSON is a problem
+    line, not a traceback."""
+    text, atlases = verify_jet_run(3)
+    paths = []
+    for (k, t), atlas in atlases.items():
+        paths.append(tmp_path / f"resolve-{k}-{t}.json")
+        paths[-1].write_text(atlas)
+    good = tmp_path / "good.json"
+    good.write_text(text)
+    payload = json.loads(text)
+    (cert,) = [c for c in payload["certificates"] if (c["k"], c["t"], c["I"]) == (3, 1, [1, 2])]
+    cert["divisor"].pop(min(cert["divisor"]))
+    dropped = tmp_path / "dropped.json"
+    dropped.write_text(json.dumps(payload))
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("verify-jet n=3: 84 ideals checked\n")
+
+    def check(out, *atlas_paths):
+        return subprocess.run(
+            [sys.executable, str(HERE / "checkers.py"), "verify-jet", str(out),
+             *map(str, atlas_paths)],
+            capture_output=True, text=True,
+        )
+
+    passed = check(good, *paths)
+    assert (passed.returncode, passed.stdout, passed.stderr) == (0, "", "")
+    failed = check(dropped, *paths)
+    assert failed.returncode == 1
+    (problem,) = failed.stdout.splitlines()
+    assert problem.startswith(f"{dropped}: k=3 t=1 I=[1, 2]: divisor misses leaves"), problem
+    for argv in ((garbled, *paths), (good, garbled, *paths)):
+        failed = check(*argv)
+        assert (failed.returncode, failed.stderr) == (1, "")
+        (problem,) = failed.stdout.splitlines()
+        assert problem.startswith(f"{garbled}: cannot "), problem
+        assert "JSONDecodeError" in problem, problem
+
+
 def test_forms_checker_accepts_every_recorded_run():
     keys = json.loads(DIGESTS.read_text())["digests"]
     argvs = [shlex.split(key) for key in keys if key.startswith("forms ")]

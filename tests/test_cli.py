@@ -460,6 +460,32 @@ def test_verify_jet_principalizes_each_distinct_ideal_once(monkeypatch, n, expec
     assert set(calls) == distinct
 
 
+def spoil_principalization(monkeypatch, chart, subset):
+    """Make `verify_principalization` fail for `subset` in fiber chart
+    `chart`, a (k, t) pair, as a leaf that is not principal would."""
+    verify = logjet.verify_principalization
+
+    def spoiled(result, jet, I):
+        if ((jet.k, jet.t), tuple(I)) == (chart, subset):
+            raise logjet.NotResolved("root", "spoiled")
+        return verify(result, jet, I)
+
+    monkeypatch.setattr(logjet, "verify_principalization", spoiled)
+
+
+def spoil_closed_form(monkeypatch, chart, subset):
+    """Make the closed form of `subset` in fiber chart `chart`, a (k, t)
+    pair, the unit ideal."""
+    closed = logjet.obstruction_ideal_closed_form
+
+    def spoiled(jet, I):
+        if ((jet.k, jet.t), tuple(I)) == (chart, subset):
+            return MonomialIdeal.unit(jet.chart.variables)
+        return closed(jet, I)
+
+    monkeypatch.setattr(logjet, "obstruction_ideal_closed_form", spoiled)
+
+
 def flat_charts(n):
     """The fiber charts a passing text run builds and resolves: each chart
     (k, 1), and each chart whose system is empty (t > k, k = 0 included)."""
@@ -514,20 +540,14 @@ def test_a_failing_chart_sends_its_images_down_the_flat_route(monkeypatch):
     1 < t <= k, are then built and resolved as at n = 3 before, and only
     they."""
     resolve = logjet.resolve_obstruction_system
-    verify = logjet.verify_principalization
     resolved = []
 
     def resolving(jet, system, mode):
         resolved.append((jet.k, jet.t))
         return resolve(jet, system, mode)
 
-    def spoiled(result, jet, I):
-        if (jet.k, jet.t, tuple(I)) == (2, 1, (1, 2)):
-            raise logjet.NotResolved("root", "spoiled")
-        return verify(result, jet, I)
-
     monkeypatch.setattr(logjet, "resolve_obstruction_system", resolving)
-    monkeypatch.setattr(logjet, "verify_principalization", spoiled)
+    spoil_principalization(monkeypatch, (2, 1), (1, 2))
     code, text = run_command(["verify-jet", "--n", "3", "--format", "text"])
     assert code == 1
     assert text == (
@@ -540,7 +560,7 @@ def test_a_failing_chart_sends_its_images_down_the_flat_route(monkeypatch):
 def flat_outcomes(n, k, t, subsets):
     """Per chart, the subsets with a lift failure, with a principality
     failure, and the pairs with a relation failure, by the flat route."""
-    jet, certs, principality, relations = cli._verify_jet_chart(n, k, t, subsets, False)
+    jet, certs, principality, relations = logjet._flat_chart(n, k, t, subsets, False)
     return jet, (
         {tuple(cert["I"]) for cert in certs if not cert["equal"]},
         {tuple(failure["I"]) for failure in principality},
@@ -572,7 +592,7 @@ def test_relabeled_charts_agree_with_the_flat_route(monkeypatch, spoil):
             assert passed == (set(), set(), set())
             for t in range(2, k + 1):
                 _, flat = flat_outcomes(n, k, t, subsets)
-                unequal = set(cli._relabeled_chart(source, t, subsets))
+                unequal = set(logjet._relabeled_chart(source, t, subsets))
                 assert (unequal, unequal, set()) == flat, (n, k, t)
                 failing += len(unequal)
     assert bool(failing) == spoil
@@ -602,14 +622,7 @@ def test_a_spoiled_closed_form_of_an_image_chart_counts_as_on_the_flat_route(mon
     """A closed form of chart (4, 3) spoilt: the text run prints the one lift
     failure and the one principality failure the flat route of a JSON run
     reports."""
-    closed = logjet.obstruction_ideal_closed_form
-
-    def spoiled(jet, I):
-        if (jet.k, jet.t, tuple(I)) == (4, 3, (1, 3)):
-            return MonomialIdeal.unit(jet.chart.variables)
-        return closed(jet, I)
-
-    monkeypatch.setattr(logjet, "obstruction_ideal_closed_form", spoiled)
+    spoil_closed_form(monkeypatch, (4, 3), (1, 3))
     code, payload = run_json(["verify-jet", "--n", "4"])
     assert code == 1
     (lift,) = payload["lift_ideal_failures"]
@@ -628,13 +641,7 @@ def test_a_principality_failure_is_not_shared_by_its_ideal(monkeypatch):
     obstruction ideal, and (1, 2) is certified first.  A failure for (1, 2)
     is reported for it alone; (1, 2, 3) is principalized on its own."""
     verify = logjet.verify_principalization
-
-    def spoiled(result, jet, I):
-        if (jet.k, jet.t, tuple(I)) == (2, 1, (1, 2)):
-            raise logjet.NotResolved("root", "spoiled")
-        return verify(result, jet, I)
-
-    monkeypatch.setattr(logjet, "verify_principalization", spoiled)
+    spoil_principalization(monkeypatch, (2, 1), (1, 2))
     code, payload = run_json(["verify-jet", "--n", "3"])
     assert code == 1
     (unprincipal,) = payload["principality_failures"]
@@ -656,14 +663,7 @@ def test_a_principality_failure_is_not_shared_by_its_ideal(monkeypatch):
 def test_verify_jet_reports_a_lift_failure(monkeypatch):
     """Negative control for the two obstruction-ideal routes: a closed form
     that disagrees is reported in the payload, not raised past it."""
-    closed = logjet.obstruction_ideal_closed_form
-
-    def spoiled(jet, I):
-        if (jet.k, jet.t, tuple(I)) == (2, 1, (1, 2)):
-            return MonomialIdeal.unit(jet.chart.variables)
-        return closed(jet, I)
-
-    monkeypatch.setattr(logjet, "obstruction_ideal_closed_form", spoiled)
+    spoil_closed_form(monkeypatch, (2, 1), (1, 2))
     code, payload = run_json(["verify-jet", "--n", "2"])
     assert code == 1
     assert not payload["verified"]
@@ -686,14 +686,7 @@ def test_verify_jet_reports_a_lift_failure(monkeypatch):
 def test_verify_jet_text_counts_a_principality_failure(monkeypatch):
     """Negative control for the text summary: a run whose only failure is a
     non-principal leaf names that failure, where the JSON already did."""
-    verify = logjet.verify_principalization
-
-    def spoiled(result, jet, I):
-        if (jet.k, jet.t, tuple(I)) == (2, 1, (1, 2)):
-            raise logjet.NotResolved("root", "spoiled")
-        return verify(result, jet, I)
-
-    monkeypatch.setattr(logjet, "verify_principalization", spoiled)
+    spoil_principalization(monkeypatch, (2, 1), (1, 2))
     code, payload = run_json(["verify-jet", "--n", "2"])
     assert code == 1
     (unprincipal,) = payload["principality_failures"]
@@ -712,14 +705,7 @@ def test_a_route_mismatch_does_not_reuse_a_shared_divisor(monkeypatch):
     t = 1, and (1, 2) is certified first.  With the closed form of (1, 2, 3)
     spoilt there is no one ideal to certify, so the divisor of (1, 2) must
     not be reused for it."""
-    closed = logjet.obstruction_ideal_closed_form
-
-    def spoiled(jet, I):
-        if (jet.k, jet.t, tuple(I)) == (2, 1, (1, 2, 3)):
-            return MonomialIdeal.unit(jet.chart.variables)
-        return closed(jet, I)
-
-    monkeypatch.setattr(logjet, "obstruction_ideal_closed_form", spoiled)
+    spoil_closed_form(monkeypatch, (2, 1), (1, 2, 3))
     code, payload = run_json(["verify-jet", "--n", "3"])
     assert code == 1
     (failure,) = payload["lift_ideal_failures"]
@@ -734,14 +720,7 @@ def test_resolve_reports_a_route_mismatch(monkeypatch):
     """The same spoiled closed form as above: resolve reports the mismatch as
     an unprincipal certificate with its JSON, not as a bare error, and its
     text names it without spelling the atlas."""
-    closed = logjet.obstruction_ideal_closed_form
-
-    def spoiled(jet, I):
-        if (jet.k, jet.t, tuple(I)) == (2, 1, (1, 2)):
-            return MonomialIdeal.unit(jet.chart.variables)
-        return closed(jet, I)
-
-    monkeypatch.setattr(logjet, "obstruction_ideal_closed_form", spoiled)
+    spoil_closed_form(monkeypatch, (2, 1), (1, 2))
     argv = ["resolve", "--n", "2", "--c", "2", "--k", "2", "--t", "1"]
     code, payload = run_json(argv)
     assert code == 1

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from logres import blowup, resolution
+from logres import blowup, logjet, resolution
 from logres.blowup import Atlas, push_exponent
 from logres.cli import run_command
 from logres.logjet import (
@@ -24,7 +24,6 @@ from logres.logjet import (
     stratum_prime,
     stratum_relation_holds,
     stratum_variety,
-    transposition,
 )
 from logres.monideal import MonomialIdeal, ideal_sum, intersect_monomial_ideals
 from logres.resolution import ResolutionResult, resolve_system, validate_compatible_system
@@ -430,39 +429,17 @@ def test_a_leaf_that_loses_its_newest_divisor_is_not_principal(monkeypatch):
     assert all(f["error"].startswith("non-exceptional factor ") for f in failures)
 
 
-def test_transposition_carries_chart_1_onto_chart_t():
-    """pi = (1 t) carries every stratum prime, closed form and intersected
-    route of chart (k, 1) onto those of chart (k, t) of pi(J), and the
-    members of the system onto its members, for n = 2..5 and 1 < t <= k.
-    Any other pair of charts is refused."""
-    for n in range(2, 6):
-        subsets = component_subsets(range(1, n + 1))
-        for k in range(2, n + 1):
-            source, source_system = build_obstruction_system(n, n, k, 1)
-            for t in range(2, k + 1):
-                image, image_system = build_obstruction_system(n, n, k, t)
-                pi = transposition(source, image)
-                swap = {1: t, t: 1}
-                for J in subsets:
-                    back = tuple(sorted(swap.get(i, i) for i in J))
-                    for route in (stratum_prime, obstruction_ideal_closed_form,
-                                  obstruction_ideal_intersected):
-                        assert route(image, J) == pi(route(source, back)), (n, k, t, J, route)
-
-                def mapped(slots):
-                    names = source.chart.variables
-                    prime = MonomialIdeal.from_varsets(names, [{names[s]} for s in slots])
-                    return frozenset(g.index(1) for g in pi(prime).generators)
-
-                assert {(m.index, m.variety) for m in image_system.members} == {
-                    (m.index, mapped(m.variety)) for m in source_system.members
-                }
-    source = make_jet_chart(3, 3, 3, 1)
-    for image in (make_jet_chart(3, 3, 2, 2), make_jet_chart(3, 3, 3, 1), make_jet_chart(4, 4, 3, 2)):
-        with pytest.raises(OutOfRange):
-            transposition(source, image)
-    with pytest.raises(OutOfRange):
-        transposition(make_jet_chart(3, 3, 3, 2), make_jet_chart(3, 3, 3, 3))
+def test_the_relabel_check_refuses_any_other_pair_of_charts():
+    """Only chart (k, 1) relabels onto chart (k, t), 1 < t <= k: t = 1,
+    t > k and a source chart whose t is not 1 are refused."""
+    subsets = component_subsets(range(1, 4))
+    for source, t in (
+        (make_jet_chart(3, 3, 3, 1), 1),
+        (make_jet_chart(3, 3, 2, 1), 3),
+        (make_jet_chart(3, 3, 3, 2), 3),
+    ):
+        with pytest.raises(OutOfRange, match="is not a relabeling of chart"):
+            logjet._relabeled_chart(source, t, subsets)
 
 
 # -- one build per chart --------------------------------------------------------------
