@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import math
 import operator
@@ -544,7 +545,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("files", nargs="+")
     args = parser.parse_args(argv)
     problems = []
-    paths, extra = args.files, ()
+    check, paths = checkers[args.verb], args.files
     if args.verb == "verify-jet":
         paths, atlases = args.files[:1], {}
         for path in args.files[1:]:
@@ -554,10 +555,10 @@ def main(argv: list[str]) -> int:
                 atlases[params["k"], params["t"]] = text
             except (OSError, ValueError, LookupError, TypeError) as err:
                 problems.append(f"{path}: cannot read a resolve atlas: {type(err).__name__}: {err}")
-        extra = (atlases,)
+        check = functools.partial(verify_jet_output_problems, atlases=atlases)
     for path in paths:
         try:
-            problems += [f"{path}: {problem}" for problem in checkers[args.verb](_read(path), *extra)]
+            problems += [f"{path}: {problem}" for problem in check(_read(path))]
         except (OSError, ValueError, LookupError, TypeError) as err:
             problems.append(f"{path}: cannot check it: {type(err).__name__}: {err}")
     for problem in problems:
